@@ -12,7 +12,6 @@ content, so reruns on unchanged inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -30,14 +29,19 @@ from .dataset import (
     RawSeries,
     Region,
     SplitSpec,
+    finite_cell_or_nan,
+    format_month_table,
     load_labels,
     load_series_csv,
+    read_month_table,
     write_labels,
 )
 from .errors import (
     ConfigError,
     CycleCastError,
+    DataError,
     InsufficientHistoryError,
+    MalformedRowError,
 )
 from .features import FeatureMatrix, FeatureScaler, build_feature_matrix, forecast_alignment
 from .indices import CompositeIndex, IndexKind, expanding_pca_index, pca_first_component, sign_normalize
@@ -230,21 +234,15 @@ def _write_atomic(path: Path, data: str | bytes) -> None:
     os.replace(tmp, path)
 
 
-def _float_cell(value: float) -> str:
-    return repr(float(value))
+def _write_json(path: Path, doc: dict) -> None:
+    _write_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 # --- panel and feature artifacts -------------------------------------------
 
 
 def write_panel(panel: Panel, csv_path: Path, meta_path: Path) -> None:
-    lines = ["year,month," + ",".join(panel.series_ids)]
-    for i, month in enumerate(panel.months):
-        cells = [
-            "" if np.isnan(v) else _float_cell(v) for v in panel.values[i]
-        ]
-        lines.append(f"{month.year},{month.month}," + ",".join(cells))
-    _write_atomic(csv_path, "\n".join(lines) + "\n")
+    _write_atomic(csv_path, format_month_table(panel.series_ids, panel.months, panel.values))
     meta = {
         "region": panel.region.value if panel.region else None,
         "columns": [
@@ -253,90 +251,64 @@ def write_panel(panel: Panel, csv_path: Path, meta_path: Path) -> None:
         ],
         "fills": list(panel.fills),
     }
-    _write_atomic(meta_path, json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    _write_json(meta_path, meta)
 
 
 def read_panel(csv_path: Path, meta_path: Path) -> Panel:
-    if not csv_path.exists():
-        raise FileNotFoundError(str(csv_path))
+    ids, months, values = read_month_table(csv_path, cell=finite_cell_or_nan)
     if not meta_path.exists():
         raise FileNotFoundError(str(meta_path))
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     categories = {col["id"]: Category(col["category"]) for col in meta["columns"]}
-    with csv_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        ids = header[2:]
-        months = []
-        rows = []
-        for row in reader:
-            months.append(MonthStamp(int(row[0]), int(row[1])))
-            rows.append([float(c) if c else np.nan for c in row[2:]])
+    unknown = [i for i in ids if i not in categories]
+    if unknown:
+        raise MalformedRowError(1, f"columns {unknown} are not in {meta_path.name}")
     return Panel(
-        months=tuple(months),
-        series_ids=tuple(ids),
+        months=months,
+        series_ids=ids,
         categories=tuple(categories[i] for i in ids),
-        values=np.asarray(rows, dtype=float),
+        values=values,
         fills=tuple(meta.get("fills", [0] * len(ids))),
         region=Region(meta["region"]) if meta.get("region") else None,
     )
 
 
 def write_features(fm: FeatureMatrix, csv_path: Path, meta_path: Path, sign_only: bool) -> None:
-    lines = ["year,month," + ",".join(fm.feature_names)]
-    for i, month in enumerate(fm.months):
-        lines.append(
-            f"{month.year},{month.month},"
-            + ",".join(_float_cell(v) for v in fm.values[i])
-        )
-    _write_atomic(csv_path, "\n".join(lines) + "\n")
+    _write_atomic(csv_path, format_month_table(fm.feature_names, fm.months, fm.values))
     meta = {"window": fm.window, "sign_only": sign_only, "feature_names": list(fm.feature_names)}
-    _write_atomic(meta_path, json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    _write_json(meta_path, meta)
 
 
 def read_features(csv_path: Path, meta_path: Path) -> FeatureMatrix:
-    if not csv_path.exists():
-        raise FileNotFoundError(str(csv_path))
+    names, months, values = read_month_table(csv_path)
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    with csv_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        names = tuple(header[2:])
-        months = []
-        rows = []
-        for row in reader:
-            months.append(MonthStamp(int(row[0]), int(row[1])))
-            rows.append([float(c) for c in row[2:]])
     return FeatureMatrix(
-        months=tuple(months),
-        feature_names=names,
-        values=np.asarray(rows, dtype=float),
-        window=int(meta["window"]),
+        months=months, feature_names=names, values=values, window=int(meta["window"])
     )
 
 
 def write_index_csv(index: CompositeIndex, path: Path) -> None:
-    lines = ["year,month,value"]
-    lines.extend(
-        f"{m.year},{m.month},{_float_cell(v)}" for m, v in zip(index.months, index.values)
-    )
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_atomic(path, format_month_table(("value",), index.months, index.values))
 
 
 def read_index_csv(path: Path, kind: IndexKind, min_window: int) -> CompositeIndex:
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        months = []
-        values = []
-        for row in reader:
-            months.append(MonthStamp(int(row[0]), int(row[1])))
-            values.append(float(row[2]))
+    _, months, values = read_month_table(path, ("value",))
     return CompositeIndex(
-        kind=kind, months=tuple(months), values=tuple(values), min_window_months=min_window
+        kind=kind, months=months, values=tuple(values[:, 0].tolist()), min_window_months=min_window
     )
+
+
+def _write_series_dir(cfg: RunConfig, series: Sequence[RawSeries]) -> None:
+    series_dir = cfg.data_dir / "series"
+    series_dir.mkdir(parents=True, exist_ok=True)
+    manifest = {"series": []}
+    for s in series:
+        fname = f"{s.series_id}.csv"
+        fetchmod.export_series_csv(s, series_dir / fname)
+        manifest["series"].append(
+            {"id": s.series_id, "file": fname, "region": s.region.value, "category": s.category.value}
+        )
+    _write_json(series_dir / "manifest.json", manifest)
 
 
 def _load_series_dir(cfg: RunConfig) -> list[RawSeries]:
@@ -382,16 +354,7 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     ds, series = generate(
         spec, int(synth["months"]), start=MonthStamp.parse(synth["start"]), region=cfg.region
     )
-    series_dir = cfg.data_dir / "series"
-    series_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {"series": []}
-    for s in series:
-        fname = f"{s.series_id}.csv"
-        fetchmod.export_series_csv(s, series_dir / fname)
-        manifest["series"].append(
-            {"id": s.series_id, "file": fname, "region": s.region.value, "category": s.category.value}
-        )
-    _write_atomic(series_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    _write_series_dir(cfg, series)
     write_labels(ds, cfg.labels_path)
     print(f"wrote {len(series)} series and {len(ds)} labeled months under {cfg.data_dir}")
     return EXIT_OK
@@ -415,27 +378,16 @@ def cmd_fetch(cfg: RunConfig, args: argparse.Namespace) -> int:
     entries = fc["series"]
     if entries is None:
         entries = fetchmod.load_series_manifest()["series"]
-    series_dir = cfg.data_dir / "series"
-    series_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {"series": []}
+    fetched = []
     for entry in entries:
         series = client.fetch_series(
             entry["id"],
             region=Region(entry.get("region", cfg.region.value)),
             category=Category(entry.get("category", "other")),
         )
-        fname = f"{series.series_id}.csv"
-        fetchmod.export_series_csv(series, series_dir / fname)
-        manifest["series"].append(
-            {
-                "id": series.series_id,
-                "file": fname,
-                "region": series.region.value,
-                "category": series.category.value,
-            }
-        )
+        fetched.append(series)
         print(f"fetched {series.series_id}: {len(series)} monthly observations")
-    _write_atomic(series_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    _write_series_dir(cfg, fetched)
     return EXIT_OK
 
 
@@ -487,9 +439,7 @@ def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
             "reference_series": reference,
         }
         print(f"wrote {kind.value} index: {len(index)} months -> {cfg.out_dir / out_name}")
-    _write_atomic(
-        cfg.out_dir / "loadings.json", json.dumps(loadings_doc, sort_keys=True, indent=1) + "\n"
-    )
+    _write_json(cfg.out_dir / "loadings.json", loadings_doc)
     return EXIT_OK
 
 
@@ -618,6 +568,20 @@ def _indices_for_rbbcp(cfg: RunConfig) -> tuple[CompositeIndex, CompositeIndex]:
     return growth, inflation
 
 
+def _model_features(cfg: RunConfig, artifact: ModelArtifact) -> FeatureMatrix:
+    """Features rebuilt from panel.csv with the window the model was trained on."""
+    panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
+    if artifact.window is None:
+        raise DataError("model file records no feature window")
+    sign_only = bool(cfg.features["trend_sign_only"])
+    fm = build_feature_matrix(panel, artifact.window, sign_only=sign_only)
+    if fm.feature_names != artifact.feature_names:
+        raise DataError(
+            f"model features {artifact.feature_names} differ from panel.csv's {fm.feature_names}"
+        )
+    return fm
+
+
 def _test_distributions(
     cfg: RunConfig, artifact: ModelArtifact
 ) -> tuple[np.ndarray, np.ndarray, list[MonthStamp]]:
@@ -647,7 +611,7 @@ def _test_distributions(
             raise CycleCastError("no test months with enough index history")
         return np.asarray(dists), np.asarray(truth, dtype=int), months
 
-    fm = read_features(cfg.out_dir / "features.csv", cfg.out_dir / "features_meta.json")
+    fm = _model_features(cfg, artifact)
     X, y, feat_months = forecast_alignment(fm, labels)
     rows = _split_rows(feat_months, split)["test"]
     if rows.size == 0:
@@ -741,12 +705,12 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     artifact = load_model(args.model_file or cfg.out_dir / "model.json")
-    month = MonthStamp.parse(args.month)
+    month = args.month
     if isinstance(artifact.model, RbbcpModel):
         growth, inflation = _indices_for_rbbcp(cfg)
         dist = artifact.model.predict_proba_at(inflation, growth, month)
     else:
-        fm = read_features(cfg.out_dir / "features.csv", cfg.out_dir / "features_meta.json")
+        fm = _model_features(cfg, artifact)
         try:
             row = fm.row_at(month)
         except KeyError:
@@ -829,7 +793,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="phase distribution for the month after --month")
-    p.add_argument("--month", required=True, help="feature month, YYYY-MM")
+    p.add_argument("--month", required=True, type=MonthStamp.parse, help="feature month, YYYY-MM")
     p.add_argument("--model-file", dest="model_file", default=None)
     p.set_defaults(func=cmd_predict)
 

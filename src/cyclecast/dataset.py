@@ -12,8 +12,11 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     BoundaryOutsideDatasetError,
@@ -35,6 +38,10 @@ __all__ = [
     "load_labels",
     "write_labels",
     "load_series_csv",
+    "read_month_table",
+    "format_month_table",
+    "finite_cell",
+    "finite_cell_or_nan",
     "split_dataset",
     "phase_counts",
 ]
@@ -205,45 +212,101 @@ class DatasetSplit:
     test: LabeledDataset
 
 
+def finite_cell(text: str) -> float:
+    """Parse one value cell; non-finite values are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def finite_cell_or_nan(text: str) -> float:
+    """Like :func:`finite_cell`, but an empty cell reads as NaN (panel gaps)."""
+    if not text:
+        return math.nan
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+@lru_cache(maxsize=4096)
+def _parse_month(year: str, month: str) -> MonthStamp:
+    # Series files of one panel repeat the same months; MonthStamp is immutable.
+    return MonthStamp(int(year), int(month))
+
+
+def read_month_table(
+    path: str | Path,
+    columns: Sequence[str] | None = None,
+    cell: Callable[[str], float] = finite_cell,
+) -> tuple[tuple[str, ...], tuple[MonthStamp, ...], np.ndarray]:
+    """Read a ``year,month,<columns...>`` CSV into (names, months, rows).
+
+    This is the one reader of the toolkit's monthly tables (series, labels,
+    panel, features, indices). ``columns`` fixes the lower-case value-column
+    names (the header is compared case-insensitively); None accepts any names.
+    ``cell`` parses every value cell of the file. ``rows`` is a
+    months-by-columns float array. Blank lines are skipped; every other defect
+    raises :class:`MalformedRowError` with its line number.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    expected = ",".join(("year", "month", *(columns or ("<columns...>",))))
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRowError(1, f"empty file, expected header {expected}")
+        keys = [h.strip().lower() for h in header]
+        if keys[:2] != ["year", "month"] or (columns is not None and keys[2:] != list(columns)):
+            raise MalformedRowError(1, f"bad header {header!r}, expected {expected}")
+        width = len(header)
+        months: list[MonthStamp] = []
+        cells: list[float] = []
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise MalformedRowError(reader.line_num, f"expected {width} fields, got {len(row)}")
+            try:
+                months.append(_parse_month(row[0], row[1]))
+                cells.extend(map(cell, row[2:]))
+            except ValueError as exc:
+                raise MalformedRowError(reader.line_num, f"{row!r}: {exc}") from None
+    rows = np.asarray(cells, dtype=float).reshape(len(months), width - 2)
+    return tuple(header[2:]), tuple(months), rows
+
+
+def format_month_table(names: Sequence[str], months: Sequence[MonthStamp], rows) -> str:
+    """``year,month,<names...>`` CSV text readable by :func:`read_month_table`.
+
+    Cells are ``repr(float)``, so values round-trip bit-exactly; NaN is an
+    empty cell. LF line endings, no trailing blank line.
+    """
+    isnan = math.isnan
+    lines = [",".join(("year", "month", *names))]
+    values = np.asarray(rows, dtype=float).reshape(len(months), len(names)).tolist()
+    for month, row in zip(months, values):
+        lines.append(
+            f"{month.year},{month.month}," + ",".join(["" if isnan(v) else repr(v) for v in row])
+        )
+    return "\n".join(lines) + "\n"
+
+
 def load_labels(path: str | Path, region: Region | None = None) -> LabeledDataset:
     """Read a ``year,month,phase`` CSV into a :class:`LabeledDataset`.
 
     Rejects missing files, malformed rows, phase codes outside 1..4, and any
     gap in the month sequence.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    months: list[MonthStamp] = []
-    labels: list[PhaseLabel] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRowError(1, "empty file, expected header year,month,phase") from None
-        if [h.strip().lower() for h in header] != ["year", "month", "phase"]:
-            raise MalformedRowError(1, f"bad header {header!r}, expected year,month,phase")
-        for line_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise MalformedRowError(line_number, f"expected 3 fields, got {len(row)}")
-            try:
-                year, month, phase = (int(f) for f in row)
-            except ValueError:
-                raise MalformedRowError(line_number, f"non-integer field in {row!r}") from None
-            try:
-                stamp = MonthStamp(year, month)
-            except ValueError as exc:
-                raise MalformedRowError(line_number, str(exc)) from None
-            if phase not in (1, 2, 3, 4):
-                raise InvalidPhaseCodeError(phase)
-            if months and stamp != months[-1].next():
-                raise NonContiguousMonthsError(months[-1].next())
-            months.append(stamp)
-            labels.append(PhaseLabel(phase))
-    return LabeledDataset(months=tuple(months), labels=tuple(labels), region=region)
+    _, months, rows = read_month_table(path, ("phase",), cell=int)
+    codes = [int(code) for code in rows[:, 0].tolist()]
+    for code in codes:
+        if code not in (1, 2, 3, 4):
+            raise InvalidPhaseCodeError(code)
+    return LabeledDataset(months=months, labels=tuple(map(PhaseLabel, codes)), region=region)
 
 
 def write_labels(ds: LabeledDataset, path: str | Path) -> None:
@@ -261,35 +324,13 @@ def load_series_csv(
     transform_applied: Transform = Transform.NONE,
 ) -> RawSeries:
     """Read a ``year,month,value`` CSV into a :class:`RawSeries`."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    months: list[MonthStamp] = []
-    values: list[float] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRowError(1, "empty file, expected header year,month,value") from None
-        if [h.strip().lower() for h in header] != ["year", "month", "value"]:
-            raise MalformedRowError(1, f"bad header {header!r}, expected year,month,value")
-        for line_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise MalformedRowError(line_number, f"expected 3 fields, got {len(row)}")
-            try:
-                months.append(MonthStamp(int(row[0]), int(row[1])))
-                values.append(float(row[2]))
-            except ValueError as exc:
-                raise MalformedRowError(line_number, f"{row!r}: {exc}") from None
+    _, months, rows = read_month_table(path, ("value",))
     return RawSeries(
         series_id=series_id,
         region=region,
         category=category,
-        months=tuple(months),
-        values=tuple(values),
+        months=months,
+        values=tuple(rows[:, 0].tolist()),
         transform_applied=transform_applied,
     )
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
 
-from .dataset import Category, MonthStamp, RawSeries, Region, Transform
+from .dataset import Category, MonthStamp, RawSeries, Region, Transform, format_month_table
 from .errors import (
     AuthError,
     NetworkError,
@@ -301,9 +301,8 @@ class SeriesClient:
 
 def export_series_csv(series: RawSeries, path: str | Path) -> None:
     """Write ``year,month,value`` CSV readable by the dataset module."""
-    lines = ["year,month,value"]
-    lines.extend(f"{m.year},{m.month},{v!r}" for m, v in series.observations())
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    text = format_month_table(("value",), series.months, series.values)
+    Path(path).write_bytes(text.encode("utf-8"))
 
 
 def load_series_manifest(path: str | Path | None = None) -> dict:

@@ -54,7 +54,9 @@ N_PHASES = 4
 MLR_GRADIENT_TOL = 1e-8
 MLR_MAX_ITERATIONS = 50_000
 MODEL_SCHEMA = "cyclecast-model"
-MODEL_SCHEMA_VERSION = 1
+# Version 2 dropped the MLP payload's training-only "dropout_rate" and
+# "rng_seed"; version-1 files still load because the loader ignores them.
+MODEL_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,6 @@ class TrainConfig:
     early_stopping_patience: int = 25
     hidden_layers: tuple[int, ...] = (50, 50, 50, 50)
     dropout: float = 0.2
-    class_weights: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -137,11 +138,8 @@ def _as_codes(y) -> np.ndarray:
     return codes
 
 
-def _sample_weights(codes: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    if cfg.class_weights is None:
-        return np.full(codes.size, 1.0 / codes.size)
-    w = np.asarray(cfg.class_weights, dtype=float)[codes - 1]
-    return w / w.sum()
+def _sample_weights(codes: np.ndarray) -> np.ndarray:
+    return np.full(codes.size, 1.0 / codes.size)
 
 
 def _validate_training_input(X: np.ndarray, codes: np.ndarray) -> None:
@@ -216,7 +214,7 @@ def train_mlr(
     codes = _as_codes(y)
     _validate_training_input(X, codes)
     Y = _one_hot(codes)
-    sw = _sample_weights(codes, cfg)
+    sw = _sample_weights(codes)
     d = X.shape[1]
     weights = np.zeros((N_PHASES, d))
     bias = np.zeros(N_PHASES)
@@ -317,7 +315,7 @@ def train_svm(X: np.ndarray, y, cfg: TrainConfig = TrainConfig()) -> SvmModel:
     X_aug = np.column_stack([X, np.ones(X.shape[0])])
 
     def fit_all(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sw = _sample_weights(codes[rows], cfg)
+        sw = _sample_weights(codes[rows])
         weights = np.empty((N_PHASES, X.shape[1]))
         bias = np.empty(N_PHASES)
         for c in range(N_PHASES):
@@ -350,8 +348,6 @@ def train_svm(X: np.ndarray, y, cfg: TrainConfig = TrainConfig()) -> SvmModel:
 class MlpModel:
     weights: tuple[np.ndarray, ...]  # layer k: (d_k, d_{k+1})
     biases: tuple[np.ndarray, ...]
-    dropout_rate: float = 0.2
-    rng_seed: int = 0
 
     @property
     def n_features(self) -> int:
@@ -446,7 +442,7 @@ def train_mlp(
     codes = _as_codes(y)
     _validate_training_input(X, codes)
     Y = _one_hot(codes)
-    sw_full = _sample_weights(codes, cfg)
+    sw_full = _sample_weights(codes)
     rng = np.random.default_rng(cfg.seed)
     weights, biases = _init_mlp(X.shape[1], cfg.hidden_layers, rng)
     params = weights + biases
@@ -508,8 +504,6 @@ def train_mlp(
     return MlpModel(
         weights=tuple(w.copy() for w in weights),
         biases=tuple(b.copy() for b in biases),
-        dropout_rate=cfg.dropout,
-        rng_seed=cfg.seed,
     )
 
 
@@ -576,8 +570,6 @@ def _model_payload(model: TrainedModel | RbbcpModel) -> dict:
             "kind": "mlp",
             "weights": [w.tolist() for w in model.weights],
             "biases": [b.tolist() for b in model.biases],
-            "dropout_rate": model.dropout_rate,
-            "rng_seed": model.rng_seed,
         }
     if isinstance(model, RbbcpModel):
         return {
@@ -607,8 +599,6 @@ def _model_from_payload(payload: dict) -> TrainedModel | RbbcpModel:
         return MlpModel(
             weights=tuple(_array(w) for w in payload["weights"]),
             biases=tuple(_array(b) for b in payload["biases"]),
-            dropout_rate=float(payload["dropout_rate"]),
-            rng_seed=int(payload["rng_seed"]),
         )
     if kind == "rbbcp":
         return RbbcpModel(

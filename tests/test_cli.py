@@ -1,10 +1,28 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cyclecast.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from cyclecast.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+    read_features,
+    read_index_csv,
+    read_panel,
+    write_features,
+    write_index_csv,
+    write_panel,
+)
+from cyclecast.dataset import Category, MonthStamp
 from cyclecast.evaluation import report_from_json
+from cyclecast.features import build_feature_matrix
+from cyclecast.indices import CompositeIndex, IndexKind
+
+from conftest import make_panel, month_range
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -75,6 +93,12 @@ class TestConfigHandling:
             main(["--definitely-not-a-flag"])
         assert exc.value.code == EXIT_USAGE
 
+    def test_bad_predict_month_exits_4(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--month", "1975-13"])
+        assert exc.value.code == EXIT_USAGE
+        assert "1975-13" in capsys.readouterr().err
+
     def test_flag_overrides_file_seed(self, tmp_path):
         config = write_config(tmp_path)
         assert run(config, "--seed", "1", "synth") == EXIT_OK
@@ -99,6 +123,50 @@ class TestDataErrors:
         tmp_path, config = pipeline
         assert run(config, "train") == EXIT_OK
         assert run(config, "predict", "--month", "1970-01") == EXIT_DATA
+
+    def test_non_finite_series_cell_names_line(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert run(config, "synth") == EXIT_OK
+        path = next((tmp_path / "data" / "series").glob("*.csv"))
+        lines = path.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0] + ",nan"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(config, "preprocess") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line 5" in err and "non-finite" in err
+
+    @pytest.mark.parametrize(
+        "line, corrupt",
+        [
+            (7, lambda cells: cells[:-1] + ["abc"]),  # bad cell
+            (7, lambda cells: cells[:-1]),  # short row
+            (1, lambda cells: cells[:-1] + ["not_in_meta"]),  # unknown series id
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_corrupt_panel_names_line(self, pipeline, capsys, line, corrupt, command):
+        tmp_path, config = pipeline
+        assert run(config, "train") == EXIT_OK
+        panel_path = tmp_path / "out" / "panel.csv"
+        lines = panel_path.read_text().splitlines()
+        lines[line - 1] = ",".join(corrupt(lines[line - 1].split(",")))
+        panel_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(config, command) == EXIT_DATA
+        assert f"line {line}:" in capsys.readouterr().err
+
+    def test_model_feature_names_must_match_panel(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        assert run(config, "train") == EXIT_OK
+        model_path = tmp_path / "out" / "model.json"
+        doc = json.loads(model_path.read_text())
+        doc["feature_names"][0] = "renamed"
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(config, "evaluate") == EXIT_DATA
+        assert "renamed" in capsys.readouterr().err
+        assert run(config, "predict", "--month", "1981-06") == EXIT_DATA
 
 
 class TestPipeline:
@@ -189,6 +257,24 @@ class TestPipeline:
         doc = json.loads((tmp_path / "out" / "model.json").read_text())
         assert doc["window"] in (3, 4, 6)
 
+    def test_evaluate_and_predict_use_the_model_window(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        out = tmp_path / "out"
+        assert run(config, "train") == EXIT_OK
+        assert json.loads((out / "model.json").read_text())["window"] == 4
+
+        def outputs():
+            capsys.readouterr()
+            assert run(config, "--format", "json", "evaluate") == EXIT_OK
+            assert run(config, "--format", "json", "predict", "--month", "1981-06") == EXIT_OK
+            predicted = capsys.readouterr().out.splitlines()[-1]
+            return (out / "report.json").read_bytes(), (out / "phases.svg").read_bytes(), predicted
+
+        matching = outputs()
+        assert run(config, "features", "--window", "6") == EXIT_OK
+        assert json.loads((out / "features_meta.json").read_text())["window"] == 6
+        assert outputs() == matching
+
     def test_predict_with_rbbcp_is_one_hot(self, pipeline, capsys):
         tmp_path, config = pipeline
         assert run(config, "train", "--model", "rbbcp") == EXIT_OK
@@ -274,3 +360,54 @@ class TestDeterminism:
                 }
             )
         assert outputs[0] == outputs[1]
+
+
+class TestArtifactCodec:
+    """Artifacts written, read back and written again are byte-identical."""
+
+    def test_panel_with_gaps_round_trips(self, tmp_path):
+        panel = make_panel(
+            {"g1": [np.nan, np.nan, 0.1, -2.5e-17], "i1": [1.0, 1 / 3, np.nan, 7.25]},
+            categories={"i1": Category.INFLATION},
+        )
+        csv_path, meta_path = tmp_path / "panel.csv", tmp_path / "panel_meta.json"
+        write_panel(panel, csv_path, meta_path)
+        first = csv_path.read_bytes()
+        assert first.splitlines()[1] == b"2000,1,,1.0"
+        loaded = read_panel(csv_path, meta_path)
+        np.testing.assert_array_equal(loaded.values, panel.values)
+        assert loaded.categories == panel.categories
+        write_panel(loaded, csv_path, meta_path)
+        assert csv_path.read_bytes() == first
+
+    def test_features_round_trip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        panel = make_panel({"a": list(rng.standard_normal(12)), "b": list(rng.standard_normal(12))})
+        fm = build_feature_matrix(panel, 4)
+        csv_path, meta_path = tmp_path / "features.csv", tmp_path / "features_meta.json"
+        write_features(fm, csv_path, meta_path, sign_only=False)
+        first = csv_path.read_bytes()
+        loaded = read_features(csv_path, meta_path)
+        assert loaded.months == fm.months
+        assert (loaded.feature_names, loaded.window) == (fm.feature_names, 4)
+        np.testing.assert_array_equal(loaded.values, fm.values)
+        write_features(loaded, csv_path, meta_path, sign_only=False)
+        assert csv_path.read_bytes() == first
+
+    def test_index_round_trip(self, tmp_path):
+        index = CompositeIndex(
+            kind=IndexKind.GROWTH,
+            months=month_range(MonthStamp(1999, 11), 3),
+            values=(0.1, -1e300, 2 / 3),
+            min_window_months=60,
+        )
+        path = tmp_path / "growth.csv"
+        write_index_csv(index, path)
+        first = path.read_bytes()
+        assert first.splitlines() == [
+            b"year,month,value", b"1999,11,0.1", b"1999,12,-1e+300", b"2000,1,0.6666666666666666"
+        ]
+        loaded = read_index_csv(path, IndexKind.GROWTH, 60)
+        assert loaded == index
+        write_index_csv(loaded, path)
+        assert path.read_bytes() == first

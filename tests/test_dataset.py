@@ -90,6 +90,9 @@ class TestLoadLabels:
         write_csv(p, ["1981,one,1"])
         with pytest.raises(MalformedRowError):
             load_labels(p)
+        write_csv(p, ["1981,1,2.5"])
+        with pytest.raises(MalformedRowError):
+            load_labels(p)
         write_csv(p, ["1981,1,1"], header="y,m,p")
         with pytest.raises(MalformedRowError):
             load_labels(p)
@@ -233,3 +236,14 @@ class TestSeriesCsv:
 
         with pytest.raises(MalformedRowError):
             load_series_csv(p, "x", Region.US, Category.GROWTH)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_line(self, tmp_path, cell):
+        p = tmp_path / "series.csv"
+        write_csv(p, ["2000,1,1.5", "", f"2000,2,{cell}"], header="year,month,value")
+        from cyclecast.dataset import Category
+
+        with pytest.raises(MalformedRowError) as exc:
+            load_series_csv(p, "x", Region.US, Category.GROWTH)
+        assert exc.value.line_number == 4
+        assert "line 4" in str(exc.value)

@@ -323,6 +323,19 @@ class TestPersistence:
         save_model(model, path)
         self._assert_same_predictions(model, load_model(path).model, X)
 
+    def test_mlp_version_1_file_loads(self, tmp_path):
+        X, y = two_blobs(seed=8, n=10)
+        model = train_mlp(X, y, TrainConfig(epochs=40, seed=2))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert doc["schema_version"] == 2
+        assert set(doc["model"]) == {"kind", "weights", "biases"}
+        doc["schema_version"] = 1
+        doc["model"].update(dropout_rate=0.2, rng_seed=2)
+        path.write_text(json.dumps(doc))
+        self._assert_same_predictions(model, load_model(path).model, X)
+
     def test_rbbcp_round_trip(self, tmp_path):
         path = tmp_path / "m.json"
         save_model(RbbcpModel(trend_window=9, zero_is_up=True), path)
