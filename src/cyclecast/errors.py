@@ -70,6 +70,17 @@ class ZeroReferenceLoadingError(DataError):
     """Sign normalization reference column has a zero loading."""
 
 
+class PowerIterationError(DataError):
+    """Power iteration did not meet its tolerance within the step budget."""
+
+    def __init__(self, steps: int, residual: float):
+        super().__init__(
+            f"power iteration did not converge in {steps} steps (last |w - v| = {residual:.3e})"
+        )
+        self.steps = steps
+        self.residual = residual
+
+
 class PanelTooShortError(DataError):
     """Panel has fewer rows than the requested window."""
 

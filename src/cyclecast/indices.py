@@ -2,9 +2,18 @@
 standardized panel, re-estimated on an expanding window.
 
 The eigenvector is found by power iteration on the sample covariance matrix
-(tolerance 1e-12, at most 10000 iterations) — dependency-free and adequate for
-panels of up to a few hundred series. PCA leaves the component sign
-ambiguous, so loadings are normalized against a designated reference column.
+(tolerance 1e-12, at most 10000 iterations per start) — dependency-free and
+adequate for panels of up to a few hundred series. A start that does not meet
+the tolerance within the budget raises :class:`PowerIterationError`. PCA leaves
+the component sign ambiguous, so loadings are normalized against a designated
+reference column.
+
+The expanding index is incremental: it keeps a running mean and a centred
+scatter matrix, updates both by rank one as each month arrives, and
+warm-starts power iteration from the previous month's signed eigenvector. A
+month costs O(d^2) plus its power-iteration steps (O(d^2) each) for d series,
+instead of re-centring every earlier month. The emitted values agree with a
+cold per-month fit of ``values[:t]`` to about 1e-10.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from .errors import (
     DegenerateCovarianceError,
     InsufficientHistoryError,
     PanelTooShortError,
+    PowerIterationError,
     ZeroReferenceLoadingError,
 )
 from .preprocess import Panel
@@ -83,17 +93,26 @@ class CompositeIndex:
         return self.values[pos + 1 - window : pos + 1]
 
 
-def _top_eigenvector(cov: np.ndarray) -> tuple[np.ndarray, float]:
+def _power_starts(d: int, warm: np.ndarray | None):
+    """Start vectors in the order tried; the random one is built only if reached."""
+    if warm is not None:
+        yield warm
+    yield np.ones(d)
+    yield np.eye(d)[0]
+    yield np.random.default_rng(0).standard_normal(d)
+
+
+def _top_eigenvector(cov: np.ndarray, start: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Power iteration for the dominant eigenpair of a PSD matrix.
 
-    Tries deterministic starts first; a start lying in the nullspace (or
-    orthogonal to the dominant eigenvector) is abandoned for the next one.
+    Starts from ``start`` when given (a warm start, such as last month's
+    eigenvector), then from deterministic fallbacks; a start lying in the
+    nullspace is abandoned for the next one. A start that does not meet the
+    tolerance within ``POWER_ITERATION_MAX_STEPS`` raises
+    :class:`PowerIterationError` rather than returning its last iterate.
     """
-    d = cov.shape[0]
-    starts = [np.ones(d), np.eye(d)[0], np.random.default_rng(0).standard_normal(d)]
-    for start in starts:
-        v = start / np.linalg.norm(start)
-        converged = False
+    for v in _power_starts(cov.shape[0], start):
+        v = v / np.linalg.norm(v)
         for _ in range(POWER_ITERATION_MAX_STEPS):
             w = cov @ v
             norm = np.linalg.norm(w)
@@ -102,17 +121,20 @@ def _top_eigenvector(cov: np.ndarray) -> tuple[np.ndarray, float]:
             w /= norm
             if w @ v < 0:
                 w = -w
-            if np.linalg.norm(w - v) < POWER_ITERATION_TOL:
-                v = w
-                converged = True
-                break
+            residual = np.linalg.norm(w - v)
             v = w
-        if converged:
-            eigenvalue = float(v @ cov @ v)
-            return v, eigenvalue
-    # Max iterations without meeting the tolerance: return the best iterate.
-    eigenvalue = float(v @ cov @ v)
-    return v, eigenvalue
+            if residual < POWER_ITERATION_TOL:
+                return v, float(v @ cov @ v)
+        else:
+            raise PowerIterationError(POWER_ITERATION_MAX_STEPS, float(residual))
+    raise DegenerateCovarianceError("every power-iteration start lies in the nullspace")
+
+
+def _checked_trace(cov: np.ndarray) -> float:
+    trace = float(np.trace(cov))
+    if trace <= 0.0:
+        raise DegenerateCovarianceError("panel carries no variance")
+    return trace
 
 
 def pca_first_component(panel: np.ndarray) -> PcaResult:
@@ -133,9 +155,7 @@ def pca_first_component(panel: np.ndarray) -> PcaResult:
         raise ValueError("panel has unavailable cells; align and trim it first")
     centered = X - X.mean(axis=0)
     cov = centered.T @ centered / X.shape[0]
-    trace = float(np.trace(cov))
-    if trace <= 0.0:
-        raise DegenerateCovarianceError("panel carries no variance")
+    trace = _checked_trace(cov)
     loadings, eigenvalue = _top_eigenvector(cov)
     scores = centered @ loadings
     return PcaResult(
@@ -145,14 +165,19 @@ def pca_first_component(panel: np.ndarray) -> PcaResult:
     )
 
 
-def sign_normalize(result: PcaResult, reference_column: int) -> PcaResult:
-    """Flip the component, if needed, so the reference loading is positive."""
-    loading = result.loadings[reference_column]
+def _reference_sign(loadings: np.ndarray, reference_column: int) -> float:
+    """+1 or -1: the factor that makes the reference loading positive."""
+    loading = loadings[reference_column]
     if abs(loading) < 1e-12:
         raise ZeroReferenceLoadingError(
             f"reference column {reference_column} has a zero loading"
         )
-    if loading > 0:
+    return 1.0 if loading > 0 else -1.0
+
+
+def sign_normalize(result: PcaResult, reference_column: int) -> PcaResult:
+    """Flip the component, if needed, so the reference loading is positive."""
+    if _reference_sign(result.loadings, reference_column) > 0:
         return result
     return PcaResult(
         loadings=-result.loadings,
@@ -173,6 +198,12 @@ def expanding_pca_index(
     through t, so the index is causal: appending later months never changes
     an already-emitted value. Nothing is emitted before ``min_window_months``
     rows have accumulated.
+
+    The fit is updated rather than redone: the running mean ``mu`` and the
+    centred scatter ``M`` (so that the covariance is ``M / t``) are seeded
+    exactly from the first ``min_window_months`` rows, then each row x
+    updates them by rank one, ``M += (x - mu_old)(x - mu_new)^T``, and power
+    iteration starts from the previous month's signed eigenvector.
     """
     kind = IndexKind(kind) if not isinstance(kind, IndexKind) else kind
     if min_window_months < 2:
@@ -192,10 +223,22 @@ def expanding_pca_index(
             ref_col = panel.series_ids.index(reference_series)
         except ValueError:
             raise ValueError(f"reference series {reference_series!r} not in panel") from None
+    mu = values[:min_window_months].mean(axis=0)
+    centered = values[:min_window_months] - mu
+    scatter = centered.T @ centered
+    v = None
     out = []
     for t in range(min_window_months, n + 1):
-        result = sign_normalize(pca_first_component(values[:t]), ref_col)
-        out.append(float(result.scores[-1]))
+        x = values[t - 1]
+        if t > min_window_months:
+            mu_old = mu
+            mu = mu_old + (x - mu_old) / t
+            scatter += np.outer(x - mu_old, x - mu)
+        cov = scatter / t
+        _checked_trace(cov)
+        v, _ = _top_eigenvector(cov, start=v)
+        v = v * _reference_sign(v, ref_col)
+        out.append(float((x - mu) @ v))
     return CompositeIndex(
         kind=kind,
         months=panel.months[min_window_months - 1 :],

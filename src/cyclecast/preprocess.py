@@ -231,6 +231,16 @@ def zscore(
     ``mode="full"`` uses whole-sample moments. ``mode="expanding"`` uses only
     observations up to each month, emitting values once ``min_window`` points
     have accumulated, so no future data leaks into any z-score.
+
+    Expanding moments are running moments, computed for all months at once
+    in O(n): the mean of ``x - x[0]`` from a cumulative sum (shifting by the
+    first observation keeps the result causal and avoids cancellation on
+    series with a large level), and the sum of squared deviations as the
+    cumulative sum of Welford's non-negative increments
+    ``(x_t - m_{t-1})(x_t - m_t)``. They agree with the per-month definition
+    ``(x_t - x[:t+1].mean()) / x[:t+1].std()`` to about 1e-12 on unit-scale
+    series. A series (``full``) or first window (``expanding``) whose values
+    are all equal raises :class:`ZeroVarianceError`.
     """
     if mode not in ("full", "expanding"):
         raise ValueError(f"zscore mode must be 'full' or 'expanding', got {mode!r}")
@@ -239,7 +249,7 @@ def zscore(
         raise TooShortError(f"series {series.series_id!r} needs >= 2 observations to standardize")
     if mode == "full":
         std = float(x.std())
-        if std == 0.0:
+        if std == 0.0 or np.all(x == x[0]):
             raise ZeroVarianceError(f"series {series.series_id!r} is constant")
         z = (x - x.mean()) / std
         months = series.months
@@ -250,23 +260,26 @@ def zscore(
             raise TooShortError(
                 f"series {series.series_id!r} shorter than expanding min_window {min_window}"
             )
-        out = []
-        for t in range(min_window - 1, x.size):
-            window = x[: t + 1]
-            std = float(window.std())
-            if std == 0.0:
-                raise ZeroVarianceError(
-                    f"series {series.series_id!r} constant through {series.months[t]}"
-                )
-            out.append((x[t] - float(window.mean())) / std)
-        z = np.asarray(out)
+        shifted = x - x[0]
+        count = np.arange(1, x.size + 1)
+        mean = np.cumsum(shifted) / count
+        increments = np.empty_like(shifted)
+        increments[0] = 0.0
+        increments[1:] = (shifted[1:] - mean[:-1]) * (shifted[1:] - mean[1:])
+        np.maximum(increments, 0.0, out=increments)  # rounding only; exact values are >= 0
+        std = np.sqrt(np.cumsum(increments)[min_window - 1 :] / count[min_window - 1 :])
+        if np.all(x[:min_window] == x[0]) or std[0] == 0.0:
+            raise ZeroVarianceError(
+                f"series {series.series_id!r} constant through {series.months[min_window - 1]}"
+            )
+        z = (shifted[min_window - 1 :] - mean[min_window - 1 :]) / std
         months = series.months[min_window - 1 :]
     return StandardizedSeries(
         series_id=series.series_id,
         region=series.region,
         category=series.category,
         months=months,
-        values=tuple(float(v) for v in z),
+        values=tuple(z.tolist()),
         provenance=Provenance(transform=series.transform_applied, zscore_mode=mode),
     )
 
@@ -390,7 +403,8 @@ def align_panel(
 
     Interior and trailing gaps are forward-filled from the most recent prior
     observation (never back-filled); months before a series' first observation
-    stay NaN, marking the column unavailable there.
+    stay NaN, marking the column unavailable there. Each series' months must
+    be strictly increasing, as every :class:`RawSeries` is.
     """
     if not series:
         raise EmptyOverlapError("no series to align")
@@ -402,23 +416,20 @@ def align_panel(
     fills = []
     regions = {s.region for s in series}
     for j, s in enumerate(series):
-        obs = dict(zip(s.months, s.values))
-        if not any(start <= m <= end for m in s.months):
+        pos = _grid_positions(s.months, start)
+        inside = np.nonzero((pos >= 0) & (pos < n_months))[0]
+        if inside.size == 0:
             raise EmptyOverlapError(f"series {s.series_id!r} has no observation in {start}..{end}")
-        last = None
-        # Seed the carry-forward value from observations before the range.
-        for m, v in zip(s.months, s.values):
-            if m < start:
-                last = v
-        fill_count = 0
-        for i, m in enumerate(months):
-            if m in obs:
-                last = obs[m]
-                values[i, j] = last
-            elif last is not None:
-                values[i, j] = last
-                fill_count += 1
-        fills.append(fill_count)
+        # source[i]: index into s.values of the observation at grid month i, or -1.
+        source = np.full(n_months, -1)
+        source[pos[inside]] = inside
+        observed = source >= 0
+        # Seed the carry-forward value from the last observation before the range.
+        source[0] = max(source[0], inside[0] - 1)
+        source = np.maximum.accumulate(source)
+        available = source >= 0
+        values[available, j] = np.asarray(s.values)[source[available]]
+        fills.append(int(np.count_nonzero(available & ~observed)))
     return Panel(
         months=months,
         series_ids=tuple(s.series_id for s in series),
@@ -427,3 +438,13 @@ def align_panel(
         fills=tuple(fills),
         region=regions.pop() if len(regions) == 1 else None,
     )
+
+
+def _grid_positions(months: Sequence[MonthStamp], start: MonthStamp) -> np.ndarray:
+    """Signed offset of each month from ``start``; O(1) Python for a gapless run."""
+    if not months:
+        return np.empty(0, dtype=int)
+    first = start.months_until(months[0])
+    if months[0].months_until(months[-1]) == len(months) - 1:
+        return np.arange(first, first + len(months))
+    return np.array([start.months_until(m) for m in months])

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclecast.dataset import MonthStamp
 from cyclecast.errors import (
+    DataError,
     DegenerateCovarianceError,
     InsufficientHistoryError,
     PanelTooShortError,
+    PowerIterationError,
     ZeroReferenceLoadingError,
 )
 from cyclecast.indices import (
+    POWER_ITERATION_MAX_STEPS,
+    POWER_ITERATION_TOL,
     IndexKind,
     PcaResult,
     expanding_pca_index,
     pca_first_component,
     sign_normalize,
+    _top_eigenvector,
 )
 
 from conftest import make_panel
@@ -75,6 +81,37 @@ class TestFirstComponent:
         r = pca_first_component(np.column_stack([x, -x]))
         assert np.abs(np.abs(r.loadings) - 1 / np.sqrt(2)).max() < 1e-9
         assert r.explained_variance_ratio == pytest.approx(1.0, abs=1e-9)
+
+
+class TestPowerIteration:
+    def test_non_convergence_raises(self):
+        # eigengap 1e-7: the ones start cannot meet the tolerance within the budget
+        with pytest.raises(PowerIterationError) as info:
+            _top_eigenvector(np.diag([1.0, 1.0 - 1e-7]))
+        assert isinstance(info.value, DataError)
+        assert info.value.steps == POWER_ITERATION_MAX_STEPS
+        assert info.value.residual >= POWER_ITERATION_TOL
+        assert f"{POWER_ITERATION_MAX_STEPS} steps" in str(info.value)
+
+    def test_warm_start_finds_the_same_eigenpair(self, rng):
+        X = rng.standard_normal((50, 6)) * rng.uniform(0.5, 3.0, 6)
+        cov = np.cov(X, rowvar=False)
+        cold, cold_value = _top_eigenvector(cov)
+        warm, warm_value = _top_eigenvector(cov, start=cold + 0.01 * rng.standard_normal(6))
+        assert np.abs(warm - cold).max() < 1e-9
+        assert warm_value == pytest.approx(cold_value, rel=1e-12)
+
+    def test_every_start_in_nullspace_raises(self):
+        # trace > 0, but every start maps to a vector below the tolerance
+        with pytest.raises(DegenerateCovarianceError):
+            _top_eigenvector(1e-14 * np.eye(3))
+
+    def test_nullspace_warm_start_falls_back(self):
+        # the warm start lies in the nullspace, the ones start does not
+        cov = np.outer([1.0, 2.0], [1.0, 2.0])
+        v, value = _top_eigenvector(cov, start=np.array([2.0, -1.0]))
+        assert np.abs(np.abs(v) - np.array([1.0, 2.0]) / np.sqrt(5.0)).max() < 1e-12
+        assert value == pytest.approx(5.0, rel=1e-12)
 
 
 class TestSignNormalize:
@@ -168,3 +205,52 @@ class TestExpandingIndex:
             index.window_ending_at(index.months[2], 5)
         with pytest.raises(InsufficientHistoryError):
             index.window_ending_at(MonthStamp(1900, 1), 2)
+
+
+def cold_index(values, min_window, ref_col=0):
+    """The per-month definition: a fresh signed PCA of values[:t] for every t."""
+    return np.array(
+        [
+            sign_normalize(pca_first_component(values[:t]), ref_col).scores[-1]
+            for t in range(min_window, values.shape[0] + 1)
+        ]
+    )
+
+
+class TestIncrementalIndex:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 20, 30])
+    @pytest.mark.parametrize("gap", ["separated", "weak"])
+    def test_matches_cold_per_month_fit(self, d, gap):
+        rng = np.random.default_rng(d)
+        n = 100
+        if gap == "separated":
+            factor = rng.standard_normal(n)
+            X = np.outer(factor, rng.uniform(0.5, 1.5, d)) + 0.3 * rng.standard_normal((n, d))
+        else:
+            X = rng.standard_normal((n, d))  # iid columns: top eigenvalues close together
+        panel = make_panel({f"s{j}": X[:, j] for j in range(d)})
+        got = np.array(expanding_pca_index(panel, "growth", 40).values)
+        assert np.abs(got - cold_index(X, 40)).max() <= 1e-9
+
+    def test_reference_series_sets_the_sign(self, rng):
+        X = rng.standard_normal((70, 4)) + np.outer(rng.standard_normal(70), [1.0, -1.0, 1.0, -1.0])
+        panel = make_panel({f"s{j}": X[:, j] for j in range(4)})
+        got = np.array(expanding_pca_index(panel, "growth", 60, reference_series="s1").values)
+        assert np.abs(got - cold_index(X, 60, ref_col=1)).max() <= 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 60),
+        extra=st.integers(1, 30),
+        d=st.integers(1, 6),
+    )
+    def test_appending_months_never_changes_emitted_values(self, seed, n, extra, d):
+        rng = np.random.default_rng(seed)
+        X = np.outer(rng.standard_normal(n + extra), rng.uniform(0.5, 1.5, d))
+        X += 0.5 * rng.standard_normal((n + extra, d))
+        full = make_panel({f"s{j}": X[:, j] for j in range(d)})
+        cut = make_panel({f"s{j}": X[:n, j] for j in range(d)})
+        longer = expanding_pca_index(full, "growth", 20)
+        shorter = expanding_pca_index(cut, "growth", 20)
+        assert longer.values[: len(shorter)] == shorter.values

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclecast.dataset import Category, MonthStamp, Transform
 from cyclecast.errors import (
@@ -121,6 +122,57 @@ class TestZscore:
         with pytest.raises(TooShortError):
             zscore(make_series([1, 2, 3]), "expanding", min_window=12)
 
+    @pytest.mark.parametrize("level", [0.1, 0.3])
+    def test_inexact_constant_rejected_full(self, level):
+        # np.std of twelve 0.1s is 1.4e-17, not 0
+        with pytest.raises(ZeroVarianceError, match="is constant"):
+            zscore(make_series([level] * 12), "full")
+
+    @pytest.mark.parametrize("level", [0.1, 0.3])
+    def test_inexact_constant_prefix_rejected_expanding(self, level):
+        series = make_series([level] * 12 + [1.0, 2.0])
+        with pytest.raises(ZeroVarianceError, match=f"constant through {series.months[11]}"):
+            zscore(series, "expanding", min_window=12)
+
+    def test_constant_prefix_shorter_than_window_accepted(self):
+        z = zscore(make_series([0.1] * 11 + [1.0, 2.0]), "expanding", min_window=12)
+        assert len(z.values) == 2
+        assert all(math.isfinite(v) for v in z.values)
+
+    @staticmethod
+    def per_month(x, min_window):
+        return np.array(
+            [(x[t] - x[: t + 1].mean()) / x[: t + 1].std() for t in range(min_window - 1, x.size)]
+        )
+
+    @pytest.mark.parametrize(
+        "make, tol",
+        [
+            (lambda rng: rng.standard_normal(600), 1e-12),
+            (lambda rng: 1e6 + rng.standard_normal(600), 1e-8),
+            (lambda rng: np.cumsum(rng.standard_normal(600) + 0.5), 1e-8),
+        ],
+        ids=["standard-normal", "level-1e6", "trending-walk"],
+    )
+    def test_expanding_matches_per_month_definition(self, rng, make, tol):
+        for _ in range(5):
+            x = make(rng)
+            z = np.array(zscore(make_series(x), "expanding", min_window=12).values)
+            assert np.abs(z - self.per_month(x, 12)).max() <= tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(12, 80),
+        extra=st.integers(1, 40),
+        min_window=st.integers(2, 12),
+    )
+    def test_appending_months_never_changes_emitted_values(self, seed, n, extra, min_window):
+        x = np.random.default_rng(seed).standard_normal(n + extra).cumsum()
+        short = zscore(make_series(x[:n]), "expanding", min_window=min_window)
+        longer = zscore(make_series(x), "expanding", min_window=min_window)
+        assert longer.values[: len(short.values)] == short.values
+
 
 class TestNeweyWest:
     def test_lag0_is_population_variance(self):
@@ -235,6 +287,64 @@ class TestAlignPanel:
         outside = make_std(range(5), "x", MonthStamp(2010, 1))
         with pytest.raises(EmptyOverlapError):
             align_panel([outside], start, start.add_months(11))
+
+    @staticmethod
+    def reference_align(series, start, end):
+        """Month-by-month forward fill: the definition align_panel vectorises."""
+        n = start.months_until(end) + 1
+        grid = [start.add_months(i) for i in range(n)]
+        values = np.full((n, len(series)), np.nan)
+        fills = []
+        for j, s in enumerate(series):
+            obs = dict(zip(s.months, s.values))
+            last = None
+            for m, v in zip(s.months, s.values):
+                if m < start:
+                    last = v
+            count = 0
+            for i, m in enumerate(grid):
+                if m in obs:
+                    last = obs[m]
+                elif last is not None:
+                    count += 1
+                if last is not None:
+                    values[i, j] = last
+            fills.append(count)
+        return values, tuple(fills)
+
+    def test_matches_reference_loop(self, rng):
+        from cyclecast.preprocess import Provenance, StandardizedSeries
+        from cyclecast.dataset import Region
+
+        start, end = MonthStamp(2000, 1), MonthStamp(2009, 12)
+        series = []
+        for j in range(30):
+            # first observation from 24 months before the grid to 60 months into it
+            first = start.add_months(int(rng.integers(-24, 60)))
+            length = int(rng.integers(24, 160))
+            kept = [i for i in range(length) if j % 3 == 0 or rng.random() > 0.1]
+            months = tuple(first.add_months(i) for i in kept)
+            if not any(start <= m <= end for m in months):
+                continue
+            series.append(
+                StandardizedSeries(
+                    series_id=f"s{j}",
+                    region=Region.US,
+                    category=Category.GROWTH,
+                    months=months,
+                    values=tuple(rng.standard_normal(len(months)).tolist()),
+                    provenance=Provenance(),
+                )
+            )
+        want_values, want_fills = self.reference_align(series, start, end)
+        panel = align_panel(series, start, end)
+        # the draw covers every case the vectorised fill must get right
+        assert any(s.months[0] < start for s in series)  # seeded from before the grid
+        assert any(s.months[0] > start for s in series)  # late start
+        assert any(s.months[-1] < end for s in series)  # trailing fills
+        assert any(f > 0 for s, f in zip(series, want_fills) if s.months[-1] >= end)  # interior gaps
+        np.testing.assert_array_equal(panel.values, want_values)
+        assert panel.fills == want_fills
 
     def test_complete_trims_leading(self):
         start = MonthStamp(2000, 1)
