@@ -231,9 +231,9 @@ def expanding_pca_index(
     for t in range(min_window_months, n + 1):
         x = values[t - 1]
         if t > min_window_months:
-            mu_old = mu
-            mu = mu_old + (x - mu_old) / t
-            scatter += np.outer(x - mu_old, x - mu)
+            delta = x - mu
+            mu = mu + delta / t
+            scatter += np.outer(delta, x - mu)
         cov = scatter / t
         _checked_trace(cov)
         v, _ = _top_eigenvector(cov, start=v)
