@@ -416,7 +416,7 @@ def align_panel(
     fills = []
     regions = {s.region for s in series}
     for j, s in enumerate(series):
-        pos = _grid_positions(s.months, start)
+        pos = np.array([start.months_until(m) for m in s.months], dtype=int)
         inside = np.nonzero((pos >= 0) & (pos < n_months))[0]
         if inside.size == 0:
             raise EmptyOverlapError(f"series {s.series_id!r} has no observation in {start}..{end}")
@@ -438,13 +438,3 @@ def align_panel(
         fills=tuple(fills),
         region=regions.pop() if len(regions) == 1 else None,
     )
-
-
-def _grid_positions(months: Sequence[MonthStamp], start: MonthStamp) -> np.ndarray:
-    """Signed offset of each month from ``start``; O(1) Python for a gapless run."""
-    if not months:
-        return np.empty(0, dtype=int)
-    first = start.months_until(months[0])
-    if months[0].months_until(months[-1]) == len(months) - 1:
-        return np.arange(first, first + len(months))
-    return np.array([start.months_until(m) for m in months])
