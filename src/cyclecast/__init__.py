@@ -35,9 +35,8 @@ from .evaluation import (
 from .features import FeatureMatrix, build_feature_matrix, forecast_alignment, ols_slope
 from .indices import CompositeIndex, IndexKind, expanding_pca_index, pca_first_component
 from .models import (
+    LinearModel,
     MlpModel,
-    MlrModel,
-    SvmModel,
     TrainConfig,
     load_model,
     predict_proba,

@@ -93,7 +93,6 @@ _CONFIG_DEFAULTS: dict = {
     "train": {
         "learning_rate": 0.005,
         "epochs": 500,
-        "batch_size": None,
         "l2": 0.001,
         "early_stopping_patience": 25,
         "hidden_layers": [50, 50, 50, 50],
@@ -194,18 +193,29 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"region must be 'us' or 'ez', got {merged['region']!r}") from exc
     window = merged["window"] or DEFAULT_WINDOWS[region]
+    if not isinstance(window, int) or isinstance(window, bool):
+        raise ConfigError(f"window must be an integer, got {window!r}")
     if window < 2:
         raise ConfigError(f"window must be >= 2, got {window}")
     model = merged["model"]
     if model not in ("rbbcp", "mlr", "svm", "mlp"):
         raise ConfigError(f"model must be one of rbbcp/mlr/svm/mlp, got {model!r}")
+    for key, allowed in (
+        ("stationarity", ("auto", "none", "diff", "log_diff")),
+        ("zscore_mode", ("expanding", "full")),
+    ):
+        if merged["preprocess"][key] not in allowed:
+            raise ConfigError(
+                f"preprocess.{key} must be one of {'/'.join(allowed)}, "
+                f"got {merged['preprocess'][key]!r}"
+            )
     paths = merged["paths"]
     data_dir = Path(paths["data_dir"])
     labels = Path(paths["labels"]) if paths["labels"] else data_dir / "labels.csv"
     return RunConfig(
         region=region,
         seed=int(merged["seed"]),
-        window=int(window),
+        window=window,
         model=model,
         split=_parse_split(merged["split"]),
         data_dir=data_dir,
@@ -454,16 +464,18 @@ def cmd_features(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
     t = cfg.train
-    return TrainConfig(
-        learning_rate=float(t["learning_rate"]),
-        epochs=int(t["epochs"]),
-        batch_size=t["batch_size"],
-        l2=float(t["l2"]),
-        seed=cfg.seed,
-        early_stopping_patience=int(t["early_stopping_patience"]),
-        hidden_layers=tuple(int(h) for h in t["hidden_layers"]),
-        dropout=float(t["dropout"]),
-    )
+    try:
+        return TrainConfig(
+            learning_rate=float(t["learning_rate"]),
+            epochs=int(t["epochs"]),
+            l2=float(t["l2"]),
+            seed=cfg.seed,
+            early_stopping_patience=int(t["early_stopping_patience"]),
+            hidden_layers=tuple(int(h) for h in t["hidden_layers"]),
+            dropout=float(t["dropout"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad train settings: {exc}") from exc
 
 
 def _require_split(cfg: RunConfig) -> SplitSpec:
@@ -514,9 +526,9 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         return EXIT_OK
 
     split = _require_split(cfg)
+    tc = _train_config(cfg)
     labels = load_labels(cfg.labels_path, region=cfg.region)
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
-    tc = _train_config(cfg)
     sign_only = bool(cfg.features["trend_sign_only"])
 
     candidates = cfg.train["window_candidates"] or [cfg.window]
@@ -590,15 +602,13 @@ def _test_distributions(
     labels = load_labels(cfg.labels_path, region=cfg.region)
     if isinstance(artifact.model, RbbcpModel):
         growth, inflation = _indices_for_rbbcp(cfg)
-        window = artifact.model.trend_window
         dists = []
         truth = []
         months = []
         label_lookup = dict(zip(labels.months, labels.labels))
-        for m in growth.months:
+        for i in _split_rows(growth.months, split)["test"]:
+            m = growth.months[i]
             target = m.next()
-            if not (split.validation_end < target <= split.test_end):
-                continue
             if target not in label_lookup:
                 continue
             try:

@@ -1,11 +1,13 @@
 """Four-phase classifiers behind one prediction surface.
 
 Three trainable models, all emitting a probability vector over the four
-phases: multinomial logistic regression (full-batch gradient descent with a
-backtracking line search), one-vs-rest linear SVMs (Pegasos-style projected
-subgradient on the hinge loss, with a softmax temperature calibrated on a
-held-out fold), and a feed-forward network with four hidden layers of 50
-ReLU units, dropout 0.2 after the last hidden layer, trained with Adam.
+phases. Two of them share one model type, :class:`LinearModel`, a softmax over
+linear scores divided by a temperature: multinomial logistic regression
+(full-batch gradient descent with a backtracking line search; temperature 1)
+and one-vs-rest linear SVMs (Pegasos-style projected subgradient on the hinge
+loss, with the temperature calibrated on a held-out fold). The third is a
+feed-forward network with four hidden layers of 50 ReLU units, dropout 0.2
+after the last hidden layer, trained with Adam.
 
 Training is deterministic given the seed; trained models are immutable.
 """
@@ -34,8 +36,7 @@ from .rbbcp import RbbcpModel
 __all__ = [
     "PhaseDistribution",
     "TrainConfig",
-    "MlrModel",
-    "SvmModel",
+    "LinearModel",
     "MlpModel",
     "ModelArtifact",
     "train_mlr",
@@ -55,8 +56,10 @@ MLR_GRADIENT_TOL = 1e-8
 MLR_MAX_ITERATIONS = 50_000
 MODEL_SCHEMA = "cyclecast-model"
 # Version 2 dropped the MLP payload's training-only "dropout_rate" and
-# "rng_seed"; version-1 files still load because the loader ignores them.
-MODEL_SCHEMA_VERSION = 2
+# "rng_seed"; version 3 merged the "mlr" and "svm" payloads into one "linear"
+# payload without "l2". Older files still load: the loader ignores those keys
+# and reads "mlr"/"svm" payloads as linear models.
+MODEL_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -107,11 +110,10 @@ def nll_loss(probs: np.ndarray, codes: np.ndarray) -> float:
 @dataclass(frozen=True)
 class TrainConfig:
     """Shared training knobs. Values the algorithms themselves do not dictate
-    (epochs, batch size, regularization) carry pragmatic defaults."""
+    (epochs, regularization) carry pragmatic defaults."""
 
     learning_rate: float = 0.005
     epochs: int = 500
-    batch_size: int | None = None
     l2: float = 1e-3
     seed: int = 0
     early_stopping_patience: int = 25
@@ -159,14 +161,25 @@ def _one_hot(codes: np.ndarray) -> np.ndarray:
     return Y
 
 
-# --- multinomial logistic regression --------------------------------------
+# --- linear models ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class MlrModel:
+class LinearModel:
+    """Softmax over per-class linear scores divided by one temperature.
+
+    MLR is the case temperature = 1 (dividing by 1.0 is exact, so its
+    probabilities are the plain softmax of the scores); the SVM carries the
+    temperature calibrated for its margins.
+    """
+
     weights: np.ndarray  # (4, d)
     bias: np.ndarray  # (4,)
-    l2: float = 0.0
+    temperature: float = 1.0
+
+    def __post_init__(self):
+        if self.temperature <= 0:
+            raise ValueError("temperature must be > 0")
 
     @property
     def n_features(self) -> int:
@@ -176,7 +189,14 @@ class MlrModel:
         return np.asarray(X, dtype=float) @ self.weights.T + self.bias
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return softmax(self.decision_scores(X))
+        return softmax(self.decision_scores(X) / self.temperature)
+
+
+# `perfbench/spans.py` (the benchmark tracer) hooks predict_proba through these names.
+MlrModel = SvmModel = LinearModel
+
+
+# --- multinomial logistic regression --------------------------------------
 
 
 def mlr_loss_and_grads(
@@ -204,7 +224,7 @@ def train_mlr(
     y,
     cfg: TrainConfig = TrainConfig(),
     max_iterations: int = MLR_MAX_ITERATIONS,
-) -> MlrModel:
+) -> LinearModel:
     """Full-batch gradient descent with an Armijo backtracking line search.
 
     The line search guarantees the training loss never increases; descent
@@ -237,33 +257,10 @@ def train_mlr(
             step *= 0.5
         else:
             break  # no descent step representable; converged numerically
-    return MlrModel(weights=weights, bias=bias, l2=cfg.l2)
+    return LinearModel(weights=weights, bias=bias)
 
 
 # --- one-vs-rest linear SVM -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SvmModel:
-    weights: np.ndarray  # (4, d)
-    bias: np.ndarray  # (4,)
-    temperature: float = 1.0
-    l2: float = 0.0
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[1]
-
-    def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        """Per-class margins."""
-        return np.asarray(X, dtype=float) @ self.weights.T + self.bias
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return softmax(self.decision_scores(X) / self.temperature)
 
 
 def _fit_binary_svm(
@@ -300,7 +297,7 @@ def _fit_temperature(margins: np.ndarray, codes: np.ndarray) -> float:
     return best_t
 
 
-def train_svm(X: np.ndarray, y, cfg: TrainConfig = TrainConfig()) -> SvmModel:
+def train_svm(X: np.ndarray, y, cfg: TrainConfig = TrainConfig()) -> LinearModel:
     """Four one-vs-rest linear SVMs plus a calibrated softmax temperature.
 
     The temperature is fitted on a trailing held-out fold (20%) against a
@@ -338,7 +335,7 @@ def train_svm(X: np.ndarray, y, cfg: TrainConfig = TrainConfig()) -> SvmModel:
     if temperature is None:
         margins = X @ weights.T + bias
         temperature = _fit_temperature(margins, codes)
-    return SvmModel(weights=weights, bias=bias, temperature=temperature, l2=l2)
+    return LinearModel(weights=weights, bias=bias, temperature=temperature)
 
 
 # --- multi-layer perceptron -------------------------------------------------
@@ -442,7 +439,10 @@ def train_mlp(
     codes = _as_codes(y)
     _validate_training_input(X, codes)
     Y = _one_hot(codes)
-    sw_full = _sample_weights(codes)
+    # Divided by their own sum, which is not bit-identical to 1/n for most n;
+    # trained MLP weights depend on these bits.
+    sw = _sample_weights(codes)
+    sw = sw / sw.sum()
     rng = np.random.default_rng(cfg.seed)
     weights, biases = _init_mlp(X.shape[1], cfg.hidden_layers, rng)
     params = weights + biases
@@ -457,37 +457,23 @@ def train_mlp(
     best_val = np.inf
     best_params = None
     stale = 0
-    n = X.shape[0]
-    hidden_width = cfg.hidden_layers[-1]
+    mask_shape = (X.shape[0], cfg.hidden_layers[-1])
 
     for _ in range(cfg.epochs):
-        if cfg.batch_size is None or cfg.batch_size >= n:
-            batches = [np.arange(n)]
+        if cfg.dropout > 0.0:
+            mask = (rng.random(mask_shape) >= cfg.dropout) / (1.0 - cfg.dropout)
         else:
-            order = rng.permutation(n)
-            batches = [
-                order[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)
-            ]
-        for batch in batches:
-            if cfg.dropout > 0.0:
-                mask = (rng.random((batch.size, hidden_width)) >= cfg.dropout) / (
-                    1.0 - cfg.dropout
-                )
-            else:
-                mask = None
-            bw = sw_full[batch]
-            _, grad_w, grad_b = mlp_loss_and_grads(
-                weights, biases, X[batch], Y[batch], cfg.l2, mask, bw / bw.sum()
-            )
-            step += 1
-            for p, g, m, v in zip(params, grad_w + grad_b, adam_m, adam_v):
-                m *= beta1
-                m += (1 - beta1) * g
-                v *= beta2
-                v += (1 - beta2) * g * g
-                m_hat = m / (1 - beta1**step)
-                v_hat = v / (1 - beta2**step)
-                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            mask = None
+        _, grad_w, grad_b = mlp_loss_and_grads(weights, biases, X, Y, cfg.l2, mask, sw)
+        step += 1
+        for p, g, m, v in zip(params, grad_w + grad_b, adam_m, adam_v):
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * g * g
+            m_hat = m / (1 - beta1**step)
+            v_hat = v / (1 - beta2**step)
+            p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         if validation is not None:
             val_loss, _, _ = mlp_loss_and_grads(weights, biases, X_val, val_Y, cfg.l2)
             if val_loss < best_val - 1e-12:
@@ -509,7 +495,7 @@ def train_mlp(
 
 # --- shared prediction surface ----------------------------------------------
 
-TrainedModel = MlrModel | SvmModel | MlpModel
+TrainedModel = LinearModel | MlpModel
 
 
 def predict_proba(model: TrainedModel, x: Sequence[float] | np.ndarray) -> PhaseDistribution:
@@ -550,20 +536,12 @@ def _array(nested) -> np.ndarray:
 
 
 def _model_payload(model: TrainedModel | RbbcpModel) -> dict:
-    if isinstance(model, MlrModel):
+    if isinstance(model, LinearModel):
         return {
-            "kind": "mlr",
-            "weights": model.weights.tolist(),
-            "bias": model.bias.tolist(),
-            "l2": model.l2,
-        }
-    if isinstance(model, SvmModel):
-        return {
-            "kind": "svm",
+            "kind": "linear",
             "weights": model.weights.tolist(),
             "bias": model.bias.tolist(),
             "temperature": model.temperature,
-            "l2": model.l2,
         }
     if isinstance(model, MlpModel):
         return {
@@ -582,18 +560,11 @@ def _model_payload(model: TrainedModel | RbbcpModel) -> dict:
 
 def _model_from_payload(payload: dict) -> TrainedModel | RbbcpModel:
     kind = payload["kind"]
-    if kind == "mlr":
-        return MlrModel(
+    if kind in ("linear", "mlr", "svm"):  # "mlr"/"svm": schema versions 1 and 2
+        return LinearModel(
             weights=_array(payload["weights"]),
             bias=_array(payload["bias"]),
-            l2=float(payload["l2"]),
-        )
-    if kind == "svm":
-        return SvmModel(
-            weights=_array(payload["weights"]),
-            bias=_array(payload["bias"]),
-            temperature=float(payload["temperature"]),
-            l2=float(payload["l2"]),
+            temperature=float(payload.get("temperature", 1.0)),
         )
     if kind == "mlp":
         return MlpModel(

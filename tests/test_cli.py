@@ -88,6 +88,21 @@ class TestConfigHandling:
         config = write_config(tmp_path, model="forest")
         assert run(config, "synth") == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "overrides, command",
+        [
+            ({"preprocess": {"zscore_mode": "bogus"}}, "preprocess"),
+            ({"preprocess": {"stationarity": "sometimes"}}, "preprocess"),
+            ({"train": {"epochs": "many"}}, "train"),
+            ({"window": 4.5}, "features"),
+            ({"window": True}, "features"),
+        ],
+    )
+    def test_bad_value_is_config_error(self, tmp_path, capsys, overrides, command):
+        config = write_config(tmp_path, **overrides)
+        assert run(config, command) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     def test_usage_error_exits_4(self):
         with pytest.raises(SystemExit) as exc:
             main(["--definitely-not-a-flag"])
@@ -242,7 +257,8 @@ class TestPipeline:
         for kind in ("svm", "mlp"):
             assert run(config, "train", "--model", kind) == EXIT_OK
             doc = json.loads((tmp_path / "out" / "model.json").read_text())
-            assert doc["model"]["kind"] == kind
+            assert doc["extra"]["kind"] == kind
+            assert doc["model"]["kind"] == {"svm": "linear", "mlp": "mlp"}[kind]
             assert run(config, "evaluate") == EXIT_OK
 
     def test_window_selection_on_validation(self, pipeline):

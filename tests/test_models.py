@@ -15,9 +15,9 @@ from cyclecast.errors import (
 )
 from cyclecast.features import FeatureScaler
 from cyclecast.models import (
-    MlrModel,
+    MODEL_SCHEMA_VERSION,
+    LinearModel,
     ModelArtifact,
-    SvmModel,
     TrainConfig,
     load_model,
     mlp_forward,
@@ -92,7 +92,7 @@ class TestMlr:
         losses = []
         for iters in (1, 5, 20, 80, 300):
             m = train_mlr(X, y, TrainConfig(), max_iterations=iters)
-            loss, _, _ = mlr_loss_and_grads(m.weights, m.bias, X, Y, m.l2)
+            loss, _, _ = mlr_loss_and_grads(m.weights, m.bias, X, Y, TrainConfig().l2)
             losses.append(loss)
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[0] <= math.log(4.0) + 1e-12
@@ -106,9 +106,17 @@ class TestMlr:
             train_mlr(np.random.default_rng(0).standard_normal((8, 2)), [2] * 8, TrainConfig())
 
     def test_zero_weight_model_is_uniform(self):
-        model = MlrModel(weights=np.zeros((4, 3)), bias=np.zeros(4))
+        model = LinearModel(weights=np.zeros((4, 3)), bias=np.zeros(4))
         dist = predict_proba(model, [0.5, -1.0, 2.0])
         assert dist.p == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=1e-12)
+
+    def test_unit_temperature_is_plain_softmax(self, rng):
+        W = rng.standard_normal((4, 5)) * 3.0
+        b = rng.standard_normal(4)
+        X = rng.standard_normal((40, 5)) * 2.0
+        np.testing.assert_array_equal(
+            LinearModel(W, b).predict_proba(X), softmax(X @ W.T + b)
+        )
 
     def test_column_scaling_invariance(self):
         X, y = two_blobs(seed=5)
@@ -116,8 +124,10 @@ class TestMlr:
         c = 3.7
         X_scaled = X.copy()
         X_scaled[:, 0] *= c
-        rescaled = MlrModel(
-            weights=model.weights * np.array([1.0 / c, 1.0]), bias=model.bias, l2=model.l2
+        rescaled = LinearModel(
+            weights=model.weights * np.array([1.0 / c, 1.0]),
+            bias=model.bias,
+            temperature=model.temperature,
         )
         np.testing.assert_allclose(
             rescaled.decision_scores(X_scaled), model.decision_scores(X), atol=1e-12
@@ -159,7 +169,7 @@ class TestSvm:
         assert all(-1.0 < f < 1.0 for f in flips)
 
     def test_equal_margins_give_uniform(self):
-        model = SvmModel(
+        model = LinearModel(
             weights=np.ones((4, 2)), bias=np.zeros(4), temperature=0.7
         )
         dist = predict_proba(model, [0.3, -0.4])
@@ -174,7 +184,7 @@ class TestSvm:
 
     def test_temperature_positive(self):
         with pytest.raises(ValueError):
-            SvmModel(weights=np.ones((4, 1)), bias=np.zeros(4), temperature=0.0)
+            LinearModel(weights=np.ones((4, 1)), bias=np.zeros(4), temperature=0.0)
 
     def test_calibrated_on_larger_sample(self):
         rng = np.random.default_rng(11)
@@ -265,12 +275,12 @@ class TestMlp:
 
 class TestPredictionSurface:
     def test_dimension_mismatch(self):
-        model = MlrModel(weights=np.zeros((4, 3)), bias=np.zeros(4))
+        model = LinearModel(weights=np.zeros((4, 3)), bias=np.zeros(4))
         with pytest.raises(DimensionMismatchError):
             predict_proba(model, [1.0, 2.0])
 
     def test_topk_sorting(self):
-        model = MlrModel(
+        model = LinearModel(
             weights=np.zeros((4, 1)),
             bias=np.log(np.array([0.1, 0.6, 0.2, 0.1])),
         )
@@ -279,12 +289,12 @@ class TestPredictionSurface:
         assert top[0][1] == pytest.approx(0.6, abs=1e-12)
 
     def test_uniform_tie_breaks_to_lowest_code(self):
-        model = MlrModel(weights=np.zeros((4, 1)), bias=np.zeros(4))
+        model = LinearModel(weights=np.zeros((4, 1)), bias=np.zeros(4))
         top = predict_topk(model, [0.0], 1)
         assert top[0][0] is PhaseLabel.RECOVERY
 
     def test_bad_k(self):
-        model = MlrModel(weights=np.zeros((4, 1)), bias=np.zeros(4))
+        model = LinearModel(weights=np.zeros((4, 1)), bias=np.zeros(4))
         with pytest.raises(BadKError):
             predict_topk(model, [0.0], 5)
 
@@ -329,12 +339,34 @@ class TestPersistence:
         path = tmp_path / "m.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == MODEL_SCHEMA_VERSION
         assert set(doc["model"]) == {"kind", "weights", "biases"}
         doc["schema_version"] = 1
         doc["model"].update(dropout_rate=0.2, rng_seed=2)
         path.write_text(json.dumps(doc))
         self._assert_same_predictions(model, load_model(path).model, X)
+
+    @pytest.mark.parametrize("kind", ["mlr", "svm"])
+    def test_version_2_linear_files_load(self, tmp_path, kind):
+        X, y = two_blobs(seed=12)
+        if kind == "mlr":
+            model = train_mlr(X, y, TrainConfig(), max_iterations=100)
+        else:
+            model = train_svm(X, y, TrainConfig(epochs=300))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert doc["model"]["kind"] == "linear"
+        assert set(doc["model"]) == {"kind", "weights", "bias", "temperature"}
+        # The version-2 payloads: "mlr" had no temperature, both carried l2.
+        doc["schema_version"] = 2
+        doc["model"].update(kind=kind, l2=TrainConfig().l2)
+        if kind == "mlr":
+            del doc["model"]["temperature"]
+        path.write_text(json.dumps(doc))
+        loaded = load_model(path).model
+        assert isinstance(loaded, LinearModel)
+        self._assert_same_predictions(model, loaded, X)
 
     def test_rbbcp_round_trip(self, tmp_path):
         path = tmp_path / "m.json"
@@ -374,7 +406,7 @@ class TestPersistence:
 
     def test_newer_schema_version(self, tmp_path):
         path = tmp_path / "m.json"
-        save_model(MlrModel(weights=np.zeros((4, 1)), bias=np.zeros(4)), path)
+        save_model(LinearModel(weights=np.zeros((4, 1)), bias=np.zeros(4)), path)
         doc = json.loads(path.read_text())
         doc["schema_version"] = 99
         path.write_text(json.dumps(doc))
