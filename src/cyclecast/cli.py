@@ -166,6 +166,12 @@ def _parse_split(doc) -> SplitSpec | None:
         raise ConfigError(f"bad split spec: {exc}") from exc
 
 
+def _config_int(value, key: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     file_doc: dict = {}
     if args.config:
@@ -192,9 +198,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         region = Region(merged["region"])
     except ValueError as exc:
         raise ConfigError(f"region must be 'us' or 'ez', got {merged['region']!r}") from exc
-    window = merged["window"] or DEFAULT_WINDOWS[region]
-    if not isinstance(window, int) or isinstance(window, bool):
-        raise ConfigError(f"window must be an integer, got {window!r}")
+    window = _config_int(merged["window"] or DEFAULT_WINDOWS[region], "window")
     if window < 2:
         raise ConfigError(f"window must be >= 2, got {window}")
     model = merged["model"]
@@ -209,12 +213,24 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
                 f"preprocess.{key} must be one of {'/'.join(allowed)}, "
                 f"got {merged['preprocess'][key]!r}"
             )
+    for section, key in (
+        ("preprocess", "zscore_min_window"),
+        ("preprocess", "subsample_stride"),
+        ("indices", "min_window_months"),
+    ):
+        _config_int(merged[section][key], f"{section}.{key}")
+    candidates = merged["train"]["window_candidates"]
+    if candidates is not None:
+        if not isinstance(candidates, list):
+            raise ConfigError(f"train.window_candidates must be a list, got {candidates!r}")
+        for candidate in candidates:
+            _config_int(candidate, "train.window_candidates entry")
     paths = merged["paths"]
     data_dir = Path(paths["data_dir"])
     labels = Path(paths["labels"]) if paths["labels"] else data_dir / "labels.csv"
     return RunConfig(
         region=region,
-        seed=int(merged["seed"]),
+        seed=_config_int(merged["seed"], "seed"),
         window=window,
         model=model,
         split=_parse_split(merged["split"]),
@@ -409,9 +425,9 @@ def cmd_preprocess(cfg: RunConfig, args: argparse.Namespace) -> int:
             s,
             stationarity=pp["stationarity"],
             zscore_mode=pp["zscore_mode"],
-            min_window=int(pp["zscore_min_window"]),
+            min_window=pp["zscore_min_window"],
             nw_lag=pp["nw_lag"],
-            subsample_stride=int(pp["subsample_stride"]),
+            subsample_stride=pp["subsample_stride"],
             adf_alpha=float(pp["adf_alpha"]),
             adf_max_lag=pp["adf_max_lag"],
         )
@@ -427,7 +443,7 @@ def cmd_preprocess(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json").complete()
-    min_window = int(cfg.indices["min_window_months"])
+    min_window = cfg.indices["min_window_months"]
     loadings_doc = {}
     for kind, ref_key, out_name in (
         (IndexKind.GROWTH, "growth_reference_series", "growth.csv"),
@@ -534,7 +550,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     candidates = cfg.train["window_candidates"] or [cfg.window]
     best = None
     for window in candidates:
-        fm = build_feature_matrix(panel, int(window), sign_only=sign_only)
+        fm = build_feature_matrix(panel, window, sign_only=sign_only)
         X, y, months = forecast_alignment(fm, labels)
         rows = _split_rows(months, split)
         if rows["train"].size == 0 or (len(candidates) > 1 and rows["validation"].size == 0):
@@ -547,9 +563,9 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
             )
             log_lines.append(f"window={window} validation_top1={val_acc:.6f}")
             if best is None or val_acc > best[0]:
-                best = (val_acc, int(window), fm, X, y, months, rows)
+                best = (val_acc, window, fm, X, y, months, rows)
         else:
-            best = (None, int(window), fm, X, y, months, rows)
+            best = (None, window, fm, X, y, months, rows)
     _, window, fm, X, y, months, rows = best
     log_lines.append(f"selected window={window}")
 
@@ -574,7 +590,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _indices_for_rbbcp(cfg: RunConfig) -> tuple[CompositeIndex, CompositeIndex]:
-    min_window = int(cfg.indices["min_window_months"])
+    min_window = cfg.indices["min_window_months"]
     growth = read_index_csv(cfg.out_dir / "growth.csv", IndexKind.GROWTH, min_window)
     inflation = read_index_csv(cfg.out_dir / "inflation.csv", IndexKind.INFLATION, min_window)
     return growth, inflation

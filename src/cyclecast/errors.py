@@ -103,6 +103,18 @@ class SingleClassError(DataError):
     """Training labels contain fewer than two distinct classes."""
 
 
+class MlrConvergenceError(DataError):
+    """Newton training of the multinomial logistic regression stopped short."""
+
+    def __init__(self, steps: int, grad_norm: float, reason: str):
+        super().__init__(
+            f"MLR training stopped after {steps} Newton steps: {reason} "
+            f"(gradient norm {grad_norm:.3e})"
+        )
+        self.steps = steps
+        self.grad_norm = grad_norm
+
+
 class DimensionMismatchError(DataError):
     """Input dimension does not match the model."""
 

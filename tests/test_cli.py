@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cyclecast import models
 from cyclecast.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -103,6 +104,20 @@ class TestConfigHandling:
         assert run(config, command) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, command",
+        [
+            ({"seed": "x"}, "synth"),
+            ({"preprocess": {"zscore_min_window": "a"}}, "preprocess"),
+            ({"indices": {"min_window_months": "a"}}, "build-indices"),
+            ({"train": {"window_candidates": ["a", 4]}}, "train"),
+        ],
+    )
+    def test_bad_integer_setting_is_config_error(self, tmp_path, capsys, overrides, command):
+        config = write_config(tmp_path, **overrides)
+        assert run(config, command) == EXIT_CONFIG
+        assert "must be an integer" in capsys.readouterr().err
+
     def test_usage_error_exits_4(self):
         with pytest.raises(SystemExit) as exc:
             main(["--definitely-not-a-flag"])
@@ -138,6 +153,17 @@ class TestDataErrors:
         tmp_path, config = pipeline
         assert run(config, "train") == EXIT_OK
         assert run(config, "predict", "--month", "1970-01") == EXIT_DATA
+
+    def test_failed_mlr_line_search_exits_3(self, pipeline, capsys, monkeypatch):
+        tmp_path, config = pipeline
+        # A negative-definite "Hessian" makes every Newton direction point uphill.
+        monkeypatch.setattr(
+            models, "mlr_hessian", lambda W, *a, **k: -np.eye(4 * (W.shape[1] + 1))
+        )
+        capsys.readouterr()
+        assert run(config, "train") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "after 0 Newton steps" in err and "gradient norm" in err
 
     def test_non_finite_series_cell_names_line(self, tmp_path, capsys):
         config = write_config(tmp_path)

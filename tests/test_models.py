@@ -4,12 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from cyclecast import models
+from cyclecast.cli import main as cli_main
 from cyclecast.dataset import PhaseLabel, Region
 from cyclecast.errors import (
     BadKError,
     CorruptFileError,
+    DataError,
     DegenerateInputError,
     DimensionMismatchError,
+    MlrConvergenceError,
     SingleClassError,
     VersionMismatchError,
 )
@@ -22,6 +26,7 @@ from cyclecast.models import (
     load_model,
     mlp_forward,
     mlp_loss_and_grads,
+    mlr_hessian,
     mlr_loss_and_grads,
     nll_loss,
     predict_proba,
@@ -35,6 +40,8 @@ from cyclecast.models import (
 )
 from cyclecast.models import _one_hot
 from cyclecast.rbbcp import RbbcpModel
+
+from test_acceptance import _e2e_config
 
 
 def two_blobs(seed=0, n=30):
@@ -152,6 +159,140 @@ class TestMlr:
                     - mlr_loss_and_grads(Wm, b, X, Y, 0.01)[0]
                 ) / (2 * h)
             assert rel_err(gw, num) < 1e-4
+
+
+def four_blobs(seed=0):
+    """Overlapping, unbalanced four-class sample in three features."""
+    rng = np.random.default_rng(seed)
+    centers = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.5], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.5]])
+    sizes = (14, 9, 11, 6)
+    X = np.vstack([rng.normal(c, 0.9, (m, 3)) for c, m in zip(centers, sizes)])
+    y = np.repeat(np.arange(1, 5), sizes)
+    return X, y
+
+
+def gradient_descent_reference(X, y, l2, steps=1_000):
+    """Long full-batch gradient descent with Armijo backtracking, an
+    independent route to the MLR optimum."""
+    Y = _one_hot(y)
+    W, b = np.zeros((4, X.shape[1])), np.zeros(4)
+    loss, gw, gb = mlr_loss_and_grads(W, b, X, Y, l2)
+    step = 1.0
+    for _ in range(steps):
+        g2 = float((gw**2).sum() + (gb**2).sum())
+        while step > 1e-18:
+            cand_w, cand_b = W - step * gw, b - step * gb
+            cand = mlr_loss_and_grads(cand_w, cand_b, X, Y, l2)
+            if cand[0] <= loss - 1e-4 * step * g2:
+                W, b, (loss, gw, gb) = cand_w, cand_b, cand
+                step = min(step * 2.0, 1e3)
+                break
+            step *= 0.5
+        else:
+            break
+    return W, b
+
+
+class TestMlrNewton:
+    def test_hessian_vector_products_match_gradient_differences(self):
+        h = 1e-6
+        for seed in range(4):
+            rng = np.random.default_rng(100 + seed)
+            n, d = 11, 3
+            X = rng.standard_normal((n, d))
+            Y = _one_hot(rng.integers(1, 5, n))
+            sw = rng.uniform(0.5, 1.5, n)
+            sw /= sw.sum()
+            W = rng.standard_normal((4, d)) * 0.7
+            b = rng.standard_normal(4) * 0.5
+            l2 = 0.03 * seed
+            H = mlr_hessian(W, b, X, l2, sw)
+            assert H.shape == (4 * (d + 1), 4 * (d + 1))
+            np.testing.assert_allclose(H, H.T, atol=1e-15)
+
+            def grad(theta):
+                _, gw, gb = mlr_loss_and_grads(theta[:, :d], theta[:, d], X, Y, l2, sw)
+                return np.column_stack([gw, gb]).ravel()
+
+            theta = np.column_stack([W, b])
+            for _ in range(3):
+                v = rng.standard_normal(theta.shape)
+                numeric = (grad(theta + h * v) - grad(theta - h * v)) / (2 * h)
+                assert rel_err(H @ v.ravel(), numeric) < 1e-7
+            # Shifting every bias by one constant is the Hessian's null direction.
+            shift = np.column_stack([np.zeros((4, d)), np.ones(4)]).ravel()
+            assert np.abs(H @ shift).max() < 1e-15
+
+    def test_matches_long_gradient_descent(self):
+        X, y = four_blobs(seed=1)
+        l2 = 0.05
+        ref_w, ref_b = gradient_descent_reference(X, y, l2)
+        model = train_mlr(X, y, TrainConfig(l2=l2))
+        assert np.abs(model.weights - ref_w).max() < 1e-5
+        assert np.abs(model.bias - ref_b).max() < 1e-5
+        _, gw, gb = mlr_loss_and_grads(model.weights, model.bias, X, _one_hot(y), l2)
+        assert math.hypot(np.linalg.norm(gw), np.linalg.norm(gb)) < models.MLR_GRADIENT_TOL
+
+    def test_biases_sum_to_zero(self):
+        X, y = four_blobs(seed=2)
+        model = train_mlr(X, y, TrainConfig())
+        assert np.abs(model.bias).max() > 0.1
+        assert abs(model.bias.sum()) < 1e-12
+
+    def test_unregularized_separable_with_absent_classes(self):
+        X, y = two_blobs(seed=0)
+        model = train_mlr(X, y, TrainConfig(l2=0.0))
+        assert train_accuracy(model, X, y) == 1.0
+        # Phases 3 and 4 never occur, so their probability is driven to zero.
+        assert model.predict_proba(X)[:, 2:].max() < 1e-6
+
+    def test_failed_line_search_raises(self, monkeypatch):
+        X, y = four_blobs(seed=3)
+        # A negative-definite "Hessian" makes every Newton direction point uphill.
+        monkeypatch.setattr(models, "mlr_hessian", lambda W, *a, **k: -np.eye(4 * (W.shape[1] + 1)))
+        with pytest.raises(MlrConvergenceError, match=r"after 0 Newton steps.*gradient norm") as exc:
+            train_mlr(X, y, TrainConfig())
+        assert isinstance(exc.value, DataError)
+        assert exc.value.steps == 0 and exc.value.grad_norm > models.MLR_GRADIENT_TOL
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rounding_floor_is_not_a_failure(self, monkeypatch, seed):
+        # With no tolerance, training runs on until no step can lower the
+        # loss in floating point; that ends the run, it does not raise.
+        X, y = four_blobs(seed=seed)
+        monkeypatch.setattr(models, "MLR_GRADIENT_TOL", 0.0)
+        model = train_mlr(X, y, TrainConfig())
+        _, gw, gb = mlr_loss_and_grads(model.weights, model.bias, X, _one_hot(y), TrainConfig().l2)
+        assert math.hypot(np.linalg.norm(gw), np.linalg.norm(gb)) < 1e-8
+
+    def test_step_budget_raises_but_explicit_cap_truncates(self, monkeypatch):
+        X, y = four_blobs(seed=4)
+        monkeypatch.setattr(models, "MLR_MAX_ITERATIONS", 2)
+        with pytest.raises(MlrConvergenceError, match="after 2 Newton steps"):
+            train_mlr(X, y, TrainConfig())
+        truncated = train_mlr(X, y, TrainConfig(), max_iterations=2)
+        assert np.abs(truncated.weights).max() > 0
+
+    def test_singular_system_raises(self):
+        X, y = two_blobs(seed=1)
+        X = np.column_stack([X, np.zeros(len(y))])
+        with pytest.raises(MlrConvergenceError, match="singular"):
+            train_mlr(X, y, TrainConfig(l2=0.0))
+
+    def test_few_newton_steps_on_criterion_8_data(self, tmp_path, monkeypatch):
+        config = _e2e_config(tmp_path)
+        for command in ("synth", "preprocess", "build-indices", "features"):
+            assert cli_main(["--config", str(config), command]) == 0
+        steps = []
+        hessian = models.mlr_hessian
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return hessian(*args, **kwargs)
+
+        monkeypatch.setattr(models, "mlr_hessian", counted)
+        assert cli_main(["--config", str(config), "train"]) == 0
+        assert 1 <= len(steps) <= 25
 
 
 class TestSvm:
