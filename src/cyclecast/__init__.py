@@ -16,8 +16,7 @@ from .dataset import (
     SplitSpec,
     Transform,
     load_labels,
-    phase_counts,
-    split_dataset,
+    split_rows,
     write_labels,
 )
 from .errors import CycleCastError
@@ -40,7 +39,6 @@ from .models import (
     TrainConfig,
     load_model,
     predict_proba,
-    predict_topk,
     save_model,
     train_mlp,
     train_mlr,

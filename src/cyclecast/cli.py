@@ -34,6 +34,7 @@ from .dataset import (
     load_labels,
     load_series_csv,
     read_month_table,
+    split_rows,
     write_labels,
 )
 from .errors import (
@@ -56,7 +57,7 @@ from .models import (
     train_mlr,
     train_svm,
 )
-from .preprocess import Panel, align_panel, standardize_series
+from .preprocess import ADF_CRITICAL, Panel, align_panel, standardize_series
 from .rbbcp import RbbcpModel
 from .synthgen import RegimeSpec, generate
 
@@ -94,7 +95,6 @@ _CONFIG_DEFAULTS: dict = {
         "learning_rate": 0.005,
         "epochs": 500,
         "l2": 0.001,
-        "early_stopping_patience": 25,
         "hidden_layers": [50, 50, 50, 50],
         "dropout": 0.2,
         "window_candidates": None,
@@ -207,18 +207,31 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     for key, allowed in (
         ("stationarity", ("auto", "none", "diff", "log_diff")),
         ("zscore_mode", ("expanding", "full")),
+        ("adf_alpha", tuple(ADF_CRITICAL)),
     ):
         if merged["preprocess"][key] not in allowed:
             raise ConfigError(
-                f"preprocess.{key} must be one of {'/'.join(allowed)}, "
+                f"preprocess.{key} must be one of {'/'.join(map(str, allowed))}, "
                 f"got {merged['preprocess'][key]!r}"
             )
     for section, key in (
         ("preprocess", "zscore_min_window"),
         ("preprocess", "subsample_stride"),
+        ("preprocess", "nw_lag"),
+        ("preprocess", "adf_max_lag"),
         ("indices", "min_window_months"),
+        ("rbbcp", "trend_window"),
+        ("synth", "months"),
+        ("synth", "n_series"),
     ):
-        _config_int(merged[section][key], f"{section}.{key}")
+        value = merged[section][key]
+        if value is not None or _CONFIG_DEFAULTS[section][key] is not None:
+            _config_int(value, f"{section}.{key}")
+    for section, key in (("features", "trend_sign_only"), ("rbbcp", "zero_is_up")):
+        if not isinstance(merged[section][key], bool):
+            raise ConfigError(
+                f"{section}.{key} must be true or false, got {merged[section][key]!r}"
+            )
     candidates = merged["train"]["window_candidates"]
     if candidates is not None:
         if not isinstance(candidates, list):
@@ -374,11 +387,11 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec = RegimeSpec(
         mean_durations=tuple(float(d) for d in synth["mean_durations"]),
         noise_sigma=float(synth["noise_sigma"]),
-        n_series=int(synth["n_series"]),
+        n_series=synth["n_series"],
         seed=cfg.seed,
     )
     ds, series = generate(
-        spec, int(synth["months"]), start=MonthStamp.parse(synth["start"]), region=cfg.region
+        spec, synth["months"], start=MonthStamp.parse(synth["start"]), region=cfg.region
     )
     _write_series_dir(cfg, series)
     write_labels(ds, cfg.labels_path)
@@ -428,7 +441,7 @@ def cmd_preprocess(cfg: RunConfig, args: argparse.Namespace) -> int:
             min_window=pp["zscore_min_window"],
             nw_lag=pp["nw_lag"],
             subsample_stride=pp["subsample_stride"],
-            adf_alpha=float(pp["adf_alpha"]),
+            adf_alpha=pp["adf_alpha"],
             adf_max_lag=pp["adf_max_lag"],
         )
         for s in series
@@ -471,7 +484,7 @@ def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_features(cfg: RunConfig, args: argparse.Namespace) -> int:
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
-    sign_only = bool(cfg.features["trend_sign_only"])
+    sign_only = cfg.features["trend_sign_only"]
     fm = build_feature_matrix(panel, cfg.window, sign_only=sign_only)
     write_features(fm, cfg.out_dir / "features.csv", cfg.out_dir / "features_meta.json", sign_only)
     print(f"wrote {fm.n_rows} feature rows x {len(fm.feature_names)} series -> {cfg.out_dir / 'features.csv'}")
@@ -486,7 +499,6 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
             epochs=int(t["epochs"]),
             l2=float(t["l2"]),
             seed=cfg.seed,
-            early_stopping_patience=int(t["early_stopping_patience"]),
             hidden_layers=tuple(int(h) for h in t["hidden_layers"]),
             dropout=float(t["dropout"]),
         )
@@ -498,22 +510,6 @@ def _require_split(cfg: RunConfig) -> SplitSpec:
     if cfg.split is None:
         raise ConfigError("this command needs a split spec in the config")
     return cfg.split
-
-
-def _split_rows(
-    months: Sequence[MonthStamp], split: SplitSpec
-) -> dict[str, np.ndarray]:
-    """Row indices per split; a row belongs where its TARGET month (t+1) falls."""
-    idx = {"train": [], "validation": [], "test": []}
-    for i, m in enumerate(months):
-        target = m.next()
-        if target <= split.train_end:
-            idx["train"].append(i)
-        elif target <= split.validation_end:
-            idx["validation"].append(i)
-        elif target <= split.test_end:
-            idx["test"].append(i)
-    return {k: np.asarray(v, dtype=int) for k, v in idx.items()}
 
 
 def _fit_model(kind: str, X: np.ndarray, y: np.ndarray, tc: TrainConfig):
@@ -531,7 +527,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     model_path = cfg.out_dir / "model.json"
     if cfg.model == "rbbcp":
         trend_window = cfg.rbbcp["trend_window"] or cfg.window
-        model = RbbcpModel(trend_window=int(trend_window), zero_is_up=bool(cfg.rbbcp["zero_is_up"]))
+        model = RbbcpModel(trend_window=trend_window, zero_is_up=cfg.rbbcp["zero_is_up"])
         artifact = ModelArtifact(
             model=model, region=cfg.region, window=cfg.window, extra={"kind": "rbbcp"}
         )
@@ -545,14 +541,14 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     tc = _train_config(cfg)
     labels = load_labels(cfg.labels_path, region=cfg.region)
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
-    sign_only = bool(cfg.features["trend_sign_only"])
+    sign_only = cfg.features["trend_sign_only"]
 
     candidates = cfg.train["window_candidates"] or [cfg.window]
     best = None
     for window in candidates:
         fm = build_feature_matrix(panel, window, sign_only=sign_only)
         X, y, months = forecast_alignment(fm, labels)
-        rows = _split_rows(months, split)
+        rows = split_rows(months, split)
         if rows["train"].size == 0 or (len(candidates) > 1 and rows["validation"].size == 0):
             raise CycleCastError(f"window {window}: empty train or validation split")
         scaler = FeatureScaler.fit(X[rows["train"]])
@@ -601,7 +597,7 @@ def _model_features(cfg: RunConfig, artifact: ModelArtifact) -> FeatureMatrix:
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
     if artifact.window is None:
         raise DataError("model file records no feature window")
-    sign_only = bool(cfg.features["trend_sign_only"])
+    sign_only = cfg.features["trend_sign_only"]
     fm = build_feature_matrix(panel, artifact.window, sign_only=sign_only)
     if fm.feature_names != artifact.feature_names:
         raise DataError(
@@ -622,7 +618,7 @@ def _test_distributions(
         truth = []
         months = []
         label_lookup = dict(zip(labels.months, labels.labels))
-        for i in _split_rows(growth.months, split)["test"]:
+        for i in split_rows(growth.months, split)["test"]:
             m = growth.months[i]
             target = m.next()
             if target not in label_lookup:
@@ -639,7 +635,7 @@ def _test_distributions(
 
     fm = _model_features(cfg, artifact)
     X, y, feat_months = forecast_alignment(fm, labels)
-    rows = _split_rows(feat_months, split)["test"]
+    rows = split_rows(feat_months, split)["test"]
     if rows.size == 0:
         raise CycleCastError("test split contains no feature rows")
     X_test = X[rows]

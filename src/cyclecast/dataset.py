@@ -1,4 +1,4 @@
-"""Labeled monthly datasets: domain types, CSV loading, and chronological splits.
+"""Labeled monthly datasets: domain types, CSV loading, and the chronological split.
 
 Phase labels use the integer encoding 1=recovery, 2=expansion, 3=slowdown,
 4=recession. Label files are CSV with a ``year,month,phase`` header; series
@@ -14,16 +14,11 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BoundaryOutsideDatasetError,
-    InvalidPhaseCodeError,
-    MalformedRowError,
-    NonContiguousMonthsError,
-)
+from .errors import InvalidPhaseCodeError, MalformedRowError, NonContiguousMonthsError
 
 __all__ = [
     "MonthStamp",
@@ -34,7 +29,7 @@ __all__ = [
     "RawSeries",
     "LabeledDataset",
     "SplitSpec",
-    "DatasetSplit",
+    "split_rows",
     "load_labels",
     "write_labels",
     "load_series_csv",
@@ -42,8 +37,6 @@ __all__ = [
     "format_month_table",
     "finite_cell",
     "finite_cell_or_nan",
-    "split_dataset",
-    "phase_counts",
 ]
 
 
@@ -147,15 +140,6 @@ class RawSeries:
     def __len__(self) -> int:
         return len(self.months)
 
-    def observations(self) -> Iterator[tuple[MonthStamp, float]]:
-        return zip(self.months, self.values)
-
-    def value_at(self, month: MonthStamp) -> float:
-        try:
-            return self.values[self.months.index(month)]
-        except ValueError:
-            raise KeyError(str(month)) from None
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -176,21 +160,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.months)
 
-    def label_at(self, month: MonthStamp) -> PhaseLabel:
-        try:
-            return self.labels[self.months.index(month)]
-        except ValueError:
-            raise KeyError(str(month)) from None
-
-    def view(self, start: MonthStamp, end: MonthStamp) -> "LabeledDataset":
-        """Sub-dataset covering months in [start, end]."""
-        keep = [i for i, m in enumerate(self.months) if start <= m <= end]
-        return LabeledDataset(
-            months=tuple(self.months[i] for i in keep),
-            labels=tuple(self.labels[i] for i in keep),
-            region=self.region,
-        )
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -205,11 +174,21 @@ class SplitSpec:
             raise ValueError("split boundaries must satisfy train_end < validation_end < test_end")
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
-    train: LabeledDataset
-    validation: LabeledDataset
-    test: LabeledDataset
+def split_rows(months: Sequence[MonthStamp], spec: SplitSpec) -> dict[str, np.ndarray]:
+    """Row indices per split; a row belongs where its TARGET month (t+1) falls.
+
+    Boundaries are inclusive; a row whose target is after test_end is in no split.
+    """
+    idx = {"train": [], "validation": [], "test": []}
+    for i, m in enumerate(months):
+        target = m.next()
+        if target <= spec.train_end:
+            idx["train"].append(i)
+        elif target <= spec.validation_end:
+            idx["validation"].append(i)
+        elif target <= spec.test_end:
+            idx["test"].append(i)
+    return {k: np.asarray(v, dtype=int) for k, v in idx.items()}
 
 
 def finite_cell(text: str) -> float:
@@ -334,36 +313,3 @@ def load_series_csv(
         transform_applied=transform_applied,
     )
 
-
-def split_dataset(ds: LabeledDataset, spec: SplitSpec) -> DatasetSplit:
-    """Partition by inclusive month-end boundaries.
-
-    Month m lands in train iff m <= train_end, in validation iff
-    train_end < m <= validation_end, in test iff validation_end < m <= test_end.
-    All three boundaries must lie inside the dataset's month range.
-    """
-    if not ds.months:
-        raise BoundaryOutsideDatasetError("cannot split an empty dataset")
-    first, last = ds.months[0], ds.months[-1]
-    for name, boundary in (
-        ("train_end", spec.train_end),
-        ("validation_end", spec.validation_end),
-        ("test_end", spec.test_end),
-    ):
-        if not first <= boundary <= last:
-            raise BoundaryOutsideDatasetError(
-                f"{name} {boundary} outside dataset range {first}..{last}"
-            )
-    return DatasetSplit(
-        train=ds.view(first, spec.train_end),
-        validation=ds.view(spec.train_end.next(), spec.validation_end),
-        test=ds.view(spec.validation_end.next(), spec.test_end),
-    )
-
-
-def phase_counts(ds: LabeledDataset) -> dict[PhaseLabel, int]:
-    """Per-phase sample counts; every phase key is present, zeros included."""
-    counts = {phase: 0 for phase in PhaseLabel}
-    for label in ds.labels:
-        counts[label] += 1
-    return counts

@@ -40,10 +40,6 @@ class InvalidPhaseCodeError(DataError):
         self.value = value
 
 
-class BoundaryOutsideDatasetError(DataError):
-    """A split boundary falls outside the dataset's month range."""
-
-
 # --- numeric preconditions ----------------------------------------------
 
 class TooShortError(DataError):

@@ -45,7 +45,6 @@ __all__ = [
     "train_svm",
     "train_mlp",
     "predict_proba",
-    "predict_topk",
     "rank_phases",
     "softmax",
     "nll_loss",
@@ -120,7 +119,6 @@ class TrainConfig:
     epochs: int = 500
     l2: float = 1e-3
     seed: int = 0
-    early_stopping_patience: int = 25
     hidden_layers: tuple[int, ...] = (50, 50, 50, 50)
     dropout: float = 0.2
 
@@ -480,18 +478,11 @@ def _init_mlp(d: int, hidden: tuple[int, ...], rng: np.random.Generator):
     return weights, biases
 
 
-def train_mlp(
-    X: np.ndarray,
-    y,
-    cfg: TrainConfig = TrainConfig(),
-    validation: tuple[np.ndarray, Sequence[int]] | None = None,
-) -> MlpModel:
-    """Adam-trained feed-forward classifier.
+def train_mlp(X: np.ndarray, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
+    """Adam-trained feed-forward classifier, run for ``cfg.epochs`` full-batch epochs.
 
     Dropout (inverted scaling) is applied after the last hidden layer during
-    training only. When a validation pair is given, training stops after
-    ``early_stopping_patience`` epochs without a new best validation loss and
-    the best parameters are restored. Fully deterministic for a fixed seed.
+    training only. Fully deterministic for a fixed seed.
     """
     X = np.asarray(X, dtype=float)
     codes = _as_codes(y)
@@ -508,13 +499,6 @@ def train_mlp(
     adam_v = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
-
-    if validation is not None:
-        X_val = np.asarray(validation[0], dtype=float)
-        val_Y = _one_hot(_as_codes(validation[1]))
-    best_val = np.inf
-    best_params = None
-    stale = 0
     mask_shape = (X.shape[0], cfg.hidden_layers[-1])
 
     for _ in range(cfg.epochs):
@@ -532,19 +516,6 @@ def train_mlp(
             m_hat = m / (1 - beta1**step)
             v_hat = v / (1 - beta2**step)
             p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        if validation is not None:
-            val_loss, _, _ = mlp_loss_and_grads(weights, biases, X_val, val_Y, cfg.l2)
-            if val_loss < best_val - 1e-12:
-                best_val = val_loss
-                best_params = [p.copy() for p in params]
-                stale = 0
-            else:
-                stale += 1
-                if stale > cfg.early_stopping_patience:
-                    break
-    if validation is not None and best_params is not None:
-        half = len(best_params) // 2
-        weights, biases = best_params[:half], best_params[half:]
     return MlpModel(
         weights=tuple(w.copy() for w in weights),
         biases=tuple(b.copy() for b in biases),
@@ -565,13 +536,6 @@ def predict_proba(model: TrainedModel, x: Sequence[float] | np.ndarray) -> Phase
         )
     p = model.predict_proba(x[None, :])[0]
     return PhaseDistribution(p=tuple(float(v) for v in p))
-
-
-def predict_topk(
-    model: TrainedModel, x: Sequence[float] | np.ndarray, k: int
-) -> list[tuple[PhaseLabel, float]]:
-    """The k most probable phases, most probable first."""
-    return predict_proba(model, x).top_k(k)
 
 
 # --- persistence -------------------------------------------------------------

@@ -87,14 +87,6 @@ class RbbcpModel:
     trend_window: int = 12
     zero_is_up: bool = False
 
-    def predict_at(
-        self, inflation_index: CompositeIndex, growth_index: CompositeIndex, month: MonthStamp
-    ) -> PhaseLabel:
-        return rbbcp_predict(
-            trend_direction(inflation_index, month, self.trend_window, self.zero_is_up),
-            trend_direction(growth_index, month, self.trend_window, self.zero_is_up),
-        )
-
     def predict_proba_at(
         self, inflation_index: CompositeIndex, growth_index: CompositeIndex, month: MonthStamp
     ) -> np.ndarray:

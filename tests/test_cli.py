@@ -97,6 +97,11 @@ class TestConfigHandling:
             ({"train": {"epochs": "many"}}, "train"),
             ({"window": 4.5}, "features"),
             ({"window": True}, "features"),
+            ({"preprocess": {"adf_alpha": "a"}}, "preprocess"),
+            ({"preprocess": {"adf_alpha": 0.07}}, "preprocess"),
+            ({"features": {"trend_sign_only": "no"}}, "features"),
+            ({"features": {"trend_sign_only": 0}}, "train"),
+            ({"rbbcp": {"zero_is_up": "no"}}, "train"),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, overrides, command):
@@ -111,6 +116,11 @@ class TestConfigHandling:
             ({"preprocess": {"zscore_min_window": "a"}}, "preprocess"),
             ({"indices": {"min_window_months": "a"}}, "build-indices"),
             ({"train": {"window_candidates": ["a", 4]}}, "train"),
+            ({"preprocess": {"nw_lag": "x"}}, "preprocess"),
+            ({"preprocess": {"adf_max_lag": "q"}}, "preprocess"),
+            ({"model": "rbbcp", "rbbcp": {"trend_window": "a"}}, "train"),
+            ({"synth": {"months": "many"}}, "synth"),
+            ({"synth": {"n_series": 2.5}}, "synth"),
         ],
     )
     def test_bad_integer_setting_is_config_error(self, tmp_path, capsys, overrides, command):

@@ -9,16 +9,10 @@ from cyclecast.dataset import (
     SplitSpec,
     load_labels,
     load_series_csv,
-    phase_counts,
-    split_dataset,
+    split_rows,
     write_labels,
 )
-from cyclecast.errors import (
-    BoundaryOutsideDatasetError,
-    InvalidPhaseCodeError,
-    MalformedRowError,
-    NonContiguousMonthsError,
-)
+from cyclecast.errors import InvalidPhaseCodeError, MalformedRowError, NonContiguousMonthsError
 
 from conftest import month_range
 
@@ -129,94 +123,63 @@ class TestWriteLabels:
         assert not raw.endswith(b"\n\n")
 
 
-def make_labeled(start_year, end_year, region=Region.EZ):
-    start = MonthStamp(start_year, 1)
-    n = (end_year - start_year + 1) * 12
-    months = month_range(start, n)
-    rng = np.random.default_rng(start_year)
-    labels = tuple(PhaseLabel(int(c)) for c in rng.integers(1, 5, n))
-    return LabeledDataset(months=months, labels=labels, region=region)
+def split_targets(months, spec):
+    """split_rows' row indices per split, and each row's target month."""
+    rows = split_rows(months, spec)
+    return rows, {k: [months[i].next() for i in v] for k, v in rows.items()}
 
 
-class TestSplitDataset:
+class TestSplitRows:
     def test_ez_table_boundaries(self):
-        ds = make_labeled(1981, 2022)
+        months = month_range(MonthStamp(1981, 1), 42 * 12)  # 1981-01 .. 2022-12
         spec = SplitSpec(
             MonthStamp(2001, 12), MonthStamp(2011, 12), MonthStamp(2022, 12)
         )
-        parts = split_dataset(ds, spec)
-        assert parts.train.months[0] == MonthStamp(1981, 1)
-        assert parts.train.months[-1] == MonthStamp(2001, 12)
-        assert parts.validation.months[0] == MonthStamp(2002, 1)
-        assert parts.validation.months[-1] == MonthStamp(2011, 12)
-        assert parts.test.months[0] == MonthStamp(2012, 1)
-        assert parts.test.months[-1] == MonthStamp(2022, 12)
+        rows, targets = split_targets(months, spec)
+        assert months[rows["train"][0]] == MonthStamp(1981, 1)
+        assert months[rows["train"][-1]] == MonthStamp(2001, 11)
+        assert targets["train"][-1] == MonthStamp(2001, 12)
+        assert targets["validation"][0] == MonthStamp(2002, 1)
+        assert targets["validation"][-1] == MonthStamp(2011, 12)
+        assert targets["test"][0] == MonthStamp(2012, 1)
+        assert targets["test"][-1] == MonthStamp(2022, 12)
+        # The last row's target, 2023-01, is after test_end.
+        assert months[rows["test"][-1]] == MonthStamp(2022, 11)
 
     def test_us_table_boundaries(self):
-        ds = make_labeled(1969, 2022, region=Region.US)
+        months = month_range(MonthStamp(1969, 1), 54 * 12)  # 1969-01 .. 2022-12
         spec = SplitSpec(
             MonthStamp(1999, 12), MonthStamp(2009, 12), MonthStamp(2022, 12)
         )
-        parts = split_dataset(ds, spec)
-        assert parts.test.months[0] == MonthStamp(2010, 1)
-        assert parts.test.months[-1] == MonthStamp(2022, 12)
+        rows, targets = split_targets(months, spec)
+        assert months[rows["test"][0]] == MonthStamp(2009, 12)
+        assert targets["test"][0] == MonthStamp(2010, 1)
+        assert targets["test"][-1] == MonthStamp(2022, 12)
 
     def test_split_spec_invariant(self):
         with pytest.raises(ValueError):
             SplitSpec(MonthStamp(2011, 12), MonthStamp(2001, 12), MonthStamp(2022, 12))
 
-    def test_boundary_outside_dataset(self):
-        ds = make_labeled(1981, 2000)
-        spec = SplitSpec(
-            MonthStamp(1990, 12), MonthStamp(1995, 12), MonthStamp(2022, 12)
-        )
-        with pytest.raises(BoundaryOutsideDatasetError):
-            split_dataset(ds, spec)
-
     def test_partition_property(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            start_year = int(rng.integers(1960, 1990))
-            years = int(rng.integers(6, 40))
-            ds = make_labeled(start_year, start_year + years)
-            cuts = sorted(rng.choice(np.arange(1, len(ds) - 1), size=2, replace=False))
-            spec = SplitSpec(
-                ds.months[int(cuts[0])], ds.months[int(cuts[1])], ds.months[-1]
-            )
-            parts = split_dataset(ds, spec)
-            assert len(parts.train) + len(parts.validation) + len(parts.test) == len(ds)
-            seen = set(parts.train.months) | set(parts.validation.months) | set(parts.test.months)
-            assert len(seen) == len(ds)
-            assert not set(parts.train.months) & set(parts.validation.months)
-            assert not set(parts.validation.months) & set(parts.test.months)
-
-
-class TestPhaseCounts:
-    def test_known_counts(self):
-        labels = (
-            [PhaseLabel.RECOVERY] * 3
-            + [PhaseLabel.EXPANSION] * 5
-            + [PhaseLabel.SLOWDOWN] * 2
-            + [PhaseLabel.RECESSION] * 4
-        )
-        ds = LabeledDataset(
-            months=month_range(MonthStamp(1990, 1), len(labels)), labels=tuple(labels)
-        )
-        assert phase_counts(ds) == {
-            PhaseLabel.RECOVERY: 3,
-            PhaseLabel.EXPANSION: 5,
-            PhaseLabel.SLOWDOWN: 2,
-            PhaseLabel.RECESSION: 4,
-        }
-
-    def test_empty_view_all_zero(self):
-        ds = LabeledDataset(months=(), labels=())
-        assert phase_counts(ds) == {p: 0 for p in PhaseLabel}
-
-    def test_counts_sum_to_length(self):
-        for seed in range(5):
-            ds = make_labeled(1980 + seed, 1990 + seed)
-            assert sum(phase_counts(ds).values()) == len(ds)
+            start = MonthStamp(int(rng.integers(1960, 1990)), int(rng.integers(1, 13)))
+            months = month_range(start, int(rng.integers(72, 480)))
+            cuts = sorted(rng.choice(np.arange(1, len(months)), size=3, replace=False))
+            spec = SplitSpec(*(months[int(c)] for c in cuts))
+            rows, targets = split_targets(months, spec)
+            for k, (low, high) in {
+                "train": (None, spec.train_end),
+                "validation": (spec.train_end, spec.validation_end),
+                "test": (spec.validation_end, spec.test_end),
+            }.items():
+                assert all((low is None or low < t) and t <= high for t in targets[k])
+                assert list(rows[k]) == sorted(rows[k])
+            train, validation, test = (set(rows[k].tolist()) for k in rows)
+            assert not train & validation and not validation & test and not train & test
+            # Row t is in some split iff its target t+1 is no later than test_end.
+            assert train | validation | test == set(range(int(cuts[2])))
+            assert len(train) == cuts[0] and len(train | validation) == cuts[1]
 
 
 class TestSeriesCsv:

