@@ -15,9 +15,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -68,53 +68,158 @@ EXIT_USAGE = 4
 
 DEFAULT_WINDOWS = {Region.EZ: 12, Region.US: 9}
 
-_CONFIG_DEFAULTS: dict = {
-    "region": "us",
-    "seed": 0,
-    "window": None,  # falls back to the per-region default
-    "model": "mlr",
-    "split": None,  # {"train_end": "YYYY-MM", "validation_end": ..., "test_end": ...}
-    "paths": {"data_dir": "data", "out_dir": "out", "labels": None},
-    "preprocess": {
-        "stationarity": "auto",
-        "zscore_mode": "expanding",
-        "zscore_min_window": 12,
-        "nw_lag": None,
-        "subsample_stride": 3,
-        "adf_alpha": 0.05,
-        "adf_max_lag": None,
-    },
-    "indices": {
-        "min_window_months": 60,
-        "growth_reference_series": None,
-        "inflation_reference_series": None,
-    },
-    "features": {"trend_sign_only": False},
-    "rbbcp": {"trend_window": None, "zero_is_up": False},
-    "train": {
-        "learning_rate": 0.005,
-        "epochs": 500,
-        "l2": 0.001,
-        "hidden_layers": [50, 50, 50, 50],
-        "dropout": 0.2,
-        "window_candidates": None,
-    },
-    "fetch": {
-        "provider": "fred",
-        "base_url": "https://api.stlouisfed.org/fred",
-        "api_key": None,
-        "rate_limit": 60,
-        "cache_dir": "cache",
-        "series": None,  # list of {"id", "region", "category"}; None = bundled manifest
-    },
-    "synth": {
-        "months": 600,
-        "n_series": 20,
-        "noise_sigma": 0.05,
-        "mean_durations": [15.0, 22.0, 10.0, 13.0],
-        "start": "1970-01",
-    },
+
+# --- config schema -------------------------------------------------------------
+# A check takes (value, dotted key) and returns the value typed or raises a
+# ConfigError naming the key. Bounds are the library's, so none is looser.
+
+
+def _fail(key: str, what: str, value) -> NoReturn:
+    raise ConfigError(f"{key} must be {what}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class _Range:
+    """An int, or a finite float (ints accepted), with lo <= value, above < value, value < below."""
+
+    kind: type
+    lo: float | None = None
+    above: float | None = None
+    below: float | None = None
+
+    def __call__(self, value, key: str):
+        if isinstance(value, bool) or not isinstance(value, (self.kind, int)):
+            _fail(key, "an integer" if self.kind is int else "a number", value)
+        if not abs(value) <= sys.float_info.max:  # also rejects NaN
+            _fail(key, "finite", value)
+        value = self.kind(value)
+        if self.lo is not None and value < self.lo:
+            _fail(key, f">= {self.lo}", value)
+        if self.above is not None and value <= self.above:
+            _fail(key, f"> {self.above}", value)
+        if self.below is not None and value >= self.below:
+            _fail(key, f"< {self.below}", value)
+        return value
+
+
+@dataclass(frozen=True)
+class _OneOf:
+    choices: tuple
+
+    def __call__(self, value, key: str):
+        if value not in self.choices or type(value) not in {type(c) for c in self.choices}:
+            _fail(key, f"one of {'/'.join(json.dumps(c) for c in self.choices)}", value)
+        return value
+
+
+@dataclass(frozen=True)
+class _Nullable:
+    check: Callable
+
+    def __call__(self, value, key: str):
+        return None if value is None else self.check(value, key)
+
+
+@dataclass(frozen=True)
+class _ListOf:
+    """A non-empty list (of exactly ``length`` entries when set), returned as a tuple."""
+
+    item: Callable
+    length: int | None = None
+
+    def __call__(self, value, key: str) -> tuple:
+        if not isinstance(value, list) or not value or self.length not in (None, len(value)):
+            _fail(key, f"a list of {self.length or 'one or more'} entries", value)
+        return tuple(self.item(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
+@dataclass(frozen=True)
+class _Record:
+    """An object with only ``fields``, each required unless ``optional``, passed to ``build``."""
+
+    fields: dict
+    optional: tuple = ()
+    build: Callable = dict
+
+    def __call__(self, value, key: str):
+        if not isinstance(value, dict):
+            _fail(key, "an object", value)
+        for name in [*value, *self.fields]:
+            if name not in self.fields:
+                raise ConfigError(f"unknown config key {f'{key}.{name}'!r}")
+            if name not in value and name not in self.optional:
+                raise ConfigError(f"{key}.{name} is required")
+        try:
+            return self.build(**{n: self.fields[n](v, f"{key}.{n}") for n, v in value.items()})
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        _fail(key, "a string", value)
+    return value
+
+
+def _month(value, key: str) -> MonthStamp:
+    try:
+        return MonthStamp.parse(_string(value, key))
+    except ValueError:
+        _fail(key, "a YYYY-MM month", value)
+
+
+_boolean = _OneOf((False, True))
+_REGIONS = tuple(r.value for r in Region)
+_CATEGORIES = tuple(c.value for c in Category)
+_SPLIT = _Record({"train_end": _month, "validation_end": _month, "test_end": _month}, build=SplitSpec)
+_SERIES_ENTRY = _Record(
+    {"id": _string, "region": _OneOf(_REGIONS), "category": _OneOf(_CATEGORIES)},
+    optional=("region", "category"),
+)
+
+# Every config key: dotted name -> (default, check). Defaults pass the checks too.
+# A flag overrides the key named by its argparse ``dest``.
+CONFIG_SCHEMA: dict[str, tuple[object, Callable]] = {
+    "region": ("us", _OneOf(_REGIONS)),
+    "seed": (0, _Range(int, lo=0)),
+    "window": (None, _Nullable(_Range(int, lo=2))),  # null: DEFAULT_WINDOWS[region]
+    "model": ("mlr", _OneOf(("rbbcp", "mlr", "svm", "mlp"))),
+    "split": (None, _Nullable(_SPLIT)),
+    "paths.data_dir": ("data", _string),
+    "paths.out_dir": ("out", _string),
+    "paths.labels": (None, _Nullable(_string)),  # null: data_dir/labels.csv
+    "preprocess.stationarity": ("auto", _OneOf(("auto", "none", "diff", "log_diff"))),
+    "preprocess.zscore_mode": ("expanding", _OneOf(("expanding", "full"))),
+    "preprocess.zscore_min_window": (12, _Range(int, lo=2)),
+    "preprocess.nw_lag": (None, _Nullable(_Range(int, lo=0))),
+    "preprocess.subsample_stride": (3, _Range(int, lo=1)),
+    "preprocess.adf_alpha": (0.05, _OneOf(tuple(ADF_CRITICAL))),
+    "preprocess.adf_max_lag": (None, _Nullable(_Range(int, lo=0))),
+    "indices.min_window_months": (60, _Range(int, lo=2)),
+    "indices.growth_reference_series": (None, _Nullable(_string)),
+    "indices.inflation_reference_series": (None, _Nullable(_string)),
+    "features.trend_sign_only": (False, _boolean),
+    "rbbcp.trend_window": (None, _Nullable(_Range(int, lo=2))),  # null: window
+    "rbbcp.zero_is_up": (False, _boolean),
+    "train.learning_rate": (0.005, _Range(float, above=0)),
+    "train.epochs": (500, _Range(int, lo=1)),
+    "train.l2": (0.001, _Range(float, lo=0)),
+    "train.hidden_layers": ([50, 50, 50, 50], _ListOf(_Range(int, lo=1))),
+    "train.dropout": (0.2, _Range(float, lo=0, below=1)),
+    "train.window_candidates": (None, _Nullable(_ListOf(_Range(int, lo=2)))),
+    "fetch.provider": ("fred", _OneOf(("fred", "csv"))),
+    "fetch.base_url": ("https://api.stlouisfed.org/fred", _string),
+    "fetch.api_key": (None, _Nullable(_string)),
+    "fetch.rate_limit": (60, _Range(int, lo=1)),
+    "fetch.cache_dir": ("cache", _string),
+    "fetch.series": (None, _Nullable(_ListOf(_SERIES_ENTRY))),  # null: the bundled manifest
+    "synth.months": (600, _Range(int, lo=1)),
+    "synth.n_series": (20, _Range(int, lo=2)),
+    "synth.noise_sigma": (0.05, _Range(float, above=0)),
+    "synth.mean_durations": ([15.0, 22.0, 10.0, 13.0], _ListOf(_Range(float, lo=1), length=4)),
+    "synth.start": ("1970-01", _month),
 }
+_SECTIONS = {key.partition(".")[0] for key in CONFIG_SCHEMA if "." in key}
 
 
 @dataclass
@@ -136,130 +241,48 @@ class RunConfig:
     train: dict
     fetch: dict
     synth: dict
-    format: str = "text"
-    offline: bool = False
-    raw: dict = field(default_factory=dict)
-
-
-def _merge(defaults: dict, override: dict, path: str = "") -> dict:
-    out = dict(defaults)
-    for key, value in override.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            out[key] = _merge(defaults[key], value, path + key + ".")
-        else:
-            out[key] = value
-    return out
-
-
-def _parse_split(doc) -> SplitSpec | None:
-    if doc is None:
-        return None
-    try:
-        return SplitSpec(
-            train_end=MonthStamp.parse(doc["train_end"]),
-            validation_end=MonthStamp.parse(doc["validation_end"]),
-            test_end=MonthStamp.parse(doc["test_end"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad split spec: {exc}") from exc
-
-
-def _config_int(value, key: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    file_doc: dict = {}
+    """Defaults, then the config file, then flags; every key checked once."""
+    doc = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            file_doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(file_doc, dict):
+            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
-    merged = _merge(_CONFIG_DEFAULTS, file_doc)
-    if getattr(args, "region", None):
-        merged["region"] = args.region
-    if getattr(args, "seed", None) is not None:
-        merged["seed"] = args.seed
-    if getattr(args, "model", None):
-        merged["model"] = args.model
-    if getattr(args, "window", None):
-        merged["window"] = args.window
-
-    try:
-        region = Region(merged["region"])
-    except ValueError as exc:
-        raise ConfigError(f"region must be 'us' or 'ez', got {merged['region']!r}") from exc
-    window = _config_int(merged["window"] or DEFAULT_WINDOWS[region], "window")
-    if window < 2:
-        raise ConfigError(f"window must be >= 2, got {window}")
-    model = merged["model"]
-    if model not in ("rbbcp", "mlr", "svm", "mlp"):
-        raise ConfigError(f"model must be one of rbbcp/mlr/svm/mlp, got {model!r}")
-    for key, allowed in (
-        ("stationarity", ("auto", "none", "diff", "log_diff")),
-        ("zscore_mode", ("expanding", "full")),
-        ("adf_alpha", tuple(ADF_CRITICAL)),
-    ):
-        if merged["preprocess"][key] not in allowed:
-            raise ConfigError(
-                f"preprocess.{key} must be one of {'/'.join(map(str, allowed))}, "
-                f"got {merged['preprocess'][key]!r}"
-            )
-    for section, key in (
-        ("preprocess", "zscore_min_window"),
-        ("preprocess", "subsample_stride"),
-        ("preprocess", "nw_lag"),
-        ("preprocess", "adf_max_lag"),
-        ("indices", "min_window_months"),
-        ("rbbcp", "trend_window"),
-        ("synth", "months"),
-        ("synth", "n_series"),
-    ):
-        value = merged[section][key]
-        if value is not None or _CONFIG_DEFAULTS[section][key] is not None:
-            _config_int(value, f"{section}.{key}")
-    for section, key in (("features", "trend_sign_only"), ("rbbcp", "zero_is_up")):
-        if not isinstance(merged[section][key], bool):
-            raise ConfigError(
-                f"{section}.{key} must be true or false, got {merged[section][key]!r}"
-            )
-    candidates = merged["train"]["window_candidates"]
-    if candidates is not None:
-        if not isinstance(candidates, list):
-            raise ConfigError(f"train.window_candidates must be a list, got {candidates!r}")
-        for candidate in candidates:
-            _config_int(candidate, "train.window_candidates entry")
-    paths = merged["paths"]
+    values = {key: default for key, (default, _) in CONFIG_SCHEMA.items()}
+    for name, value in doc.items():
+        entries = {name: value}
+        if name in _SECTIONS:
+            if not isinstance(value, dict):
+                _fail(name, "an object", value)
+            entries = {f"{name}.{sub}": v for sub, v in value.items()}
+        for key, v in entries.items():
+            if key not in CONFIG_SCHEMA or "." in name:
+                raise ConfigError(f"unknown config key {key!r}")
+            values[key] = v
+    values.update((k, v) for k, v in vars(args).items() if k in CONFIG_SCHEMA and v is not None)
+    checked = {key: check(values[key], key) for key, (_, check) in CONFIG_SCHEMA.items()}
+    sections = {
+        s: {k.partition(".")[2]: v for k, v in checked.items() if k.startswith(f"{s}.")}
+        for s in _SECTIONS
+    }
+    region = Region(checked["region"])
+    paths = sections.pop("paths")
     data_dir = Path(paths["data_dir"])
-    labels = Path(paths["labels"]) if paths["labels"] else data_dir / "labels.csv"
     return RunConfig(
         region=region,
-        seed=_config_int(merged["seed"], "seed"),
-        window=window,
-        model=model,
-        split=_parse_split(merged["split"]),
+        seed=checked["seed"],
+        window=DEFAULT_WINDOWS[region] if checked["window"] is None else checked["window"],
+        model=checked["model"],
+        split=checked["split"],
         data_dir=data_dir,
         out_dir=Path(paths["out_dir"]),
-        labels_path=labels,
-        preprocess=merged["preprocess"],
-        indices=merged["indices"],
-        features=merged["features"],
-        rbbcp=merged["rbbcp"],
-        train=merged["train"],
-        fetch=merged["fetch"],
-        synth=merged["synth"],
-        format=getattr(args, "format", None) or "text",
-        offline=bool(getattr(args, "offline", False)),
-        raw=merged,
+        labels_path=data_dir / "labels.csv" if paths["labels"] is None else Path(paths["labels"]),
+        **sections,
     )
 
 
@@ -377,22 +400,14 @@ def _load_series_dir(cfg: RunConfig) -> list[RawSeries]:
 
 
 def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
-    synth = dict(cfg.synth)
-    if args.months:
-        synth["months"] = args.months
-    if args.series:
-        synth["n_series"] = args.series
-    if args.noise:
-        synth["noise_sigma"] = args.noise
+    synth = cfg.synth
     spec = RegimeSpec(
-        mean_durations=tuple(float(d) for d in synth["mean_durations"]),
-        noise_sigma=float(synth["noise_sigma"]),
+        mean_durations=synth["mean_durations"],
+        noise_sigma=synth["noise_sigma"],
         n_series=synth["n_series"],
         seed=cfg.seed,
     )
-    ds, series = generate(
-        spec, synth["months"], start=MonthStamp.parse(synth["start"]), region=cfg.region
-    )
+    ds, series = generate(spec, synth["months"], start=synth["start"], region=cfg.region)
     _write_series_dir(cfg, series)
     write_labels(ds, cfg.labels_path)
     print(f"wrote {len(series)} series and {len(ds)} labeled months under {cfg.data_dir}")
@@ -405,14 +420,14 @@ def cmd_fetch(cfg: RunConfig, args: argparse.Namespace) -> int:
         provider_id=fc["provider"],
         base_url=fc["base_url"],
         api_key=fc["api_key"],
-        rate_limit=int(fc["rate_limit"]),
+        rate_limit=fc["rate_limit"],
     )
-    provider = fetchmod.FredJsonProvider() if fc["provider"] == "fred" else fetchmod.CsvProvider()
+    provider = {"fred": fetchmod.FredJsonProvider, "csv": fetchmod.CsvProvider}[fc["provider"]]()
     client = fetchmod.SeriesClient(
         provider_cfg,
         provider,
         cache_dir=Path(fc["cache_dir"]),
-        offline=cfg.offline,
+        offline=args.offline,
     )
     entries = fc["series"]
     if entries is None:
@@ -465,7 +480,10 @@ def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
         sub = panel.select_categories([Category(kind.value)])
         if sub.n_series == 0:
             raise CycleCastError(f"panel has no {kind.value} series")
-        reference = cfg.indices[ref_key] or sub.series_ids[0]
+        reference = cfg.indices[ref_key]
+        reference = sub.series_ids[0] if reference is None else reference
+        if reference not in sub.series_ids:
+            raise ConfigError(f"indices.{ref_key} {reference!r} is not a {kind.value} series")
         index = expanding_pca_index(sub, kind, min_window, reference_series=reference)
         write_index_csv(index, cfg.out_dir / out_name)
         final = sign_normalize(
@@ -491,21 +509,6 @@ def cmd_features(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    t = cfg.train
-    try:
-        return TrainConfig(
-            learning_rate=float(t["learning_rate"]),
-            epochs=int(t["epochs"]),
-            l2=float(t["l2"]),
-            seed=cfg.seed,
-            hidden_layers=tuple(int(h) for h in t["hidden_layers"]),
-            dropout=float(t["dropout"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad train settings: {exc}") from exc
-
-
 def _require_split(cfg: RunConfig) -> SplitSpec:
     if cfg.split is None:
         raise ConfigError("this command needs a split spec in the config")
@@ -513,20 +516,15 @@ def _require_split(cfg: RunConfig) -> SplitSpec:
 
 
 def _fit_model(kind: str, X: np.ndarray, y: np.ndarray, tc: TrainConfig):
-    if kind == "mlr":
-        return train_mlr(X, y, tc)
-    if kind == "svm":
-        return train_svm(X, y, tc)
-    if kind == "mlp":
-        return train_mlp(X, y, tc)
-    raise ConfigError(f"cannot train model kind {kind!r}")
+    return {"mlr": train_mlr, "svm": train_svm, "mlp": train_mlp}[kind](X, y, tc)
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     log_lines = [f"model={cfg.model} region={cfg.region.value} seed={cfg.seed}"]
     model_path = cfg.out_dir / "model.json"
     if cfg.model == "rbbcp":
-        trend_window = cfg.rbbcp["trend_window"] or cfg.window
+        trend_window = cfg.rbbcp["trend_window"]
+        trend_window = cfg.window if trend_window is None else trend_window
         model = RbbcpModel(trend_window=trend_window, zero_is_up=cfg.rbbcp["zero_is_up"])
         artifact = ModelArtifact(
             model=model, region=cfg.region, window=cfg.window, extra={"kind": "rbbcp"}
@@ -538,12 +536,13 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         return EXIT_OK
 
     split = _require_split(cfg)
-    tc = _train_config(cfg)
+    settings = {k: v for k, v in cfg.train.items() if k != "window_candidates"}
+    tc = TrainConfig(seed=cfg.seed, **settings)
     labels = load_labels(cfg.labels_path, region=cfg.region)
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
     sign_only = cfg.features["trend_sign_only"]
 
-    candidates = cfg.train["window_candidates"] or [cfg.window]
+    candidates = cfg.train["window_candidates"] or (cfg.window,)
     best = None
     for window in candidates:
         fm = build_feature_matrix(panel, window, sign_only=sign_only)
@@ -711,7 +710,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     artifact = load_model(args.model_file or cfg.out_dir / "model.json")
     dists, truth, months = _test_distributions(cfg, artifact)
     report = evaluation.build_report(dists, truth)
-    fmt = cfg.format
+    fmt = args.format
     suffix = {"text": "txt", "json": "json", "csv": "csv"}[fmt]
     rendered = evaluation.render_report(report, fmt)
     _write_atomic(cfg.out_dir / f"report.{suffix}", rendered)
@@ -744,7 +743,7 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
         dist = artifact.model.predict_proba(row[None, :])[0]
     target = month.next()
     ranked = rank_phases(dist)
-    if cfg.format == "json":
+    if args.format == "json":
         doc = {
             "month": str(target),
             "distribution": {
@@ -783,13 +782,13 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--region", choices=["us", "ez"], default=None)
     parser.add_argument("--offline", action="store_true", help="forbid network access")
-    parser.add_argument("--format", choices=["text", "json", "csv"], default=None)
+    parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    p.add_argument("--months", type=int, default=None)
-    p.add_argument("--series", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
+    p.add_argument("--months", dest="synth.months", type=int, default=None, metavar="N")
+    p.add_argument("--series", dest="synth.n_series", type=int, default=None, metavar="N")
+    p.add_argument("--noise", dest="synth.noise_sigma", type=float, default=None, metavar="SIGMA")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fetch", help="download raw series into the data directory")

@@ -1,15 +1,25 @@
+import argparse
 import json
+import math
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclecast import models
 from cyclecast.cli import (
+    CONFIG_SCHEMA,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
+    _ListOf,
+    _Nullable,
+    _Range,
+    build_run_config,
     main,
     read_features,
     read_index_csv,
@@ -19,6 +29,7 @@ from cyclecast.cli import (
     write_panel,
 )
 from cyclecast.dataset import Category, MonthStamp
+from cyclecast.errors import ConfigError
 from cyclecast.evaluation import report_from_json
 from cyclecast.features import build_feature_matrix
 from cyclecast.indices import CompositeIndex, IndexKind
@@ -58,6 +69,24 @@ def write_config(tmp_path: Path, **overrides) -> Path:
 
 def run(config: Path, *argv: str) -> int:
     return main(["--config", str(config), *argv])
+
+
+FLAG_KEYS = {
+    "--window": "window",
+    "--months": "synth.months",
+    "--series": "synth.n_series",
+    "--noise": "synth.noise_sigma",
+}
+
+
+def named_key(overrides: dict, command: str) -> str:
+    """The dotted config key the last override sets, or else the command's flag."""
+    if not overrides:
+        return FLAG_KEYS[command.split()[1]]
+    name, value = list(overrides.items())[-1]
+    if name in SECTIONS and isinstance(value, dict):
+        return f"{name}.{list(value)[-1]}"
+    return name
 
 
 @pytest.fixture
@@ -102,12 +131,40 @@ class TestConfigHandling:
             ({"features": {"trend_sign_only": "no"}}, "features"),
             ({"features": {"trend_sign_only": 0}}, "train"),
             ({"rbbcp": {"zero_is_up": "no"}}, "train"),
+            ({"rbbcp": {"trend_window": 1}}, "train --model rbbcp"),
+            ({"preprocess": {"nw_lag": -1}}, "preprocess"),
+            ({"preprocess": {"subsample_stride": 0}}, "preprocess"),
+            ({"preprocess": {"zscore_min_window": 1}}, "preprocess"),
+            ({"indices": {"min_window_months": 1}}, "build-indices"),
+            ({"synth": {"noise_sigma": "x"}}, "synth"),
+            ({"synth": {"start": "1970-13"}}, "synth"),
+            ({"fetch": {"rate_limit": 0}}, "--offline fetch"),
+            ({"paths": {"data_dir": 5}}, "synth"),
+            ({"preprocess": "x"}, "preprocess"),
+            ({"seed": -1}, "synth"),
+            ({"train": {"window_candidates": [1]}}, "train"),
+            ({"window": 0}, "features"),
+            ({"rbbcp": {"trend_window": 0}}, "train --model rbbcp"),
+            ({}, "features --window 0"),
+            ({}, "synth --months 0"),
+            ({}, "synth --series 0"),
+            ({}, "synth --noise 0"),
+            ({"fetch": {"series": [{"region": "us"}]}}, "--offline fetch"),
+            ({"fetch": {"provider": "bogus"}}, "--offline fetch"),
+            ({"fetch": {"series": [{"id": "A", "title": "x"}]}}, "--offline fetch"),
+            ({"train": {"l2": math.nan}}, "train"),
+            ({"train": {"window_candidates": []}}, "train"),
+            ({"preprocess.nw_lag": 3}, "preprocess"),
+            ({"train": {"dropout": 1}}, "train --model mlp"),
+            ({"synth": {"mean_durations": [10.0, 10.0]}}, "synth"),
+            ({"split": {"train_end": "1980-01", "validation_end": "1979-12", "test_end": "1982-06"}}, "train"),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, overrides, command):
         config = write_config(tmp_path, **overrides)
-        assert run(config, command) == EXIT_CONFIG
-        assert "config error:" in capsys.readouterr().err
+        assert run(config, *command.split()) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err and named_key(overrides, command) in err
 
     @pytest.mark.parametrize(
         "overrides, command",
@@ -121,12 +178,17 @@ class TestConfigHandling:
             ({"model": "rbbcp", "rbbcp": {"trend_window": "a"}}, "train"),
             ({"synth": {"months": "many"}}, "synth"),
             ({"synth": {"n_series": 2.5}}, "synth"),
+            ({"train": {"epochs": 2.7}}, "train --model mlp"),
+            ({"train": {"epochs": True}}, "train --model mlp"),
+            ({"fetch": {"rate_limit": "x"}}, "--offline fetch"),
         ],
     )
     def test_bad_integer_setting_is_config_error(self, tmp_path, capsys, overrides, command):
         config = write_config(tmp_path, **overrides)
-        assert run(config, command) == EXIT_CONFIG
-        assert "must be an integer" in capsys.readouterr().err
+        assert run(config, *command.split()) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "must be an integer" in err
+        assert named_key(overrides, command) in err
 
     def test_usage_error_exits_4(self):
         with pytest.raises(SystemExit) as exc:
@@ -146,6 +208,176 @@ class TestConfigHandling:
         assert run(config, "synth") == EXIT_OK
         labels_seed0 = (tmp_path / "data" / "labels.csv").read_bytes()
         assert labels_seed1 != labels_seed0
+
+
+def set_key(doc: dict, key: str, value) -> None:
+    """Set a dotted config key; a section already set to a non-object keeps that value."""
+    section, _, name = key.partition(".")
+    if not name:
+        doc[key] = value
+    elif isinstance(doc.setdefault(section, {}), dict):
+        doc[section][name] = value
+
+
+def lower_bound(check):
+    """(smallest accepted, largest rejected) value of a check with a lower bound, else None."""
+    if isinstance(check, _Nullable):
+        return lower_bound(check.check)
+    if isinstance(check, _ListOf):
+        pair = lower_bound(check.item)
+        return pair and tuple([v] * (check.length or 1) for v in pair)
+    if isinstance(check, _Range) and check.lo is not None:
+        lo = check.kind(check.lo)
+        return lo, lo - 1 if check.kind is int else math.nextafter(lo, -math.inf)
+    if isinstance(check, _Range) and check.above is not None:
+        return math.nextafter(check.above, math.inf), check.above
+    return None
+
+
+BOUNDED_KEYS = [key for key, (_, check) in CONFIG_SCHEMA.items() if lower_bound(check)]
+
+# For each key with a lower bound: the settings under which it is read, and the
+# commands that read it, run on data/ and out/ of the `prepared` fixture.
+MLP = {"model": "mlp", "train.epochs": 5}
+BOUND_READERS = {
+    "seed": ({}, ["synth"]),
+    "window": ({}, ["features"]),
+    "preprocess.zscore_min_window": ({"preprocess.zscore_mode": "expanding"}, ["preprocess"]),
+    "preprocess.nw_lag": ({}, ["preprocess"]),
+    "preprocess.subsample_stride": ({}, ["preprocess"]),
+    "preprocess.adf_max_lag": ({"preprocess.stationarity": "auto"}, ["preprocess"]),
+    "indices.min_window_months": ({}, ["build-indices"]),
+    "rbbcp.trend_window": ({"model": "rbbcp"}, ["train", "evaluate"]),
+    "train.learning_rate": (MLP, ["train"]),
+    "train.epochs": (MLP, ["train"]),
+    "train.l2": ({}, ["train"]),
+    "train.hidden_layers": (MLP, ["train"]),
+    "train.dropout": (MLP, ["train"]),
+    "train.window_candidates": ({}, ["train"]),
+    "fetch.rate_limit": ({"fetch.series": [{"id": "X"}]}, ["--offline fetch"]),
+    "synth.months": ({}, ["synth"]),
+    "synth.n_series": ({}, ["synth"]),
+    "synth.noise_sigma": ({}, ["synth"]),
+    "synth.mean_durations": ({}, ["synth"]),
+}
+
+
+@pytest.fixture(scope="class")
+def prepared(tmp_path_factory):
+    """data/ and out/ after synth through features on write_config data, built once."""
+    base = tmp_path_factory.mktemp("prepared")
+    config = write_config(base)
+    for command in ("synth", "preprocess", "build-indices", "features"):
+        assert run(config, command) == EXIT_OK
+    return base
+
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 700),
+    st.sampled_from([2**63, 10**400, -(10**400)]),
+    st.floats(),
+    st.sampled_from(["", "us", "mlr", "fred", "1996-12", "2003-04", "2019-12", "x"]),
+    st.sampled_from(["1970-13", "1970-0", "1970", "a-b", "1970-01-01", " 1970-1 "]),
+)
+JSON_OBJECTS = st.dictionaries(
+    st.sampled_from(["train_end", "validation_end", "test_end", "id", "region", "x"]),
+    JSON_LEAVES,
+    max_size=3,
+)
+MONTHS = st.sampled_from(["1996-12", "2003-04", "2019-12", "1970-13"])
+SPLITS = st.fixed_dictionaries(dict.fromkeys(["train_end", "validation_end", "test_end"], MONTHS))
+JSON_VALUES = st.one_of(
+    JSON_LEAVES, st.lists(JSON_LEAVES | JSON_OBJECTS, max_size=4), JSON_OBJECTS, SPLITS
+)
+SECTIONS = sorted({key.partition(".")[0] for key in CONFIG_SCHEMA if "." in key})
+
+
+def nest(flat: dict) -> dict:
+    """A config object from dotted keys; a bare section name may set a non-object."""
+    doc = {}
+    for key, value in flat.items():
+        set_key(doc, key, value)
+    return doc
+
+
+SETTINGS = st.dictionaries(
+    st.sampled_from([*CONFIG_SCHEMA, *SECTIONS, "typo", "train.typo"]), JSON_VALUES, max_size=6
+)
+FLAGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "seed": st.integers(),
+        "window": st.integers(),
+        "synth.months": st.integers(),
+        "synth.n_series": st.integers(),
+        "synth.noise_sigma": st.floats(),
+    },
+)
+
+
+class TestConfigSchema:
+    def test_bound_readers_cover_the_schema(self):
+        assert sorted(BOUND_READERS) == sorted(BOUNDED_KEYS)
+
+    @pytest.mark.parametrize("key", BOUNDED_KEYS)
+    def test_lower_bound_is_accepted(self, prepared, tmp_path, key):
+        lowest, rejected = lower_bound(CONFIG_SCHEMA[key][1])
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            CONFIG_SCHEMA[key][1](rejected, key)
+        extra, commands = BOUND_READERS[key]
+        config = write_config(tmp_path)
+        doc = json.loads(config.read_text())
+        for name, value in {"fetch.cache_dir": str(tmp_path / "cache"), **extra, key: lowest}.items():
+            set_key(doc, name, value)
+        config.write_text(json.dumps(doc))
+        for sub in ("data", "out"):
+            shutil.copytree(prepared / sub, tmp_path / sub)
+        for command in commands:
+            assert run(config, *command.split()) in (EXIT_OK, EXIT_DATA), command
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(value=JSON_VALUES, flat=SETTINGS, flags=FLAGS)
+    def test_any_json_object_is_checked_or_config_error(self, value, flat, flags):
+        """One drawn value under every key and section, and several settings with
+        the flags, give a typed RunConfig or a ConfigError, never another exception."""
+        runs = [(nest({key: value}), {}) for key in [*CONFIG_SCHEMA, *SECTIONS]]
+        runs.append((nest(flat), flags))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            for doc, flag_values in runs:
+                path.write_text(json.dumps(doc), encoding="utf-8")
+                try:
+                    cfg = build_run_config(argparse.Namespace(config=str(path), **flag_values))
+                except ConfigError:
+                    continue
+                assert isinstance(cfg.synth["start"], MonthStamp) and cfg.window >= 2
+                numbers = [cfg.train[k] for k in ("learning_rate", "l2", "dropout")]
+                numbers += [cfg.synth["noise_sigma"], *cfg.synth["mean_durations"]]
+                assert all(isinstance(v, float) and math.isfinite(v) for v in numbers)
+
+    @pytest.mark.parametrize(
+        "key, reference",
+        [("growth_reference_series", "inflation_01"), ("inflation_reference_series", "nope")],
+    )
+    def test_reference_series_must_be_in_its_category(self, pipeline, capsys, key, reference):
+        tmp_path, config = pipeline
+        doc = json.loads(config.read_text())
+        doc["indices"] = {key: reference}
+        config.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(config, "build-indices") == EXIT_CONFIG
+        assert f"indices.{key} {reference!r}" in capsys.readouterr().err
+
+    def test_config_path_is_a_directory(self, tmp_path):
+        assert main(["--config", str(tmp_path), "synth"]) == EXIT_CONFIG
+
+    def test_readme_key_table_matches_schema(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Configuration", 1)[1].split("```", 2)[1]
+        rows = table.splitlines()[2:]  # after the fence's line and the header row
+        assert sorted(row.split()[0] for row in rows if row[:1].strip()) == sorted(CONFIG_SCHEMA)
 
 
 class TestDataErrors:
