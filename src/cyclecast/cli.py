@@ -33,6 +33,7 @@ from .dataset import (
     format_month_table,
     load_labels,
     load_series_csv,
+    next_month_labels,
     read_month_table,
     split_rows,
     write_labels,
@@ -316,12 +317,25 @@ def write_panel(panel: Panel, csv_path: Path, meta_path: Path) -> None:
     _write_json(meta_path, meta)
 
 
+def _read_sidecar(path: Path, parse: Callable[[dict], object]):
+    """``parse`` of a JSON sidecar; a missing key or a bad value is a data error naming the file."""
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    try:
+        return parse(json.loads(path.read_text(encoding="utf-8")))
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+def _panel_meta(meta: dict) -> tuple[dict[str, Category], tuple | None, Region | None]:
+    categories = {col["id"]: Category(col["category"]) for col in meta["columns"]}
+    fills = tuple(meta["fills"]) if "fills" in meta else None
+    return categories, fills, Region(meta["region"]) if meta.get("region") else None
+
+
 def read_panel(csv_path: Path, meta_path: Path) -> Panel:
     ids, months, values = read_month_table(csv_path, cell=finite_cell_or_nan)
-    if not meta_path.exists():
-        raise FileNotFoundError(str(meta_path))
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    categories = {col["id"]: Category(col["category"]) for col in meta["columns"]}
+    categories, fills, region = _read_sidecar(meta_path, _panel_meta)
     unknown = [i for i in ids if i not in categories]
     if unknown:
         raise MalformedRowError(1, f"columns {unknown} are not in {meta_path.name}")
@@ -330,8 +344,8 @@ def read_panel(csv_path: Path, meta_path: Path) -> Panel:
         series_ids=ids,
         categories=tuple(categories[i] for i in ids),
         values=values,
-        fills=tuple(meta.get("fills", [0] * len(ids))),
-        region=Region(meta["region"]) if meta.get("region") else None,
+        fills=(0,) * len(ids) if fills is None else fills,
+        region=region,
     )
 
 
@@ -355,9 +369,7 @@ def write_index_csv(index: CompositeIndex, path: Path) -> None:
 
 def read_index_csv(path: Path, kind: IndexKind, min_window: int) -> CompositeIndex:
     _, months, values = read_month_table(path, ("value",))
-    return CompositeIndex(
-        kind=kind, months=months, values=tuple(values[:, 0].tolist()), min_window_months=min_window
-    )
+    return CompositeIndex(kind=kind, months=months, values=values[:, 0], min_window_months=min_window)
 
 
 def _write_series_dir(cfg: RunConfig, series: Sequence[RawSeries]) -> None:
@@ -375,22 +387,19 @@ def _write_series_dir(cfg: RunConfig, series: Sequence[RawSeries]) -> None:
 
 def _load_series_dir(cfg: RunConfig) -> list[RawSeries]:
     series_dir = cfg.data_dir / "series"
-    manifest_path = series_dir / "manifest.json"
     if not series_dir.is_dir():
         raise FileNotFoundError(str(series_dir))
-    if not manifest_path.exists():
-        raise FileNotFoundError(str(manifest_path))
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    out = []
-    for entry in manifest["series"]:
-        out.append(
-            load_series_csv(
-                series_dir / entry["file"],
-                series_id=entry["id"],
-                region=Region(entry["region"]),
-                category=Category(entry["category"]),
-            )
-        )
+    entries = _read_sidecar(
+        series_dir / "manifest.json",
+        lambda manifest: [
+            (series_dir / e["file"], e["id"], Region(e["region"]), Category(e["category"]))
+            for e in manifest["series"]
+        ],
+    )
+    out = [
+        load_series_csv(path, series_id=sid, region=region, category=category)
+        for path, sid, region, category in entries
+    ]
     if not out:
         raise CycleCastError("series manifest lists no series")
     return out
@@ -461,8 +470,8 @@ def cmd_preprocess(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
         for s in series
     ]
-    start = min(s.months[0] for s in standardized)
-    end = max(s.months[-1] for s in standardized)
+    start = min(int(s.months[0]) for s in standardized)
+    end = max(int(s.months[-1]) for s in standardized)
     panel = align_panel(standardized, start, end)
     write_panel(panel, cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
     print(f"wrote panel: {panel.n_months} months x {panel.n_series} series -> {cfg.out_dir / 'panel.csv'}")
@@ -607,30 +616,23 @@ def _model_features(cfg: RunConfig, artifact: ModelArtifact) -> FeatureMatrix:
 
 def _test_distributions(
     cfg: RunConfig, artifact: ModelArtifact
-) -> tuple[np.ndarray, np.ndarray, list[MonthStamp]]:
-    """Distributions, truth codes, and feature months for the test split."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distributions, truth codes, and feature months (ordinals) for the test split."""
     split = _require_split(cfg)
     labels = load_labels(cfg.labels_path, region=cfg.region)
     if isinstance(artifact.model, RbbcpModel):
         growth, inflation = _indices_for_rbbcp(cfg)
-        dists = []
-        truth = []
-        months = []
-        label_lookup = dict(zip(labels.months, labels.labels))
-        for i in split_rows(growth.months, split)["test"]:
-            m = growth.months[i]
-            target = m.next()
-            if target not in label_lookup:
-                continue
+        scored = []
+        test_months = growth.months[split_rows(growth.months, split)["test"]]
+        targets = next_month_labels(labels, test_months)
+        for m, target in zip(test_months[targets > 0], targets[targets > 0]):
             try:
-                dists.append(artifact.model.predict_proba_at(inflation, growth, m))
+                scored.append((artifact.model.predict_proba_at(inflation, growth, m), target, m))
             except InsufficientHistoryError:
                 continue
-            truth.append(int(label_lookup[target]))
-            months.append(m)
-        if not dists:
+        if not scored:
             raise CycleCastError("no test months with enough index history")
-        return np.asarray(dists), np.asarray(truth, dtype=int), months
+        return tuple(map(np.asarray, zip(*scored)))
 
     fm = _model_features(cfg, artifact)
     X, y, feat_months = forecast_alignment(fm, labels)
@@ -641,12 +643,10 @@ def _test_distributions(
     if artifact.scaler is not None:
         X_test = artifact.scaler.apply(X_test)
     dists = artifact.model.predict_proba(X_test)
-    return dists, y[rows], [feat_months[i] for i in rows]
+    return dists, y[rows], feat_months[rows]
 
 
-def _phase_step_svg(
-    months: Sequence[MonthStamp], truth: Sequence[int], preds: Sequence[int]
-) -> str:
+def _phase_step_svg(months: np.ndarray, truth: Sequence[int], preds: Sequence[int]) -> str:
     """Self-contained step chart: true vs predicted phase codes on a 1-4 axis."""
     width, height = 900, 260
     left, right, top, bottom = 60, 20, 20, 40
@@ -683,10 +683,8 @@ def _phase_step_svg(
             f'<text x="{left - 8}" y="{y + 4:.1f}" text-anchor="end" font-size="11" '
             f'font-family="sans-serif">{code} {phase_names[code]}</text>'
         )
-    seen_years = set()
-    for i, m in enumerate(months):
-        if m.month == 1 and m.year not in seen_years and m.year % 2 == 0:
-            seen_years.add(m.year)
+    for i, m in enumerate(map(MonthStamp.from_ordinal, months)):  # increasing: one January a year
+        if m.month == 1 and m.year % 2 == 0:
             parts.append(
                 f'<text x="{x_at(i):.1f}" y="{height - 12}" text-anchor="middle" '
                 f'font-size="11" font-family="sans-serif">{m.year}</text>'
@@ -726,7 +724,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     artifact = load_model(args.model_file or cfg.out_dir / "model.json")
-    month = args.month
+    month = args.month.ordinal
     if isinstance(artifact.model, RbbcpModel):
         growth, inflation = _indices_for_rbbcp(cfg)
         dist = artifact.model.predict_proba_at(inflation, growth, month)
@@ -736,12 +734,12 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
             row = fm.row_at(month)
         except KeyError:
             raise InsufficientHistoryError(
-                f"no feature row at {month}; window history incomplete"
+                f"no feature row at {args.month}; window history incomplete"
             ) from None
         if artifact.scaler is not None:
             row = artifact.scaler.apply(row[None, :])[0]
         dist = artifact.model.predict_proba(row[None, :])[0]
-    target = month.next()
+    target = args.month.next()
     ranked = rank_phases(dist)
     if args.format == "json":
         doc = {

@@ -29,8 +29,8 @@ class MalformedRowError(DataError):
 
 
 class NonContiguousMonthsError(DataError):
-    def __init__(self, gap_month):
-        super().__init__(f"month sequence has a gap at {gap_month}")
+    def __init__(self, what: str, gap_month, found):
+        super().__init__(f"{what} months are not contiguous: expected {gap_month}, found {found}")
         self.gap_month = gap_month
 
 

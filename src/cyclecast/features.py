@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import Category, LabeledDataset, MonthStamp
+from .dataset import Category, LabeledDataset, month_row, next_month_labels, set_arrays
 from .errors import (
     EmptyAfterFilterError,
     EmptyOverlapError,
@@ -41,20 +41,20 @@ DEFAULT_EXCLUDED_CATEGORIES = frozenset({Category.COMMODITY, Category.STOCK_INDE
 class FeatureMatrix:
     """Months-by-series slope matrix; every row has full window coverage."""
 
-    months: tuple[MonthStamp, ...]
+    months: np.ndarray
     feature_names: tuple[str, ...]
     values: np.ndarray
     window: int
+
+    def __post_init__(self):
+        set_arrays(self, months=np.int64)
 
     @property
     def n_rows(self) -> int:
         return len(self.months)
 
-    def row_at(self, month: MonthStamp) -> np.ndarray:
-        try:
-            return self.values[self.months.index(month)]
-        except ValueError:
-            raise KeyError(str(month)) from None
+    def row_at(self, month: int) -> np.ndarray:
+        return self.values[month_row(self.months, month)]
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def build_feature_matrix(
         ]
     )
     slopes = slopes_all[full_window]
-    months = tuple(filtered.months[i + window - 1] for i in np.nonzero(full_window)[0])
+    months = filtered.months[np.flatnonzero(full_window) + window - 1]
     if sign_only:
         slopes = np.sign(slopes)
     return FeatureMatrix(
@@ -154,24 +154,16 @@ def build_feature_matrix(
 def forecast_alignment(
     features: FeatureMatrix,
     labels: LabeledDataset,
-) -> tuple[np.ndarray, np.ndarray, tuple[MonthStamp, ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair the feature row at month t with the phase label at month t+1.
 
     Returns (X, y, feature_months): y holds integer phase codes and
-    feature_months the months the rows were computed at (the forecasts target
-    the following month). Feature months without a next-month label drop out.
+    feature_months the ordinals the rows were computed at (the forecasts
+    target the following month). Feature months without a next-month label
+    drop out.
     """
-    label_lookup = dict(zip(labels.months, labels.labels))
-    rows = []
-    codes = []
-    kept_months = []
-    for i, month in enumerate(features.months):
-        target = label_lookup.get(month.next())
-        if target is None:
-            continue
-        rows.append(features.values[i])
-        codes.append(int(target))
-        kept_months.append(month)
-    if not rows:
+    codes = next_month_labels(labels, features.months)
+    kept = np.flatnonzero(codes)
+    if kept.size == 0:
         raise EmptyOverlapError("feature months and next-month labels do not overlap")
-    return np.vstack(rows), np.asarray(codes, dtype=int), tuple(kept_months)
+    return features.values[kept], codes[kept], features.months[kept]

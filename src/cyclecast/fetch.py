@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
 
+import numpy as np
+
 from .dataset import Category, MonthStamp, RawSeries, Region, Transform, format_month_table
 from .errors import (
     AuthError,
@@ -148,15 +150,11 @@ class CsvProvider:
         return out
 
 
-def _monthly_last(observations: list[Observation]) -> tuple[tuple[MonthStamp, ...], tuple[float, ...]]:
-    """Collapse to one observation per month: the latest calendar day wins."""
-    by_month: dict[MonthStamp, tuple[int, float]] = {}
-    for year, month, day, value in observations:
-        stamp = MonthStamp(year, month)
-        if stamp not in by_month or day >= by_month[stamp][0]:
-            by_month[stamp] = (day, value)
-    months = tuple(sorted(by_month))
-    return months, tuple(by_month[m][1] for m in months)
+def _monthly_last(observations: list[Observation]) -> tuple[np.ndarray, np.ndarray]:
+    """One observation per month, in month order: the latest day wins, then the later row."""
+    dated = sorted(observations, key=lambda obs: obs[:3])
+    latest = {MonthStamp(year, month).ordinal: value for year, month, _, value in dated}
+    return np.fromiter(latest, dtype=np.int64), np.fromiter(latest.values(), dtype=float)
 
 
 def _urllib_transport(url: str, timeout: float = 30.0) -> tuple[int, bytes]:
@@ -268,8 +266,8 @@ class SeriesClient:
                 series_id=doc["series_id"],
                 region=Region(doc["region"]),
                 category=Category(doc["category"]),
-                months=tuple(MonthStamp(y, m) for y, m in doc["months"]),
-                values=tuple(float(v) for v in doc["values"]),
+                months=[MonthStamp(y, m).ordinal for y, m in doc["months"]],
+                values=doc["values"],
                 transform_applied=Transform(doc["transform"]),
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
@@ -290,8 +288,8 @@ class SeriesClient:
             "region": entry.payload.region.value,
             "category": entry.payload.category.value,
             "transform": entry.payload.transform_applied.value,
-            "months": [[m.year, m.month] for m in entry.payload.months],
-            "values": list(entry.payload.values),
+            "months": [[m // 12, m % 12 + 1] for m in entry.payload.months.tolist()],
+            "values": entry.payload.values.tolist(),
         }
         path = self._cache_path(entry.series_id)
         tmp = path.with_suffix(".tmp")

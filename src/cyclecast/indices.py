@@ -18,12 +18,12 @@ cold per-month fit of ``values[:t]`` to about 1e-10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .dataset import MonthStamp, Region
+from .dataset import MonthStamp, Region, check_contiguous, month_row, set_arrays
 from .errors import (
     DegenerateCovarianceError,
     InsufficientHistoryError,
@@ -63,32 +63,34 @@ class PcaResult:
 
 @dataclass(frozen=True)
 class CompositeIndex:
-    """Monthly composite index emitted once the expanding window is filled."""
+    """Monthly composite index emitted once the expanding window is filled; contiguous months."""
 
     kind: IndexKind
-    months: tuple[MonthStamp, ...]
-    values: tuple[float, ...]
+    months: np.ndarray
+    values: np.ndarray
     min_window_months: int
     region: Region | None = None
+
+    def __post_init__(self):
+        set_arrays(self, months=np.int64, values=float)
+        check_contiguous(self.months, f"{self.kind.value} index")
 
     def __len__(self) -> int:
         return len(self.months)
 
-    def value_at(self, month: MonthStamp) -> float:
-        try:
-            return self.values[self.months.index(month)]
-        except ValueError:
-            raise KeyError(str(month)) from None
+    def value_at(self, month: int) -> float:
+        return float(self.values[month_row(self.months, month)])
 
-    def window_ending_at(self, month: MonthStamp, window: int) -> tuple[float, ...]:
-        """The last ``window`` values ending at ``month`` (inclusive)."""
+    def window_ending_at(self, month: int, window: int) -> np.ndarray:
+        """The last ``window`` values ending at the ordinal ``month`` (inclusive)."""
         try:
-            pos = self.months.index(month)
-        except ValueError:
-            raise InsufficientHistoryError(f"index has no value at {month}") from None
+            pos = month_row(self.months, month)
+        except KeyError as exc:
+            raise InsufficientHistoryError(f"index has no value at {exc.args[0]}") from None
         if pos + 1 < window:
             raise InsufficientHistoryError(
-                f"index has only {pos + 1} values through {month}, window {window} requested"
+                f"index has only {pos + 1} values through {MonthStamp.from_ordinal(month)}, "
+                f"window {window} requested"
             )
         return self.values[pos + 1 - window : pos + 1]
 
@@ -179,11 +181,7 @@ def sign_normalize(result: PcaResult, reference_column: int) -> PcaResult:
     """Flip the component, if needed, so the reference loading is positive."""
     if _reference_sign(result.loadings, reference_column) > 0:
         return result
-    return PcaResult(
-        loadings=-result.loadings,
-        scores=-result.scores,
-        explained_variance_ratio=result.explained_variance_ratio,
-    )
+    return replace(result, loadings=-result.loadings, scores=-result.scores)
 
 
 def expanding_pca_index(
@@ -227,7 +225,7 @@ def expanding_pca_index(
     centered = values[:min_window_months] - mu
     scatter = centered.T @ centered
     v = None
-    out = []
+    out = np.empty(n - min_window_months + 1)
     for t in range(min_window_months, n + 1):
         x = values[t - 1]
         if t > min_window_months:
@@ -238,11 +236,11 @@ def expanding_pca_index(
         _checked_trace(cov)
         v, _ = _top_eigenvector(cov, start=v)
         v = v * _reference_sign(v, ref_col)
-        out.append(float((x - mu) @ v))
+        out[t - min_window_months] = (x - mu) @ v
     return CompositeIndex(
         kind=kind,
         months=panel.months[min_window_months - 1 :],
-        values=tuple(out),
+        values=out,
         min_window_months=min_window_months,
         region=panel.region,
     )

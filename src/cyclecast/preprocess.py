@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import Category, MonthStamp, RawSeries, Region, Transform
+from .dataset import check_contiguous, set_arrays
 from .errors import (
     EmptyOverlapError,
     NonPositiveForLogError,
@@ -62,9 +63,12 @@ class StandardizedSeries:
     series_id: str
     region: Region
     category: Category
-    months: tuple[MonthStamp, ...]
-    values: tuple[float, ...]
+    months: np.ndarray
+    values: np.ndarray
     provenance: Provenance
+
+    def __post_init__(self):
+        set_arrays(self, months=np.int64, values=float)
 
     def __len__(self) -> int:
         return len(self.months)
@@ -84,15 +88,19 @@ class Panel:
 
     ``values[i, j]`` is NaN before column j's first observation; from that
     month on, unobserved months are forward-filled (fill counts per column in
-    ``fills``). Rows cover the requested range contiguously.
+    ``fills``). Rows cover contiguous months; a gap is a data error.
     """
 
-    months: tuple[MonthStamp, ...]
+    months: np.ndarray
     series_ids: tuple[str, ...]
     categories: tuple[Category, ...]
     values: np.ndarray
     fills: tuple[int, ...]
     region: Region | None = None
+
+    def __post_init__(self):
+        set_arrays(self, months=np.int64)
+        check_contiguous(self.months, "panel")
 
     @property
     def n_months(self) -> int:
@@ -102,36 +110,23 @@ class Panel:
     def n_series(self) -> int:
         return len(self.series_ids)
 
-    def first_available_row(self) -> int:
-        """Index of the first row where every column has a value."""
-        ok = ~np.isnan(self.values).any(axis=1)
-        idx = np.nonzero(ok)[0]
-        if idx.size == 0:
-            raise EmptyOverlapError("no month has all series available")
-        return int(idx[0])
-
     def complete(self) -> "Panel":
-        """Sub-panel trimmed to the rows where every column is available."""
-        start = self.first_available_row()
-        return Panel(
-            months=self.months[start:],
-            series_ids=self.series_ids,
-            categories=self.categories,
-            values=self.values[start:].copy(),
-            fills=self.fills,
-            region=self.region,
-        )
+        """Sub-panel trimmed from the first row where every column is available."""
+        complete_rows = np.flatnonzero(~np.isnan(self.values).any(axis=1))
+        if complete_rows.size == 0:
+            raise EmptyOverlapError("no month has all series available")
+        start = complete_rows[0]
+        return replace(self, months=self.months[start:], values=self.values[start:].copy())
 
     def select_categories(self, keep: Iterable[Category]) -> "Panel":
         keep = set(keep)
         cols = [j for j, c in enumerate(self.categories) if c in keep]
-        return Panel(
-            months=self.months,
+        return replace(
+            self,
             series_ids=tuple(self.series_ids[j] for j in cols),
             categories=tuple(self.categories[j] for j in cols),
             values=self.values[:, cols].copy(),
             fills=tuple(self.fills[j] for j in cols),
-            region=self.region,
         )
 
 
@@ -154,14 +149,7 @@ def difference_transform(series: RawSeries, kind: Transform | str) -> RawSeries:
         y = np.diff(np.log(x))
     else:
         y = np.diff(x)
-    return RawSeries(
-        series_id=series.series_id,
-        region=series.region,
-        category=series.category,
-        months=series.months[1:],
-        values=tuple(float(v) for v in y),
-        transform_applied=kind,
-    )
+    return replace(series, months=series.months[1:], values=y, transform_applied=kind)
 
 
 def schwert_lag(n: int) -> int:
@@ -186,9 +174,7 @@ def adf_statistic(
     stationary) when the t-ratio on the lagged level falls below the
     large-sample critical value for ``alpha``.
     """
-    values = np.asarray(
-        series.values if isinstance(series, RawSeries) else series, dtype=float
-    )
+    values = np.asarray(series.values if isinstance(series, RawSeries) else series, dtype=float)
     n = values.size
     lag = schwert_lag(n) if max_lag is None else int(max_lag)
     if lag < 0:
@@ -270,7 +256,8 @@ def zscore(
         std = np.sqrt(np.cumsum(increments)[min_window - 1 :] / count[min_window - 1 :])
         if np.all(x[:min_window] == x[0]) or std[0] == 0.0:
             raise ZeroVarianceError(
-                f"series {series.series_id!r} constant through {series.months[min_window - 1]}"
+                f"series {series.series_id!r} constant through "
+                f"{MonthStamp.from_ordinal(series.months[min_window - 1])}"
             )
         z = (shifted[min_window - 1 :] - mean[min_window - 1 :]) / std
         months = series.months[min_window - 1 :]
@@ -279,7 +266,7 @@ def zscore(
         region=series.region,
         category=series.category,
         months=months,
-        values=tuple(z.tolist()),
+        values=z,
         provenance=Provenance(transform=series.transform_applied, zscore_mode=mode),
     )
 
@@ -332,12 +319,9 @@ def nw_rescale(
     if sigma2 <= 0.0:
         raise ZeroVarianceError(f"series {series.series_id!r} has zero long-run variance")
     weight = 1.0 / math.sqrt(sigma2)
-    return StandardizedSeries(
-        series_id=series.series_id,
-        region=series.region,
-        category=series.category,
-        months=series.months,
-        values=tuple(v * weight for v in series.values),
+    return replace(
+        series,
+        values=series.values * weight,
         provenance=replace(series.provenance, nw_lag=eff_lag, subsample_stride=stride),
     )
 
@@ -358,11 +342,7 @@ def ensure_stationary(
     result = adf_statistic(current, max_lag=max_lag, alpha=alpha)
     rounds = 0
     while not result.is_stationary and rounds < max_rounds:
-        kind = (
-            Transform.LOG_DIFF
-            if all(v > 0 for v in current.values)
-            else Transform.DIFF
-        )
+        kind = Transform.LOG_DIFF if np.all(current.values > 0) else Transform.DIFF
         current = difference_transform(current, kind)
         result = adf_statistic(current, max_lag=max_lag, alpha=alpha)
         rounds += 1
@@ -396,10 +376,10 @@ def standardize_series(
 
 def align_panel(
     series: Sequence[StandardizedSeries],
-    start: MonthStamp,
-    end: MonthStamp,
+    start: int,
+    end: int,
 ) -> Panel:
-    """Align series onto a contiguous monthly grid over [start, end].
+    """Align series onto a contiguous monthly grid over the ordinals [start, end].
 
     Interior and trailing gaps are forward-filled from the most recent prior
     observation (never back-filled); months before a series' first observation
@@ -410,16 +390,18 @@ def align_panel(
         raise EmptyOverlapError("no series to align")
     if end < start:
         raise ValueError("end month before start month")
-    n_months = start.months_until(end) + 1
-    months = tuple(start.add_months(i) for i in range(n_months))
+    n_months = end - start + 1
     values = np.full((n_months, len(series)), np.nan)
     fills = []
     regions = {s.region for s in series}
     for j, s in enumerate(series):
-        pos = np.array([start.months_until(m) for m in s.months], dtype=int)
+        pos = s.months - start
         inside = np.nonzero((pos >= 0) & (pos < n_months))[0]
         if inside.size == 0:
-            raise EmptyOverlapError(f"series {s.series_id!r} has no observation in {start}..{end}")
+            raise EmptyOverlapError(
+                f"series {s.series_id!r} has no observation in "
+                f"{MonthStamp.from_ordinal(start)}..{MonthStamp.from_ordinal(end)}"
+            )
         # source[i]: index into s.values of the observation at grid month i, or -1.
         source = np.full(n_months, -1)
         source[pos[inside]] = inside
@@ -428,10 +410,10 @@ def align_panel(
         source[0] = max(source[0], inside[0] - 1)
         source = np.maximum.accumulate(source)
         available = source >= 0
-        values[available, j] = np.asarray(s.values)[source[available]]
+        values[available, j] = s.values[source[available]]
         fills.append(int(np.count_nonzero(available & ~observed)))
     return Panel(
-        months=months,
+        months=np.arange(start, end + 1, dtype=np.int64),
         series_ids=tuple(s.series_id for s in series),
         categories=tuple(s.category for s in series),
         values=values,

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import MonthStamp, PhaseLabel
+from .dataset import PhaseLabel
 from .features import ols_slope
 from .indices import CompositeIndex
 
@@ -47,11 +47,11 @@ _RULE_TABLE = {
 
 def trend_direction(
     index: CompositeIndex,
-    month: MonthStamp,
+    month: int,
     window: int,
     zero_is_up: bool = False,
 ) -> TrendDirection:
-    """Direction of the index over its last ``window`` values ending at ``month``."""
+    """Direction of the index over its last ``window`` values ending at the ordinal ``month``."""
     if window < 2:
         raise ValueError("trend window must be >= 2")
     slope = ols_slope(index.window_ending_at(month, window))
@@ -88,7 +88,7 @@ class RbbcpModel:
     zero_is_up: bool = False
 
     def predict_proba_at(
-        self, inflation_index: CompositeIndex, growth_index: CompositeIndex, month: MonthStamp
+        self, inflation_index: CompositeIndex, growth_index: CompositeIndex, month: int
     ) -> np.ndarray:
         return rbbcp_predict_proba(
             trend_direction(inflation_index, month, self.trend_window, self.zero_is_up),

@@ -108,7 +108,7 @@ def generate(
     """
     phases, growth, inflation = generate_paths(spec, n_months)
     rng = np.random.default_rng(spec.seed + 1)  # independent of the path draws
-    months = tuple(start.add_months(t) for t in range(n_months))
+    months = start.ordinal + np.arange(n_months, dtype=np.int64)
     series: list[RawSeries] = []
     for j in range(spec.n_series):
         on_growth = j % 2 == 0
@@ -121,7 +121,7 @@ def generate(
                 region=region,
                 category=Category.GROWTH if on_growth else Category.INFLATION,
                 months=months,
-                values=tuple(float(v) for v in values),
+                values=values,
             )
         )
     dataset = LabeledDataset(months=months, labels=tuple(phases), region=region)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from cyclecast.dataset import Category, MonthStamp, RawSeries, Region
 from cyclecast.preprocess import Panel, Provenance, StandardizedSeries
 
 
-def month_range(start: MonthStamp, n: int) -> tuple[MonthStamp, ...]:
-    return tuple(start.add_months(i) for i in range(n))
+def month_range(start: MonthStamp, n: int) -> np.ndarray:
+    """Ordinals of ``n`` consecutive months from ``start``."""
+    return start.ordinal + np.arange(n, dtype=np.int64)
 
 
 def make_series(
@@ -16,7 +19,7 @@ def make_series(
     region: Region = Region.US,
     category: Category = Category.GROWTH,
 ) -> RawSeries:
-    values = tuple(float(v) for v in values)
+    values = np.asarray(values, dtype=float)
     return RawSeries(
         series_id=series_id,
         region=region,
@@ -32,7 +35,7 @@ def make_std(
     start: MonthStamp = MonthStamp(2000, 1),
     category: Category = Category.GROWTH,
 ) -> StandardizedSeries:
-    values = tuple(float(v) for v in values)
+    values = np.asarray(values, dtype=float)
     return StandardizedSeries(
         series_id=series_id,
         region=Region.US,
@@ -59,6 +62,17 @@ def make_panel(
         fills=tuple(0 for _ in ids),
         region=Region.US,
     )
+
+
+def assert_fields_equal(a, b) -> None:
+    """Field-by-field equality of two dataclass records; array fields must match exactly."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y, err_msg=field.name)
+        else:
+            assert x == y, field.name
 
 
 @pytest.fixture

@@ -34,7 +34,7 @@ from cyclecast.evaluation import report_from_json
 from cyclecast.features import build_feature_matrix
 from cyclecast.indices import CompositeIndex, IndexKind
 
-from conftest import make_panel, month_range
+from conftest import assert_fields_equal, make_panel, month_range
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -439,6 +439,60 @@ class TestDataErrors:
         assert run(config, command) == EXIT_DATA
         assert f"line {line}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["delete", "repeat"])
+    @pytest.mark.parametrize(
+        "table, line, commands",
+        [
+            ("panel.csv", 100, [["features"]]),
+            ("growth.csv", 30, [["train", "--model", "rbbcp"], ["evaluate"]]),
+            ("inflation.csv", 80, [["train", "--model", "rbbcp"], ["predict", "--month", "1982-06"]]),
+        ],
+    )
+    def test_gapped_table_names_the_month(self, pipeline, capsys, table, line, commands, edit):
+        tmp_path, config = pipeline
+        path = tmp_path / "out" / table
+        lines = path.read_text().splitlines()
+        year, month = lines[line - 1].split(",")[:2]
+        if edit == "delete":
+            del lines[line - 1]
+        else:
+            lines.insert(line, lines[line - 1])
+        path.write_text("\n".join(lines) + "\n")
+        for argv in commands[:-1]:
+            assert run(config, *argv) == EXIT_OK
+        capsys.readouterr()
+        assert run(config, *commands[-1]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{int(year):04d}-{int(month):02d}" in err
+
+    @pytest.mark.parametrize(
+        "sidecar, damage, command",
+        [
+            ("data/series/manifest.json", lambda doc: doc["series"][0].pop("file"), "preprocess"),
+            (
+                "data/series/manifest.json",
+                lambda doc: doc["series"][0].update(category="weird"),
+                "preprocess",
+            ),
+            ("out/panel_meta.json", lambda doc: doc.pop("columns"), "features"),
+            ("out/panel_meta.json", lambda doc: doc["columns"][0].pop("id"), "build-indices"),
+            ("out/panel_meta.json", None, "features"),  # not JSON
+        ],
+    )
+    def test_damaged_sidecar_is_data_error(self, pipeline, capsys, sidecar, damage, command):
+        tmp_path, config = pipeline
+        path = tmp_path / sidecar
+        if damage is None:
+            path.write_text("{not json")
+        else:
+            doc = json.loads(path.read_text())
+            damage(doc)
+            path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(config, command) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and path.name in err
+
     def test_model_feature_names_must_match_panel(self, pipeline, capsys):
         tmp_path, config = pipeline
         assert run(config, "train") == EXIT_OK
@@ -672,7 +726,7 @@ class TestArtifactCodec:
         write_features(fm, csv_path, meta_path, sign_only=False)
         first = csv_path.read_bytes()
         loaded = read_features(csv_path, meta_path)
-        assert loaded.months == fm.months
+        np.testing.assert_array_equal(loaded.months, fm.months)
         assert (loaded.feature_names, loaded.window) == (fm.feature_names, 4)
         np.testing.assert_array_equal(loaded.values, fm.values)
         write_features(loaded, csv_path, meta_path, sign_only=False)
@@ -692,6 +746,6 @@ class TestArtifactCodec:
             b"year,month,value", b"1999,11,0.1", b"1999,12,-1e+300", b"2000,1,0.6666666666666666"
         ]
         loaded = read_index_csv(path, IndexKind.GROWTH, 60)
-        assert loaded == index
+        assert_fields_equal(loaded, index)
         write_index_csv(loaded, path)
         assert path.read_bytes() == first

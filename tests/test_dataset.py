@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclecast.dataset import (
     LabeledDataset,
@@ -7,8 +8,11 @@ from cyclecast.dataset import (
     PhaseLabel,
     Region,
     SplitSpec,
+    finite_cell_or_nan,
+    format_month_table,
     load_labels,
     load_series_csv,
+    read_month_table,
     split_rows,
     write_labels,
 )
@@ -56,7 +60,7 @@ class TestLoadLabels:
         ds = load_labels(p)
         assert len(ds) == 3
         assert ds.labels == (PhaseLabel.RECOVERY, PhaseLabel.RECOVERY, PhaseLabel.EXPANSION)
-        assert ds.months[0] == MonthStamp(1981, 1)
+        assert ds.months[0] == MonthStamp(1981, 1).ordinal
 
     def test_gap_rejected(self, tmp_path):
         p = tmp_path / "labels.csv"
@@ -87,6 +91,10 @@ class TestLoadLabels:
         write_csv(p, ["1981,1,2.5"])
         with pytest.raises(MalformedRowError):
             load_labels(p)
+        for row in ("1981,13,1", "100000000000000000000,1,1"):  # month, and a year beyond YYYY
+            write_csv(p, [row])
+            with pytest.raises(MalformedRowError):
+                load_labels(p)
         write_csv(p, ["1981,1,1"], header="y,m,p")
         with pytest.raises(MalformedRowError):
             load_labels(p)
@@ -108,7 +116,9 @@ class TestWriteLabels:
         )
         p = tmp_path / "out.csv"
         write_labels(ds, p)
-        assert load_labels(p, region=Region.EZ) == ds
+        loaded = load_labels(p, region=Region.EZ)
+        np.testing.assert_array_equal(loaded.months, ds.months)
+        assert loaded.labels == ds.labels and loaded.region == ds.region
 
     def test_lf_no_trailing_blank_line(self, tmp_path):
         ds = LabeledDataset(
@@ -126,7 +136,10 @@ class TestWriteLabels:
 def split_targets(months, spec):
     """split_rows' row indices per split, and each row's target month."""
     rows = split_rows(months, spec)
-    return rows, {k: [months[i].next() for i in v] for k, v in rows.items()}
+    return rows, {k: [MonthStamp.from_ordinal(months[i] + 1) for i in v] for k, v in rows.items()}
+
+
+stamp = MonthStamp.from_ordinal
 
 
 class TestSplitRows:
@@ -136,15 +149,15 @@ class TestSplitRows:
             MonthStamp(2001, 12), MonthStamp(2011, 12), MonthStamp(2022, 12)
         )
         rows, targets = split_targets(months, spec)
-        assert months[rows["train"][0]] == MonthStamp(1981, 1)
-        assert months[rows["train"][-1]] == MonthStamp(2001, 11)
+        assert stamp(months[rows["train"][0]]) == MonthStamp(1981, 1)
+        assert stamp(months[rows["train"][-1]]) == MonthStamp(2001, 11)
         assert targets["train"][-1] == MonthStamp(2001, 12)
         assert targets["validation"][0] == MonthStamp(2002, 1)
         assert targets["validation"][-1] == MonthStamp(2011, 12)
         assert targets["test"][0] == MonthStamp(2012, 1)
         assert targets["test"][-1] == MonthStamp(2022, 12)
         # The last row's target, 2023-01, is after test_end.
-        assert months[rows["test"][-1]] == MonthStamp(2022, 11)
+        assert stamp(months[rows["test"][-1]]) == MonthStamp(2022, 11)
 
     def test_us_table_boundaries(self):
         months = month_range(MonthStamp(1969, 1), 54 * 12)  # 1969-01 .. 2022-12
@@ -152,7 +165,7 @@ class TestSplitRows:
             MonthStamp(1999, 12), MonthStamp(2009, 12), MonthStamp(2022, 12)
         )
         rows, targets = split_targets(months, spec)
-        assert months[rows["test"][0]] == MonthStamp(2009, 12)
+        assert stamp(months[rows["test"][0]]) == MonthStamp(2009, 12)
         assert targets["test"][0] == MonthStamp(2010, 1)
         assert targets["test"][-1] == MonthStamp(2022, 12)
 
@@ -166,7 +179,7 @@ class TestSplitRows:
             start = MonthStamp(int(rng.integers(1960, 1990)), int(rng.integers(1, 13)))
             months = month_range(start, int(rng.integers(72, 480)))
             cuts = sorted(rng.choice(np.arange(1, len(months)), size=3, replace=False))
-            spec = SplitSpec(*(months[int(c)] for c in cuts))
+            spec = SplitSpec(*(stamp(months[int(c)]) for c in cuts))
             rows, targets = split_targets(months, spec)
             for k, (low, high) in {
                 "train": (None, spec.train_end),
@@ -189,8 +202,8 @@ class TestSeriesCsv:
         from cyclecast.dataset import Category
 
         s = load_series_csv(p, "x", Region.US, Category.GROWTH)
-        assert s.values == (1.5, -2.25)
-        assert s.months == (MonthStamp(2000, 1), MonthStamp(2000, 2))
+        np.testing.assert_array_equal(s.values, [1.5, -2.25])
+        np.testing.assert_array_equal(s.months, [MonthStamp(2000, 1).ordinal, MonthStamp(2000, 2).ordinal])
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "series.csv"
@@ -210,3 +223,38 @@ class TestSeriesCsv:
             load_series_csv(p, "x", Region.US, Category.GROWTH)
         assert exc.value.line_number == 4
         assert "line 4" in str(exc.value)
+
+
+@st.composite
+def month_tables(draw):
+    """Strictly increasing, gapped ordinals in years 1-9999 and finite or NaN cells."""
+    width = draw(st.integers(1, 4))
+    steps = draw(st.lists(st.integers(1, 30), max_size=40))
+    first = draw(st.integers(MonthStamp(1, 1).ordinal, MonthStamp(9999, 12).ordinal - 30 * 40))
+    months = first + np.cumsum([0, *steps])
+    cells = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(float("nan")))
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), min_size=months.size,
+                         max_size=months.size))
+    return tuple(f"c{j}" for j in range(width)), months, np.array(rows, dtype=float).reshape(-1, width)
+
+
+class TestMonthTableCodec:
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(table=month_tables())
+    def test_round_trip_is_exact(self, tmp_path_factory, table):
+        names, months, rows = table
+        path = tmp_path_factory.mktemp("codec") / "table.csv"
+        path.write_text(format_month_table(names, months, rows), encoding="utf-8")
+        got_names, got_months, got_rows = read_month_table(path, cell=finite_cell_or_nan)
+        assert got_names == names
+        assert got_months.dtype == np.int64
+        np.testing.assert_array_equal(got_months, months)
+        # Bit-identical cells: -0.0 stays -0.0, and NaN reads back where NaN was written.
+        np.testing.assert_array_equal(np.isnan(got_rows), np.isnan(rows))
+        finite = ~np.isnan(rows)
+        assert got_rows[finite].tobytes() == rows[finite].tobytes()
+
+    def test_ordinal_conversions(self):
+        assert MonthStamp(1970, 1).ordinal == 1970 * 12
+        assert MonthStamp.from_ordinal(MonthStamp(1999, 12).ordinal + 1) == MonthStamp(2000, 1)
+        assert MonthStamp.from_ordinal(np.int64(12)) == MonthStamp(1, 1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cyclecast.dataset import PhaseLabel
 from cyclecast.errors import BadKError, EmptyInputError, LengthMismatchError
@@ -204,3 +206,57 @@ class TestReports:
         assert report.macro_f == pytest.approx(np.mean(report.per_class_f), abs=1e-12)
         arr = report.confusion.as_array()
         assert arr.trace() / arr.sum() == pytest.approx(report.top1, abs=1e-12)
+
+
+@st.composite
+def scored_samples(draw):
+    """Phase distributions (ties and all-zero rows included) with true phase codes."""
+    n = draw(st.integers(1, 20))
+    weights = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    dist = draw(hnp.arrays(float, (n, 4), elements=weights))
+    return dist, draw(hnp.arrays(int, n, elements=st.integers(1, 4)))
+
+
+LAWS = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+class TestEvaluationLaws:
+    @LAWS
+    @given(sample=scored_samples())
+    def test_topk_never_falls_as_k_grows(self, sample):
+        dist, truth = sample
+        scores = [topk_accuracy(dist, truth, k) for k in (1, 2, 3, 4)]
+        assert scores == sorted(scores)
+        assert scores[-1] == 1.0
+
+    @LAWS
+    @given(sample=scored_samples())
+    def test_top1_is_argmax_accuracy(self, sample):
+        dist, truth = sample
+        assert topk_accuracy(dist, truth, 1) == accuracy(argmax_predictions(dist), truth)
+
+    @LAWS
+    @given(sample=scored_samples())
+    def test_two_label_accuracy_is_at_least_top1(self, sample):
+        dist, truth = sample
+        preds = argmax_predictions(dist)
+        assert collapse_two_label(preds, truth) >= topk_accuracy(dist, truth, 1)
+
+    @LAWS
+    @given(sample=scored_samples())
+    def test_confusion_counts_every_sample_once(self, sample):
+        dist, truth = sample
+        counts = confusion_matrix(argmax_predictions(dist), truth).as_array()
+        assert counts.sum() == truth.size
+        np.testing.assert_array_equal(counts.sum(axis=0), np.bincount(truth - 1, minlength=4))
+
+    @LAWS
+    @given(n=st.integers(1, 10), level=st.floats(0.0, 1.0))
+    def test_uniform_row_ranks_recovery_first(self, n, level):
+        assert argmax_predictions(np.full((n, 4), level)) == [PhaseLabel.RECOVERY] * n
+
+    @LAWS
+    @given(sample=scored_samples())
+    def test_json_report_round_trips(self, sample):
+        report = build_report(*sample)
+        assert report_from_json(render_report(report, "json")) == report

@@ -31,8 +31,8 @@ from conftest import make_series, make_std
 class TestDifferenceTransform:
     def test_diff(self):
         out = difference_transform(make_series([100, 102, 101]), Transform.DIFF)
-        assert out.values == (2.0, -1.0)
-        assert out.months == make_series([100, 102, 101]).months[1:]
+        assert out.values.tolist() == [2.0, -1.0]
+        np.testing.assert_array_equal(out.months, make_series([100, 102, 101]).months[1:])
         assert out.transform_applied is Transform.DIFF
 
     def test_log_diff(self):
@@ -115,7 +115,7 @@ class TestZscore:
         x = rng.standard_normal(60)
         short = zscore(make_series(x[:40]), "expanding", min_window=12)
         full = zscore(make_series(x), "expanding", min_window=12)
-        assert full.values[: len(short.values)] == short.values
+        np.testing.assert_array_equal(full.values[: len(short.values)], short.values)
         assert full.months[0] == make_series(x).months[11]
 
     def test_expanding_too_short(self):
@@ -131,7 +131,8 @@ class TestZscore:
     @pytest.mark.parametrize("level", [0.1, 0.3])
     def test_inexact_constant_prefix_rejected_expanding(self, level):
         series = make_series([level] * 12 + [1.0, 2.0])
-        with pytest.raises(ZeroVarianceError, match=f"constant through {series.months[11]}"):
+        month = MonthStamp.from_ordinal(series.months[11])
+        with pytest.raises(ZeroVarianceError, match=f"constant through {month}"):
             zscore(series, "expanding", min_window=12)
 
     def test_constant_prefix_shorter_than_window_accepted(self):
@@ -171,7 +172,7 @@ class TestZscore:
         x = np.random.default_rng(seed).standard_normal(n + extra).cumsum()
         short = zscore(make_series(x[:n]), "expanding", min_window=min_window)
         longer = zscore(make_series(x), "expanding", min_window=min_window)
-        assert longer.values[: len(short.values)] == short.values
+        np.testing.assert_array_equal(longer.values[: len(short.values)], short.values)
 
 
 class TestNeweyWest:
@@ -251,14 +252,14 @@ class TestAlignPanel:
         start = MonthStamp(2000, 1)
         a = make_std(range(12), "a", start)
         b = make_std(range(12, 24), "b", start)
-        panel = align_panel([a, b], start, start.add_months(11))
+        panel = align_panel([a, b], start.ordinal, start.ordinal + 11)
         assert panel.values.shape == (12, 2)
         assert panel.fills == (0, 0)
         assert not np.isnan(panel.values).any()
 
     def test_interior_gap_forward_filled(self):
         start = MonthStamp(2000, 1)
-        months = tuple(start.add_months(i) for i in range(12) if i != 5)
+        months = [start.ordinal + i for i in range(12) if i != 5]
         from cyclecast.preprocess import Provenance, StandardizedSeries
         from cyclecast.dataset import Region
 
@@ -270,14 +271,14 @@ class TestAlignPanel:
             values=tuple(float(i) for i in range(11)),
             provenance=Provenance(),
         )
-        panel = align_panel([s], start, start.add_months(11))
+        panel = align_panel([s], start.ordinal, start.ordinal + 11)
         assert panel.fills == (1,)
         assert panel.values[5, 0] == panel.values[4, 0]
 
     def test_leading_months_unavailable(self):
         start = MonthStamp(2000, 1)
         late = make_std(range(9), "late", start.add_months(3))
-        panel = align_panel([late], start, start.add_months(11))
+        panel = align_panel([late], start.ordinal, start.ordinal + 11)
         assert np.isnan(panel.values[:3, 0]).all()
         assert not np.isnan(panel.values[3:, 0]).any()
         assert panel.fills == (0,)
@@ -286,17 +287,17 @@ class TestAlignPanel:
         start = MonthStamp(2000, 1)
         outside = make_std(range(5), "x", MonthStamp(2010, 1))
         with pytest.raises(EmptyOverlapError):
-            align_panel([outside], start, start.add_months(11))
+            align_panel([outside], start.ordinal, start.ordinal + 11)
 
     @staticmethod
     def reference_align(series, start, end):
         """Month-by-month forward fill: the definition align_panel vectorises."""
-        n = start.months_until(end) + 1
-        grid = [start.add_months(i) for i in range(n)]
+        n = end - start + 1
+        grid = range(start, end + 1)
         values = np.full((n, len(series)), np.nan)
         fills = []
         for j, s in enumerate(series):
-            obs = dict(zip(s.months, s.values))
+            obs = dict(zip(s.months.tolist(), s.values.tolist()))
             last = None
             for m, v in zip(s.months, s.values):
                 if m < start:
@@ -316,14 +317,14 @@ class TestAlignPanel:
         from cyclecast.preprocess import Provenance, StandardizedSeries
         from cyclecast.dataset import Region
 
-        start, end = MonthStamp(2000, 1), MonthStamp(2009, 12)
+        start, end = MonthStamp(2000, 1).ordinal, MonthStamp(2009, 12).ordinal
         series = []
         for j in range(30):
             # first observation from 24 months before the grid to 60 months into it
-            first = start.add_months(int(rng.integers(-24, 60)))
+            first = start + int(rng.integers(-24, 60))
             length = int(rng.integers(24, 160))
             kept = [i for i in range(length) if j % 3 == 0 or rng.random() > 0.1]
-            months = tuple(first.add_months(i) for i in kept)
+            months = [first + i for i in kept]
             if not any(start <= m <= end for m in months):
                 continue
             series.append(
@@ -350,9 +351,9 @@ class TestAlignPanel:
         start = MonthStamp(2000, 1)
         early = make_std(range(12), "a", start)
         late = make_std(range(8), "b", start.add_months(4))
-        panel = align_panel([early, late], start, start.add_months(11))
+        panel = align_panel([early, late], start.ordinal, start.ordinal + 11)
         trimmed = panel.complete()
-        assert trimmed.months[0] == start.add_months(4)
+        assert trimmed.months[0] == start.ordinal + 4
         assert not np.isnan(trimmed.values).any()
 
 
