@@ -22,7 +22,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidPhaseCodeError, MalformedRowError, NonContiguousMonthsError
+from .errors import (
+    InvalidPhaseCodeError,
+    MalformedRowError,
+    NonContiguousMonthsError,
+    UnorderedMonthsError,
+)
 
 __all__ = [
     "MonthStamp",
@@ -166,8 +171,9 @@ class RawSeries:
             raise ValueError("months and values length mismatch")
         back = np.flatnonzero(np.diff(self.months) <= 0)
         if back.size:
-            month = MonthStamp.from_ordinal(self.months[back[0] + 1])
-            raise ValueError(f"series {self.series_id!r} months not strictly increasing at {month}")
+            raise UnorderedMonthsError(
+                self.series_id, MonthStamp.from_ordinal(self.months[back[0] + 1])
+            )
         if not np.isfinite(self.values).all():
             raise ValueError(f"series {self.series_id!r} has a non-finite value")
 

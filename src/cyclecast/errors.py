@@ -34,6 +34,12 @@ class NonContiguousMonthsError(DataError):
         self.gap_month = gap_month
 
 
+class UnorderedMonthsError(DataError):
+    def __init__(self, series_id: str, month):
+        super().__init__(f"series {series_id!r} months not strictly increasing at {month}")
+        self.month = month
+
+
 class InvalidPhaseCodeError(DataError):
     def __init__(self, value):
         super().__init__(f"phase code {value!r} is not in 1..4")

@@ -1,19 +1,29 @@
 """Composite growth/inflation indices: first principal component of a
 standardized panel, re-estimated on an expanding window.
 
-The eigenvector is found by power iteration on the sample covariance matrix
-(tolerance 1e-12, at most 10000 iterations per start) — dependency-free and
-adequate for panels of up to a few hundred series. A start that does not meet
-the tolerance within the budget raises :class:`PowerIterationError`. PCA leaves
-the component sign ambiguous, so loadings are normalized against a designated
-reference column.
+A cold start (:func:`pca_first_component`, and the first month of an
+expanding index) finds the eigenvector by power iteration on the sample
+covariance matrix (tolerance 1e-12, at most 10000 iterations per start) —
+dependency-free and adequate for panels of up to a few hundred series. A
+start that does not meet the tolerance within the budget raises
+:class:`PowerIterationError`. PCA leaves the component sign ambiguous, so
+loadings are normalized against a designated reference column.
 
 The expanding index is incremental: it keeps a running mean and a centred
 scatter matrix, updates both by rank one as each month arrives, and
-warm-starts power iteration from the previous month's signed eigenvector. A
-month costs O(d^2) plus its power-iteration steps (O(d^2) each) for d series,
-instead of re-centring every earlier month. The emitted values agree with a
-cold per-month fit of ``values[:t]`` to about 1e-10.
+warm-starts from the previous month's signed eigenvector. Power iteration
+converges at the rate lambda2/lambda1, so a warm month first takes about d/3
+power steps for d series (the cost of one factorisation). A month still
+short of the tolerance switches to Rayleigh-quotient iteration, whose
+convergence is cubic whatever the eigengap, and accepts a vector only when
+one power step moves it by less than the tolerance and a Cholesky
+factorisation of ``lambda (1 + 1e-9) I - C`` certifies that no eigenvalue
+lies above its Rayleigh quotient lambda (Sylvester's law of inertia). A
+singular or non-finite solve or the RQI step cap resumes plain power
+iteration, with its full budget and :class:`PowerIterationError`, from the
+last RQI vector; a failed certificate resumes it from where RQI began. The
+emitted values agree with a cold per-month fit of ``values[:t]`` to about
+1e-10.
 """
 
 from __future__ import annotations
@@ -44,6 +54,8 @@ __all__ = [
 
 POWER_ITERATION_TOL = 1e-12
 POWER_ITERATION_MAX_STEPS = 10_000
+RQI_MAX_STEPS = 8
+CERTIFICATE_MARGIN = 1e-9  # relative room above the top eigenvalue in the Cholesky check
 
 
 class IndexKind(Enum):
@@ -104,6 +116,27 @@ def _power_starts(d: int, warm: np.ndarray | None):
     yield np.random.default_rng(0).standard_normal(d)
 
 
+def _power_iterate(cov: np.ndarray, v: np.ndarray, steps: int) -> tuple[np.ndarray, float | None]:
+    """Up to ``steps`` power steps from the unit vector ``v``, stopping once a
+    step moves it by less than the tolerance. Returns the last iterate and
+    that step's residual ``|w - v|``, or ``(v, None)`` if ``v`` lies in the
+    nullspace."""
+    residual = np.inf
+    for _ in range(steps):
+        w = cov @ v
+        norm = np.linalg.norm(w)
+        if norm <= POWER_ITERATION_TOL:
+            return v, None
+        w /= norm
+        if w @ v < 0:
+            w = -w
+        residual = float(np.linalg.norm(w - v))
+        v = w
+        if residual < POWER_ITERATION_TOL:
+            break
+    return v, residual
+
+
 def _top_eigenvector(cov: np.ndarray, start: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Power iteration for the dominant eigenpair of a PSD matrix.
 
@@ -114,22 +147,63 @@ def _top_eigenvector(cov: np.ndarray, start: np.ndarray | None = None) -> tuple[
     :class:`PowerIterationError` rather than returning its last iterate.
     """
     for v in _power_starts(cov.shape[0], start):
-        v = v / np.linalg.norm(v)
-        for _ in range(POWER_ITERATION_MAX_STEPS):
-            w = cov @ v
-            norm = np.linalg.norm(w)
-            if norm <= POWER_ITERATION_TOL:
-                break  # start vector is in the nullspace
-            w /= norm
-            if w @ v < 0:
-                w = -w
-            residual = np.linalg.norm(w - v)
-            v = w
-            if residual < POWER_ITERATION_TOL:
-                return v, float(v @ cov @ v)
-        else:
-            raise PowerIterationError(POWER_ITERATION_MAX_STEPS, float(residual))
+        v, residual = _power_iterate(cov, v / np.linalg.norm(v), POWER_ITERATION_MAX_STEPS)
+        if residual is None:
+            continue  # start vector is in the nullspace
+        if residual >= POWER_ITERATION_TOL:
+            raise PowerIterationError(POWER_ITERATION_MAX_STEPS, residual)
+        return v, float(v @ cov @ v)
     raise DegenerateCovarianceError("every power-iteration start lies in the nullspace")
+
+
+def _rayleigh_quotient_iteration(cov: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float | None]:
+    """Rayleigh-quotient iteration for the top eigenpair from the unit vector ``v``.
+
+    Returns ``(vector, eigenvalue)`` once one power step moves the iterate by
+    less than the tolerance and the Cholesky certificate holds. Otherwise
+    returns ``(vector, None)`` with the vector power iteration should resume
+    from: the last iterate after a singular or non-finite solve or at the step
+    cap; ``v`` itself when the iterate is another eigenvector (the certificate
+    fails, or it lies in the nullspace), on which power iteration would stop
+    at once.
+    """
+    start, eye = v, np.eye(cov.shape[0])
+    for _ in range(RQI_MAX_STEPS):
+        try:
+            w = np.linalg.solve(cov - (v @ cov @ v) * eye, v)
+        except np.linalg.LinAlgError:
+            return v, None
+        norm = np.linalg.norm(w)
+        if not 0.0 < norm < np.inf:
+            return v, None
+        v, residual = _power_iterate(cov, w / norm, 1)
+        if residual is None:
+            return start, None
+        if residual < POWER_ITERATION_TOL:
+            value = float(v @ cov @ v)
+            try:
+                np.linalg.cholesky(value * (1.0 + CERTIFICATE_MARGIN) * eye - cov)
+            except np.linalg.LinAlgError:
+                return start, None
+            return v, value
+    return v, None
+
+
+def _warm_top_eigenvector(cov: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, float]:
+    """The dominant eigenpair of a PSD matrix from a nearby ``start``.
+
+    Power iteration for about ``d / 3`` steps returns exactly what
+    :func:`_top_eigenvector` would when it meets the tolerance within them;
+    otherwise Rayleigh-quotient iteration takes over, and a month it cannot
+    certify resumes plain power iteration.
+    """
+    v, residual = _power_iterate(cov, start / np.linalg.norm(start), max(1, cov.shape[0] // 3))
+    if residual is None:
+        return _top_eigenvector(cov)
+    if residual < POWER_ITERATION_TOL:
+        return v, float(v @ cov @ v)
+    v, value = _rayleigh_quotient_iteration(cov, v)
+    return (v, value) if value is not None else _top_eigenvector(cov, start=v)
 
 
 def _checked_trace(cov: np.ndarray) -> float:
@@ -200,8 +274,9 @@ def expanding_pca_index(
     The fit is updated rather than redone: the running mean ``mu`` and the
     centred scatter ``M`` (so that the covariance is ``M / t``) are seeded
     exactly from the first ``min_window_months`` rows, then each row x
-    updates them by rank one, ``M += (x - mu_old)(x - mu_new)^T``, and power
-    iteration starts from the previous month's signed eigenvector.
+    updates them by rank one, ``M += (x - mu_old)(x - mu_new)^T``, and the
+    solve warm-starts from the previous month's signed eigenvector
+    (:func:`_warm_top_eigenvector`); the first month starts cold.
     """
     kind = IndexKind(kind) if not isinstance(kind, IndexKind) else kind
     if min_window_months < 2:
@@ -234,7 +309,7 @@ def expanding_pca_index(
             scatter += np.outer(delta, x - mu)
         cov = scatter / t
         _checked_trace(cov)
-        v, _ = _top_eigenvector(cov, start=v)
+        v, _ = _top_eigenvector(cov) if v is None else _warm_top_eigenvector(cov, v)
         v = v * _reference_sign(v, ref_col)
         out[t - min_window_months] = (x - mu) @ v
     return CompositeIndex(

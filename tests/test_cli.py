@@ -419,6 +419,24 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert "line 5" in err and "non-finite" in err
 
+    @pytest.mark.parametrize("edit", ["repeat", "swap"])
+    def test_unordered_series_months_name_the_month(self, tmp_path, capsys, edit):
+        config = write_config(tmp_path)
+        assert run(config, "synth") == EXIT_OK
+        path = tmp_path / "data" / "series" / "growth_00.csv"
+        lines = path.read_text().splitlines()
+        if edit == "repeat":
+            lines.insert(3, lines[2])
+        else:
+            lines[2], lines[3] = lines[3], lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        year, month = lines[3].split(",")[:2]
+        capsys.readouterr()
+        assert run(config, "preprocess") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "'growth_00'" in err and f"{int(year):04d}-{int(month):02d}" in err
+
     @pytest.mark.parametrize(
         "line, corrupt",
         [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclecast import indices
 from cyclecast.dataset import MonthStamp
 from cyclecast.errors import (
     DataError,
@@ -20,6 +21,7 @@ from cyclecast.indices import (
     pca_first_component,
     sign_normalize,
     _top_eigenvector,
+    _warm_top_eigenvector,
 )
 
 from conftest import make_panel
@@ -254,3 +256,173 @@ class TestIncrementalIndex:
         longer = expanding_pca_index(full, "growth", 20)
         shorter = expanding_pca_index(cut, "growth", 20)
         np.testing.assert_array_equal(longer.values[: len(shorter)], shorter.values)
+
+
+def eigh_index(values, min_window, ref_col=0):
+    """The per-month definition through LAPACK: the top eigenvector of each
+    ``values[:t]`` covariance, signed by the reference column."""
+    out = []
+    for t in range(min_window, values.shape[0] + 1):
+        centered = values[:t] - values[:t].mean(axis=0)
+        v = np.linalg.eigh(centered.T @ centered / t)[1][:, -1]
+        out.append(centered[-1] @ (v if v[ref_col] > 0 else -v))
+    return np.array(out)
+
+
+def spectrum_cov(rng, d, ratio):
+    """PSD matrix with a random orthogonal eigenbasis, lambda1 = 1 and lambda2 = ratio,
+    and its top eigenvector."""
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    spectrum = np.concatenate([[1.0, ratio], rng.uniform(0.0, ratio, max(d - 2, 0))])[:d]
+    cov = (basis * spectrum) @ basis.T
+    return (cov + cov.T) / 2, basis[:, 0]
+
+
+def weak_panel_values(seed, n=150, d=10):
+    """Differenced random walks with a faint common factor: weak-factor's shape."""
+    rng = np.random.default_rng(seed)
+    steps = np.diff(rng.standard_normal((n + 1, d)).cumsum(axis=0), axis=0)
+    return steps + 0.2 * rng.standard_normal(n)[:, None]
+
+
+def failing_cholesky(a):
+    raise np.linalg.LinAlgError("certificate refused")
+
+
+class TestWarmSolver:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 30),
+        ratio=st.floats(0.9, 0.999),
+        log_eps=st.floats(-10.0, -2.0),
+    )
+    def test_tight_eigengap_returns_the_eigh_pair(self, seed, d, ratio, log_eps):
+        rng = np.random.default_rng(seed)
+        cov, _ = spectrum_cov(rng, d, ratio)
+        values, vectors = np.linalg.eigh(cov)
+        top = vectors[:, -1]
+        v, value = _warm_top_eigenvector(cov, top + 10.0**log_eps * rng.standard_normal(d))
+        assert np.abs(v - (top if top @ v > 0 else -top)).max() <= 1e-9
+        assert value == pytest.approx(values[-1], rel=1e-12, abs=0.0)
+
+    def test_budget_month_returns_exactly_what_power_iteration_does(self, monkeypatch, rng):
+        # a wide eigengap meets the tolerance within the d // 3 power steps
+        cov, top = spectrum_cov(rng, 30, 0.01)
+        start = top + 1e-3 * rng.standard_normal(30)
+        cold, cold_value = _top_eigenvector(cov, start=start)
+        monkeypatch.setattr(np.linalg, "solve", None)  # RQI is never reached
+        warm, warm_value = _warm_top_eigenvector(cov, start)
+        np.testing.assert_array_equal(warm, cold)
+        assert warm_value == cold_value
+
+    def test_failed_certificate_falls_back_to_power_iteration(self, monkeypatch):
+        X = weak_panel_values(seed=2, n=100, d=5)
+        panel = make_panel({f"s{j}": X[:, j] for j in range(5)})
+        fallbacks = []
+        top = indices._top_eigenvector
+
+        def counted(cov, start=None):
+            fallbacks.append(start is not None)
+            return top(cov, start)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+        monkeypatch.setattr(indices, "_top_eigenvector", counted)
+        got = expanding_pca_index(panel, "growth", 40).values
+        assert sum(fallbacks) >= 10  # every month RQI reached resumed power iteration
+        assert np.abs(got - eigh_index(X, 40)).max() <= 1e-9
+
+    def test_start_near_the_second_eigenvector(self):
+        # when the top two eigenvalues cross between months, last month's
+        # vector is nearest the second one: RQI converges there, the
+        # certificate fails, and power iteration must resume from where RQI
+        # began, not from the RQI vector, on which it would stop at once
+        cov = np.diag([1.0, 0.9, 0.3, 0.2, 0.1, 0.0])
+        v, value = _warm_top_eigenvector(cov, np.eye(6)[1] + 1e-3 * np.ones(6))
+        assert np.abs(v - np.eye(6)[0]).max() < 1e-9
+        assert value == pytest.approx(1.0, rel=1e-12)
+
+    def test_failed_certificate_keeps_the_step_budget_error(self, monkeypatch):
+        cov, top = spectrum_cov(np.random.default_rng(3), 8, 0.99)
+        start = top + 1e-3 * np.random.default_rng(4).standard_normal(8)
+        monkeypatch.setattr(indices, "POWER_ITERATION_MAX_STEPS", 20)
+        _warm_top_eigenvector(cov, start)  # RQI certifies without the fallback
+        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+        with pytest.raises(PowerIterationError) as info:
+            _warm_top_eigenvector(cov, start)
+        assert info.value.steps == 20
+
+    def test_singular_solve_falls_back(self, monkeypatch):
+        # one power step from (1, 1, 3) lands on Rayleigh quotient exactly 2,
+        # an eigenvalue, so the first RQI solve is singular
+        cov = np.diag([3.0, 2.0, 1.0])
+        solves = []
+        solve = np.linalg.solve
+
+        def recorded(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                solves.append("singular")
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        v, value = _warm_top_eigenvector(cov, np.array([1.0, 1.0, 3.0]))
+        assert solves == ["singular"]
+        assert np.abs(v - [1.0, 0.0, 0.0]).max() < 1e-9
+        assert value == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0])
+    def test_non_finite_or_zero_solve_falls_back(self, monkeypatch, bad):
+        cov, top = spectrum_cov(np.random.default_rng(5), 6, 0.95)
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, bad))
+        v, value = _warm_top_eigenvector(cov, top + 1e-4 * np.random.default_rng(6).standard_normal(6))
+        assert np.abs(v - (top if top @ v > 0 else -top)).max() <= 1e-9
+        assert value == pytest.approx(1.0, rel=1e-12)
+
+    def test_exact_eigenvector_start(self):
+        # neither raises nor warns (warnings are errors in this suite)
+        v, value = _warm_top_eigenvector(np.diag([3.0, 2.0, 1.0]), np.eye(3)[0])
+        np.testing.assert_array_equal(v, np.eye(3)[0])
+        assert value == 3.0
+
+    def test_step_count_does_not_depend_on_the_eigengap(self, monkeypatch):
+        # counts power steps (matrix-vector products) and solves per warm
+        # month: the d // 3 budget plus two RQI steps of one solve and one
+        # power step each; eigengap-bound power iteration would take hundreds
+        d = 10
+        X = weak_panel_values(seed=2, n=300, d=d)
+        top2 = np.linalg.eigvalsh(np.cov(X, rowvar=False))[-2:]
+        assert top2[0] / top2[1] > 0.9
+        ops, per_month = [], []
+        power, solve, warm = indices._power_iterate, np.linalg.solve, indices._warm_top_eigenvector
+
+        def one_step_at_a_time(cov, v, steps):
+            residual = np.inf
+            for _ in range(steps):
+                ops.append("matvec")
+                u, residual = power(cov, v, 1)
+                if residual is None:
+                    return v, None
+                v = u
+                if residual < POWER_ITERATION_TOL:
+                    break
+            return v, residual
+
+        def counted_solve(a, b):
+            ops.append("solve")
+            return solve(a, b)
+
+        def per_month_count(cov, start):
+            ops.clear()
+            result = warm(cov, start)
+            per_month.append(len(ops))
+            return result
+
+        monkeypatch.setattr(indices, "_power_iterate", one_step_at_a_time)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(indices, "_warm_top_eigenvector", per_month_count)
+        panel = make_panel({f"s{j}": X[:, j] for j in range(d)})
+        expanding_pca_index(panel, "growth", 60)
+        assert len(per_month) == 300 - 60
+        assert np.median(per_month) <= d // 3 + 4
