@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -243,10 +244,11 @@ def finite_cell(text: str) -> float:
 
 def finite_cell_or_nan(text: str) -> float:
     """Like :func:`finite_cell`, but an empty cell reads as NaN (panel gaps)."""
-    value = float(text) if text else 0.0  # one call per cell: this parses every panel cell
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value if text else math.nan
+    return finite_cell(text) if text else math.nan
+
+
+# The cell parsers read_month_table accepts, and the loadtxt cell dtype of each.
+_CELL_DTYPES = {finite_cell: np.float64, finite_cell_or_nan: np.float64, int: np.int64}
 
 
 def read_month_table(
@@ -259,41 +261,120 @@ def read_month_table(
     This is the one reader of the toolkit's monthly tables (series, labels,
     panel, features, indices). ``columns`` fixes the lower-case value-column
     names (the header is compared case-insensitively); None accepts any names.
-    ``cell`` parses every value cell of the file. ``months`` is an int64
-    ordinal array and ``rows`` a months-by-columns float array. Blank lines
-    are skipped; every other defect raises :class:`MalformedRowError` with
-    its line number.
+    ``cell`` names the cell format: :func:`finite_cell` (finite floats, the
+    default), :func:`finite_cell_or_nan` (the same, but an empty cell is NaN;
+    the panel) or ``int``. ``months`` is an int64 ordinal array and ``rows`` a
+    months-by-columns float array. Blank lines are skipped; every other defect
+    raises :class:`MalformedRowError` with its line number.
+
+    Only the header goes through ``csv``. The body is parsed in one
+    ``np.loadtxt`` pass (quoted cells allowed), and the month range and
+    finiteness are checked as array masks; only a file that fails is parsed
+    again, one line at a time, to name its first bad line. A token that
+    Python's ``int``/``float`` accept but ``loadtxt`` does not, such as
+    ``1_0`` or one with non-ASCII digits, is malformed. So is a float token
+    in an integer field (year, month, a label's phase), such as ``1981.0`` or
+    ``2.5``, whatever the warning filters.
     """
+    if cell not in _CELL_DTYPES:
+        raise ValueError(f"unsupported cell parser {cell!r}")
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
     expected = ",".join(("year", "month", *(columns or ("<columns...>",))))
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MalformedRowError(1, f"empty file, expected header {expected}")
-        keys = [h.strip().lower() for h in header]
-        if keys[:2] != ["year", "month"] or (columns is not None and keys[2:] != list(columns)):
-            raise MalformedRowError(1, f"bad header {header!r}, expected {expected}")
-        width = len(header)
-        months: list[int] = []
-        cells: list[float] = []
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise MalformedRowError(reader.line_num, f"expected {width} fields, got {len(row)}")
-            try:
-                year, month = int(row[0]), int(row[1])
-                if not (1 <= month <= 12 and 0 <= year <= 9999):  # YYYY-MM months only
-                    raise ValueError(f"year {year} or month {month} out of range")
-                months.append(year * 12 + month - 1)
-                cells.extend(map(cell, row[2:]))
-            except ValueError as exc:
-                raise MalformedRowError(reader.line_num, f"{row!r}: {exc}") from None
-    rows = np.asarray(cells, dtype=float).reshape(len(months), width - 2)
-    return tuple(header[2:]), np.asarray(months, dtype=np.int64), rows
+    with path.open(encoding="utf-8") as fh:  # universal newlines: \r\n and \r end a line too
+        header_line = fh.readline()
+        lines = fh.read().split("\n")
+    if not header_line:
+        raise MalformedRowError(1, f"empty file, expected header {expected}")
+    header = next(csv.reader([header_line]), [])
+    keys = [h.strip().lower() for h in header]
+    if keys[:2] != ["year", "month"] or (columns is not None and keys[2:] != list(columns)):
+        raise MalformedRowError(1, f"bad header {header!r}, expected {expected}")
+    width = len(header)
+    dtype = np.dtype(
+        [("year", np.int64), ("month", np.int64), ("cells", _CELL_DTYPES[cell], (width - 2,))]
+    )
+    gaps = cell is finite_cell_or_nan
+    table = _parse_month_rows(lines, dtype, gaps)
+    bad = None if table is None else _bad_rows(table, gaps)
+    if bad is None or bad.size:
+        numbers = [number for number, line in enumerate(lines, start=2) if line]  # of each row
+        if bad is None:  # the first line rejected on its own; else a quote left open to the end
+            number = next((n for n in numbers if _line_is_bad(lines[n - 2], dtype, gaps)), numbers[-1])
+        else:
+            number = numbers[bad[0]]
+        raise MalformedRowError(number, _row_fault(lines[number - 2], width, cell))
+    months = table["year"] * 12 + table["month"] - 1
+    return tuple(header[2:]), months, table["cells"].astype(float)
+
+
+def _parse_month_rows(lines: list[str], dtype: np.dtype, gaps: bool) -> np.ndarray | None:
+    """The non-blank ``lines`` parsed by one ``np.loadtxt`` pass, or None if it rejects one."""
+    n_rows = len(lines) - lines.count("")
+    if n_rows == 0:
+        return np.zeros(0, dtype)
+    try:
+        with warnings.catch_warnings():
+            # Before numpy's deprecation expired, loadtxt read an integer field
+            # such as "2.5" or "1981.0" through a float, warned and truncated it;
+            # as an error the warning becomes loadtxt's ValueError.
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(
+                _fill_gaps(lines) if gaps else lines,
+                dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1,
+            )
+    except ValueError:
+        return None
+    return table if len(table) == n_rows else None
+
+
+def _fill_gaps(lines: list[str]):
+    """Panel lines with every empty cell written ``nan``.
+
+    A line with an ``n`` or ``N`` of its own raises ValueError: no finite
+    number contains one, and every spelling of ``nan`` and ``inf`` does. So
+    the NaN cells of a parsed panel are exactly its empty cells.
+    """
+    for line in lines:
+        if "n" in line or "N" in line:
+            raise ValueError(f"{line!r} has a non-numeric cell")
+        line = line.replace(",,", ",nan,").replace(",,", ",nan,")  # one pass fills one of ",,,"
+        yield line + "nan" if line.endswith(",") else line
+
+
+def _bad_rows(table: np.ndarray, gaps: bool) -> np.ndarray:
+    """Rows with a month outside 1..12, a year outside 0..9999 or a non-finite cell
+    (NaN is an empty cell, allowed with ``gaps``)."""
+    year, month, cells = table["year"], table["month"], table["cells"]
+    bad = (month < 1) | (month > 12) | (year < 0) | (year > 9999)
+    if cells.dtype.kind == "f":
+        bad |= (np.isinf(cells) if gaps else ~np.isfinite(cells)).any(axis=1)
+    return np.flatnonzero(bad)
+
+
+def _line_is_bad(line: str, dtype: np.dtype, gaps: bool) -> bool:
+    table = _parse_month_rows([line], dtype, gaps)
+    return table is None or _bad_rows(table, gaps).size > 0
+
+
+def _row_fault(line: str, width: int, cell: Callable[[str], float]) -> str:
+    """Why one bad body line is malformed, in the words of the per-cell parser."""
+    try:
+        row = next(csv.reader([line]))
+    except csv.Error as exc:
+        return f"{line!r}: {exc}"
+    if len(row) != width:
+        return f"expected {width} fields, got {len(row)}"
+    try:
+        year, month = int(row[0]), int(row[1])
+        if not (1 <= month <= 12 and 0 <= year <= 9999):  # YYYY-MM months only
+            raise ValueError(f"year {year} or month {month} out of range")
+        for text in row[2:]:
+            cell(text)
+    except ValueError as exc:
+        return f"{row!r}: {exc}"
+    return f"{row!r}: a cell is not a plain ASCII number"
 
 
 def format_month_table(names: Sequence[str], months: np.ndarray, rows) -> str:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import Category, MonthStamp, RawSeries, Region, Transform
 from .dataset import check_contiguous, set_arrays
@@ -173,7 +174,16 @@ def adf_statistic(
     ``max_lag`` lagged differences; the unit root is rejected (series deemed
     stationary) when the t-ratio on the lagged level falls below the
     large-sample critical value for ``alpha``.
+
+    The regression is centred: subtracting each regressor's mean sweeps out
+    the constant and leaves the t-ratio on the lagged level unchanged
+    (Frisch-Waugh-Lovell), so the statistic does not depend on the series'
+    level. One ``np.linalg.solve`` of the centred normal equations gives both
+    the coefficients and the lagged level's diagonal entry of their inverse.
+    A singular system, as from a constant or exactly linear series, raises
+    :class:`ZeroVarianceError` naming the series.
     """
+    name = f"series {series.series_id!r}" if isinstance(series, RawSeries) else "series"
     values = np.asarray(series.values if isinstance(series, RawSeries) else series, dtype=float)
     n = values.size
     lag = schwert_lag(n) if max_lag is None else int(max_lag)
@@ -185,24 +195,29 @@ def adf_statistic(
         raise TooShortError(f"need >= {lag + 10} observations for ADF with lag {lag}, got {n}")
 
     dy = np.diff(values)
-    # Rows t = lag .. n-2 of dy; regressors: const, y_{t-1}, dy_{t-1..t-lag}
+    # Observations t = lag .. n-2 of dy. The regressors are the rows of X (one
+    # contiguous row each): y_{t-1}, then dy_{t-lag} .. dy_{t-1}.
     rows = dy[lag:]
-    level = values[lag:-1]
-    cols = [np.ones_like(rows), level]
-    for i in range(1, lag + 1):
-        cols.append(dy[lag - i : dy.size - i])
-    X = np.column_stack(cols)
-    beta, _, _, _ = np.linalg.lstsq(X, rows, rcond=None)
-    resid = rows - X @ beta
-    dof = rows.size - X.shape[1]
+    X = np.empty((lag + 1, rows.size))
+    X[0] = values[lag:-1]
+    X[1:] = sliding_window_view(dy, rows.size)[:lag]
+    X -= X.mean(axis=1, keepdims=True)
+    y = rows - rows.mean()
+    dof = rows.size - (lag + 2)
     if dof <= 0:
         raise TooShortError("not enough observations for ADF degrees of freedom")
-    s2 = float(resid @ resid) / dof
-    xtx_inv = np.linalg.inv(X.T @ X)
-    se_rho = math.sqrt(s2 * xtx_inv[1, 1])
-    if se_rho == 0.0:
-        raise ZeroVarianceError("degenerate ADF regression")
-    stat = float(beta[1] / se_rho)
+    rhs = np.zeros((lag + 1, 2))
+    rhs[:, 0] = X @ y
+    rhs[0, 1] = 1.0
+    try:
+        solution = np.linalg.solve(X @ X.T, rhs)
+    except np.linalg.LinAlgError:
+        raise ZeroVarianceError(f"{name}: singular ADF regression (constant or linear?)") from None
+    resid = y - solution[:, 0] @ X
+    var_rho = float(resid @ resid) / dof * solution[0, 1]
+    if not var_rho > 0.0:
+        raise ZeroVarianceError(f"{name}: degenerate ADF regression")
+    stat = float(solution[0, 0] / math.sqrt(var_rho))
     crit = ADF_CRITICAL[alpha]
     return AdfResult(statistic=stat, is_stationary=stat < crit, lag=lag, critical_value=crit)
 

@@ -437,6 +437,23 @@ class TestDataErrors:
         assert err.startswith("data error:") and err.count("\n") == 1
         assert "'growth_00'" in err and f"{int(year):04d}-{int(month):02d}" in err
 
+    @pytest.mark.parametrize("shape", ["constant", "linear"])
+    def test_degenerate_series_under_adf_names_it(self, tmp_path, capsys, shape):
+        synth = json.loads(write_config(tmp_path).read_text())["synth"]
+        config = write_config(tmp_path, preprocess={"stationarity": "auto"}, synth={**synth, "n_series": 4})
+        assert run(config, "synth") == EXIT_OK
+        path = tmp_path / "data" / "series" / "growth_00.csv"
+        lines = path.read_text().splitlines()
+        for i in range(1, len(lines)):
+            value = 5 if shape == "constant" else 3 * i - 7
+            lines[i] = ",".join(lines[i].split(",")[:2] + [str(value)])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(config, "preprocess") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "'growth_00'" in err and "ADF" in err
+
     @pytest.mark.parametrize(
         "line, corrupt",
         [

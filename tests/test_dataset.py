@@ -1,3 +1,7 @@
+import csv
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +12,7 @@ from cyclecast.dataset import (
     PhaseLabel,
     Region,
     SplitSpec,
+    finite_cell,
     finite_cell_or_nan,
     format_month_table,
     load_labels,
@@ -258,3 +263,167 @@ class TestMonthTableCodec:
         assert MonthStamp(1970, 1).ordinal == 1970 * 12
         assert MonthStamp.from_ordinal(MonthStamp(1999, 12).ordinal + 1) == MonthStamp(2000, 1)
         assert MonthStamp.from_ordinal(np.int64(12)) == MonthStamp(1, 1)
+
+
+def reference_read(path, cell):
+    """The reader np.loadtxt replaced: csv.reader, and one Python parser call per cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        months, cells = [], []
+        for row in reader:
+            if len(row) != len(header):
+                if not row:
+                    continue
+                raise MalformedRowError(reader.line_num, "field count")
+            try:
+                year, month = int(row[0]), int(row[1])
+                if not (1 <= month <= 12 and 0 <= year <= 9999):
+                    raise ValueError("month out of range")
+                months.append(year * 12 + month - 1)
+                cells.extend(map(cell, row[2:]))
+            except ValueError:
+                raise MalformedRowError(reader.line_num, "bad cell") from None
+    rows = np.asarray(cells, dtype=float).reshape(len(months), len(header) - 2)
+    return tuple(header[2:]), np.asarray(months, dtype=np.int64), rows
+
+
+def reference_finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {text!r}")
+    return value
+
+
+REFERENCE_CELL = {
+    finite_cell: reference_finite,
+    finite_cell_or_nan: lambda text: reference_finite(text) if text else math.nan,
+    int: int,
+}
+
+
+@st.composite
+def table_lines(draw):
+    """A cell parser and the lines of a valid table for it, with blank lines among the rows."""
+    cell = draw(st.sampled_from(list(REFERENCE_CELL)))
+    width = draw(st.integers(1, 4))
+    integers = st.integers(-10**6, 10**6).map(str)
+    if cell is int:
+        token = integers
+    else:
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        token = st.one_of(floats.map(repr), floats.map("{:.6e}".format), integers)
+    token = st.one_of(token, token.map('"{}"'.format))  # quoted cells
+    if cell is finite_cell_or_nan:
+        token = st.one_of(token, st.just(""))  # panel gaps
+    lines = [",".join(("year", "month", *(f"c{j}" for j in range(width))))]
+    for _ in range(draw(st.integers(0, 20))):
+        lines += [""] * draw(st.integers(0, 2))
+        year, month = draw(st.integers(0, 9999)), draw(st.integers(1, 12))
+        lines.append(",".join((str(year), str(month), *draw(st.lists(token, min_size=width, max_size=width)))))
+    return cell, lines
+
+
+def write_lines(path, lines, newline, trailing):
+    path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode("utf-8"))
+
+
+MUTATIONS = {
+    "bad token": lambda f, draw: f[:2] + ["1.2.3"] + f[3:],
+    "short row": lambda f, draw: f[:-1],
+    "long row": lambda f, draw: f + ["1"],
+    "non-finite": lambda f, draw: f[:2] + [draw(st.sampled_from(["nan", "inf", "-Infinity", "NaN"]))] + f[3:],
+    "month 13": lambda f, draw: [f[0], "13"] + f[2:],
+    "float year": lambda f, draw: [f[0] + ".0"] + f[1:],
+    "empty cell": lambda f, draw: f[:2] + [""] + f[3:],
+}
+
+
+class TestReaderMatchesReference:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(table=table_lines(), newline=st.sampled_from(["\n", "\r\n"]), trailing=st.booleans())
+    def test_same_names_months_and_cell_bits(self, tmp_path_factory, table, newline, trailing):
+        cell, lines = table
+        path = tmp_path_factory.mktemp("reader") / "table.csv"
+        write_lines(path, lines, newline, trailing)
+        names, months, rows = read_month_table(path, cell=cell)
+        want_names, want_months, want_rows = reference_read(path, REFERENCE_CELL[cell])
+        assert names == want_names
+        assert months.dtype == np.int64
+        np.testing.assert_array_equal(months, want_months)
+        assert rows.shape == want_rows.shape
+        np.testing.assert_array_equal(np.isnan(rows), np.isnan(want_rows))
+        finite = ~np.isnan(want_rows)
+        assert rows[finite].tobytes() == want_rows[finite].tobytes()
+
+    def test_quoted_cell_across_lines_is_malformed(self, tmp_path):
+        # np.loadtxt joins the two lines into one cell, "15", and returns one row for two.
+        path = tmp_path / "table.csv"
+        path.write_text('year,month,value\n2000,1,"1\n5"\n2000,2,3\n', encoding="utf-8")
+        with pytest.raises(MalformedRowError) as want:
+            reference_read(path, reference_finite)
+        with pytest.raises(MalformedRowError) as got:
+            read_month_table(path)
+        assert got.value.line_number == want.value.line_number == 3
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        table=table_lines(),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        mutation=st.sampled_from(list(MUTATIONS)),
+        data=st.data(),
+    )
+    def test_one_bad_cell_names_the_same_line(self, tmp_path_factory, table, newline, mutation, data):
+        cell, lines = table
+        rows = [i for i, line in enumerate(lines) if i and line]
+        if not rows or (mutation == "empty cell" and cell is finite_cell_or_nan):
+            return
+        i = data.draw(st.sampled_from(rows))
+        lines[i] = ",".join(MUTATIONS[mutation](next(csv.reader([lines[i]])), data.draw))
+        path = tmp_path_factory.mktemp("reader") / "table.csv"
+        write_lines(path, lines, newline, True)
+        with pytest.raises(MalformedRowError) as want:
+            reference_read(path, REFERENCE_CELL[cell])
+        with pytest.raises(MalformedRowError) as got:
+            read_month_table(path, cell=cell)
+        assert got.value.line_number == want.value.line_number == i + 1
+
+
+FLOAT_INTEGER_FIELDS = [  # a float token in the year, month or phase field
+    ("1981,1,2.5", ("phase",), int),
+    ("1981.0,1,2.5", ("value",), finite_cell),
+    ("1.981e3,1,2.5", ("value",), finite_cell),
+    ("1981,1.5,2.5", ("value",), finite_cell),
+]
+
+
+class TestFloatInIntegerField:
+    # DeprecationWarning is ignored here as it is outside a test run: the reader
+    # itself must not let loadtxt truncate these tokens.
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("row,columns,cell", FLOAT_INTEGER_FIELDS)
+    def test_rejected_under_default_warning_filters(self, tmp_path, row, columns, cell):
+        path = tmp_path / "table.csv"
+        write_csv(path, [row], header=",".join(("year", "month", *columns)))
+        with pytest.raises(MalformedRowError) as exc:
+            read_month_table(path, columns, cell=cell)
+        assert exc.value.line_number == 2
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_rejected_by_a_loadtxt_that_only_warns(self, tmp_path, monkeypatch):
+        # numpy before the deprecation expired: warn, then parse "2.5" as 2.
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(lines, **kwargs):
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            except DeprecationWarning as exc:  # numpy reports the escalated warning as a ValueError
+                raise ValueError("could not convert string '2.5' to int64") from exc
+            return loadtxt([line.replace("2.5", "2") for line in lines], **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        path = tmp_path / "labels.csv"
+        write_csv(path, ["1981,1,2.5"])
+        with pytest.raises(MalformedRowError) as exc:
+            read_month_table(path, ("phase",), cell=int)
+        assert exc.value.line_number == 2

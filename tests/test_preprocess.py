@@ -86,6 +86,70 @@ class TestAdf:
         assert out.transform_applied in (Transform.DIFF, Transform.LOG_DIFF)
         assert result.is_stationary
 
+    @pytest.mark.parametrize("kind", ["walk", "ar1"])
+    def test_matches_lstsq_reference(self, kind):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            e = rng.standard_normal(int(rng.integers(40, 700)))
+            x = np.cumsum(e) if kind == "walk" else ar1(e, 0.7)
+            for max_lag in (None, 0, 3):
+                got = adf_statistic(x, max_lag=max_lag)
+                want = lstsq_adf(x, got.lag)
+                assert got.statistic == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        steps=st.lists(st.integers(-64, 64), min_size=60, max_size=300),
+        shift=st.integers(-10**12, 10**12),
+    )
+    def test_statistic_does_not_depend_on_level(self, steps, shift):
+        # Multiples of 1/64 below 2**13 in size, so that x + shift is exact in float64.
+        x = np.cumsum(steps) / 64.0
+        try:
+            base = adf_statistic(x).statistic
+        except ZeroVarianceError:  # e.g. all steps equal
+            with pytest.raises(ZeroVarianceError):
+                adf_statistic(x + shift)
+            return
+        assert adf_statistic(x + shift).statistic == pytest.approx(base, rel=1e-9)
+
+    def test_level_of_a_walk_leaves_statistic_alone(self):
+        # Uncentred normal equations drift by 6e-7 relative at 1e6 and fail at 1e9.
+        w = np.cumsum(np.random.default_rng(3).standard_normal(600))
+        w -= w % 2.0**-12  # a multiple of 1/4096, so that w + level is exact
+        base = adf_statistic(w).statistic
+        for level in (1e6, 1e9, -1e12):
+            assert adf_statistic(w + level).statistic == pytest.approx(base, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "values", [np.full(200, 0.1), np.arange(200.0), 3.0 - 2.0 * np.arange(200.0)]
+    )
+    @pytest.mark.parametrize("max_lag", [None, 0, 2])
+    def test_constant_or_linear_is_zero_variance(self, values, max_lag):
+        with pytest.raises(ZeroVarianceError, match="'s'"):
+            adf_statistic(make_series(values), max_lag=max_lag)
+
+
+def ar1(e: np.ndarray, phi: float) -> np.ndarray:
+    x = np.empty_like(e)
+    x[0] = e[0]
+    for t in range(1, e.size):
+        x[t] = phi * x[t - 1] + e[t]
+    return x
+
+
+def lstsq_adf(x: np.ndarray, lag: int) -> float:
+    """The ADF t-ratio from the uncentred regression with a constant column, by lstsq."""
+    dy = np.diff(x)
+    rows = dy[lag:]
+    X = np.column_stack(
+        [np.ones_like(rows), x[lag:-1], *(dy[lag - i : dy.size - i] for i in range(1, lag + 1))]
+    )
+    beta = np.linalg.lstsq(X, rows, rcond=None)[0]
+    resid = rows - X @ beta
+    s2 = resid @ resid / (rows.size - X.shape[1])
+    return float(beta[1] / math.sqrt(s2 * np.linalg.inv(X.T @ X)[1, 1]))
+
 
 class TestZscore:
     def test_hand_example(self):
