@@ -12,10 +12,12 @@ content, so reruns on unchanged inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+import zipfile
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
@@ -46,7 +48,14 @@ from .errors import (
     MalformedRowError,
 )
 from .features import FeatureMatrix, FeatureScaler, build_feature_matrix, forecast_alignment
-from .indices import CompositeIndex, IndexKind, expanding_pca_index, pca_first_component, sign_normalize
+from .indices import (
+    CompositeIndex,
+    IndexKind,
+    IndexState,
+    expanding_pca_index,
+    pca_first_component,
+    sign_normalize,
+)
 from .models import (
     ModelArtifact,
     TrainConfig,
@@ -367,9 +376,45 @@ def write_index_csv(index: CompositeIndex, path: Path) -> None:
     _write_atomic(path, format_month_table(("value",), index.months, index.values))
 
 
-def read_index_csv(path: Path, kind: IndexKind, min_window: int) -> CompositeIndex:
+def read_index_csv(path: Path, kind: IndexKind) -> CompositeIndex:
     _, months, values = read_month_table(path, ("value",))
-    return CompositeIndex(kind=kind, months=months, values=values[:, 0], min_window_months=min_window)
+    return CompositeIndex(kind=kind, months=months, values=values[:, 0])
+
+
+def write_index_states(states: dict[str, IndexState], path: Path) -> None:
+    """The states in ``np.savez``'s layout, one ``<kind>.<field>.npy`` member
+    per state field. ``np.savez`` stamps each member with the wall clock;
+    these carry zipfile's fixed default date, so equal states give equal bytes."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as archive:
+        for kind, state in states.items():
+            for f in fields(IndexState):
+                with archive.open(zipfile.ZipInfo(f"{kind}.{f.name}.npy"), "w") as fh:
+                    array = np.asarray(getattr(state, f.name))
+                    np.lib.format.write_array(fh, array, allow_pickle=False)
+    _write_atomic(path, buf.getvalue())
+
+
+def read_index_states(path: Path) -> tuple[dict[str, IndexState], str]:
+    """The states :func:`write_index_states` wrote, by kind; or none, and why."""
+    if not path.exists():
+        return {}, "no state"
+    try:
+        with zipfile.ZipFile(path) as archive:  # read() checks each member's CRC
+            arrays = {
+                name.removesuffix(".npy"): np.lib.format.read_array(
+                    io.BytesIO(archive.read(name)), allow_pickle=False
+                )
+                for name in archive.namelist()
+            }
+        states = {}
+        for kind in IndexKind:
+            named = {f.name: arrays[f"{kind.value}.{f.name}"] for f in fields(IndexState)}
+            named["key"], named["t"] = str(named["key"].item()), int(named["t"].item())
+            states[kind.value] = IndexState(**named)
+        return states, ""
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+        return {}, "unreadable state"
 
 
 def _write_series_dir(cfg: RunConfig, series: Sequence[RawSeries]) -> None:
@@ -481,7 +526,9 @@ def cmd_preprocess(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json").complete()
     min_window = cfg.indices["min_window_months"]
-    loadings_doc = {}
+    state_path = cfg.out_dir / "indices_state.npz"
+    states, no_state = read_index_states(state_path)
+    loadings_doc, new_states = {}, {}
     for kind, ref_key, out_name in (
         (IndexKind.GROWTH, "growth_reference_series", "growth.csv"),
         (IndexKind.INFLATION, "inflation_reference_series", "inflation.csv"),
@@ -493,7 +540,13 @@ def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
         reference = sub.series_ids[0] if reference is None else reference
         if reference not in sub.series_ids:
             raise ConfigError(f"indices.{ref_key} {reference!r} is not a {kind.value} series")
-        index = expanding_pca_index(sub, kind, min_window, reference_series=reference)
+        state = states.get(kind.value)
+        if state is not None and state.describes(sub, reference, min_window):
+            how = f"resumed, {state.values.size} months reused"
+        else:
+            how, state = f"rebuilt: {'key mismatch' if state else no_state}", None
+        index = expanding_pca_index(sub, kind, min_window, reference_series=reference, resume=state)
+        new_states[kind.value] = index.state
         write_index_csv(index, cfg.out_dir / out_name)
         final = sign_normalize(
             pca_first_component(sub.values), sub.series_ids.index(reference)
@@ -504,8 +557,9 @@ def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
             "explained_variance_ratio": final.explained_variance_ratio,
             "reference_series": reference,
         }
-        print(f"wrote {kind.value} index: {len(index)} months -> {cfg.out_dir / out_name}")
+        print(f"wrote {kind.value} index: {len(index)} months -> {cfg.out_dir / out_name} ({how})")
     _write_json(cfg.out_dir / "loadings.json", loadings_doc)
+    write_index_states(new_states, state_path)
     return EXIT_OK
 
 
@@ -594,9 +648,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _indices_for_rbbcp(cfg: RunConfig) -> tuple[CompositeIndex, CompositeIndex]:
-    min_window = cfg.indices["min_window_months"]
-    growth = read_index_csv(cfg.out_dir / "growth.csv", IndexKind.GROWTH, min_window)
-    inflation = read_index_csv(cfg.out_dir / "inflation.csv", IndexKind.INFLATION, min_window)
+    growth = read_index_csv(cfg.out_dir / "growth.csv", IndexKind.GROWTH)
+    inflation = read_index_csv(cfg.out_dir / "inflation.csv", IndexKind.INFLATION)
     return growth, inflation
 
 

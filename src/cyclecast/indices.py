@@ -24,16 +24,26 @@ iteration, with its full budget and :class:`PowerIterationError`, from the
 last RQI vector; a failed certificate resumes it from where RQI began. The
 emitted values agree with a cold per-month fit of ``values[:t]`` to about
 1e-10.
+
+Each month depends only on the running state ``(t, mean, scatter, vector)``
+left by the month before, so an index can stop and resume: the result
+carries an :class:`IndexState`, and a later call on a longer panel resumes
+from it bit for bit. A state resumes only a panel whose first ``t`` rows,
+series, reference series, minimum window and state schema version hash to
+the state's SHA-256 key; a full build is a resume from the seed state of the
+first ``min_window_months`` rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import hashlib
+import json
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .dataset import MonthStamp, Region, check_contiguous, month_row, set_arrays
+from .dataset import MonthStamp, check_contiguous, month_row, set_arrays
 from .errors import (
     DegenerateCovarianceError,
     InsufficientHistoryError,
@@ -47,6 +57,7 @@ __all__ = [
     "IndexKind",
     "PcaResult",
     "CompositeIndex",
+    "IndexState",
     "pca_first_component",
     "sign_normalize",
     "expanding_pca_index",
@@ -56,6 +67,7 @@ POWER_ITERATION_TOL = 1e-12
 POWER_ITERATION_MAX_STEPS = 10_000
 RQI_MAX_STEPS = 8
 CERTIFICATE_MARGIN = 1e-9  # relative room above the top eigenvalue in the Cholesky check
+INDEX_STATE_SCHEMA = 1  # bump when the meaning of an IndexState changes
 
 
 class IndexKind(Enum):
@@ -73,15 +85,62 @@ class PcaResult:
     explained_variance_ratio: float
 
 
+def _state_key(panel: Panel, reference_series: str, min_window_months: int, rows: int) -> str:
+    """SHA-256, in hex, of what an expanding index through panel row ``rows``
+    depends on: the state schema, the series in order, the reference series,
+    the minimum window, the first month, and the bytes of ``values[:rows]``."""
+    header = [
+        INDEX_STATE_SCHEMA, list(panel.series_ids), reference_series, min_window_months,
+        int(panel.months[0]),
+    ]
+    digest = hashlib.sha256(json.dumps(header).encode())
+    digest.update(np.ascontiguousarray(panel.values[:rows], dtype=float))
+    return digest.hexdigest()
+
+
+@dataclass(frozen=True)
+class IndexState:
+    """Where an expanding index stopped: after ``t`` panel rows, their running
+    mean and centred scatter, month t's signed eigenvector, and the index
+    values emitted through month t. ``key`` is the :func:`_state_key` of
+    the panel it was built from."""
+
+    key: str
+    t: int
+    mean: np.ndarray
+    scatter: np.ndarray
+    vector: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        set_arrays(self, mean=float, vector=float, values=float)
+        object.__setattr__(self, "scatter", np.asarray(self.scatter, dtype=float))
+        d = self.mean.size
+        shaped = self.scatter.shape == (d, d) and self.vector.shape == (d,) and self.values.size
+        arrays = (self.mean, self.scatter, self.vector, self.values)
+        if not (shaped and all(np.isfinite(a).all() for a in arrays)):
+            raise ValueError("index state arrays are misshapen or non-finite")
+
+    def describes(self, panel: Panel, reference_series: str, min_window_months: int) -> bool:
+        """Whether this state is the one a build of ``panel`` reaches after ``t`` rows."""
+        return (
+            self.t <= panel.n_months
+            and self.mean.size == panel.n_series
+            and self.values.size == self.t - min_window_months + 1
+            and self.key == _state_key(panel, reference_series, min_window_months, self.t)
+        )
+
+
 @dataclass(frozen=True)
 class CompositeIndex:
-    """Monthly composite index emitted once the expanding window is filled; contiguous months."""
+    """Monthly composite index emitted once the expanding window is filled;
+    contiguous months. ``state`` is where an expanding build stopped, if this
+    index came from one."""
 
     kind: IndexKind
     months: np.ndarray
     values: np.ndarray
-    min_window_months: int
-    region: Region | None = None
+    state: IndexState | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         set_arrays(self, months=np.int64, values=float)
@@ -263,6 +322,7 @@ def expanding_pca_index(
     kind: IndexKind | str,
     min_window_months: int = 60,
     reference_series: str | None = None,
+    resume: IndexState | None = None,
 ) -> CompositeIndex:
     """Composite index re-estimating the first PC each month.
 
@@ -277,6 +337,11 @@ def expanding_pca_index(
     updates them by rank one, ``M += (x - mu_old)(x - mu_new)^T``, and the
     solve warm-starts from the previous month's signed eigenvector
     (:func:`_warm_top_eigenvector`); the first month starts cold.
+
+    ``resume``, the ``state`` of an earlier result, continues from its last
+    month instead of from the seed. It must describe this panel
+    (:meth:`IndexState.describes`), else ``ValueError``; the loop is purely
+    sequential in its state, so the result is bit-identical to a full build.
     """
     kind = IndexKind(kind) if not isinstance(kind, IndexKind) else kind
     if min_window_months < 2:
@@ -289,21 +354,29 @@ def expanding_pca_index(
         raise PanelTooShortError(
             f"panel has {n} months, expanding index needs >= {min_window_months}"
         )
+    if panel.n_series == 0:
+        raise DegenerateCovarianceError("panel has no series")
     if reference_series is None:
-        ref_col = 0
-    else:
-        try:
-            ref_col = panel.series_ids.index(reference_series)
-        except ValueError:
-            raise ValueError(f"reference series {reference_series!r} not in panel") from None
-    mu = values[:min_window_months].mean(axis=0)
-    centered = values[:min_window_months] - mu
-    scatter = centered.T @ centered
-    v = None
+        reference_series = panel.series_ids[0]
+    try:
+        ref_col = panel.series_ids.index(reference_series)
+    except ValueError:
+        raise ValueError(f"reference series {reference_series!r} not in panel") from None
     out = np.empty(n - min_window_months + 1)
-    for t in range(min_window_months, n + 1):
+    if resume is None:  # the seed state: no month emitted yet
+        rows, done, v = min_window_months, 0, None
+        mu = values[:rows].mean(axis=0)
+        centered = values[:rows] - mu
+        scatter = centered.T @ centered
+    elif resume.describes(panel, reference_series, min_window_months):
+        rows, done, v = resume.t, resume.values.size, resume.vector
+        mu, scatter = resume.mean, resume.scatter.copy()
+        out[:done] = resume.values
+    else:
+        raise ValueError("index state does not describe this panel")
+    for t in range(min_window_months + done, n + 1):
         x = values[t - 1]
-        if t > min_window_months:
+        if t > rows:
             delta = x - mu
             mu = mu + delta / t
             scatter += np.outer(delta, x - mu)
@@ -312,10 +385,14 @@ def expanding_pca_index(
         v, _ = _top_eigenvector(cov) if v is None else _warm_top_eigenvector(cov, v)
         v = v * _reference_sign(v, ref_col)
         out[t - min_window_months] = (x - mu) @ v
-    return CompositeIndex(
-        kind=kind,
-        months=panel.months[min_window_months - 1 :],
+    state = IndexState(
+        key=_state_key(panel, reference_series, min_window_months, n),
+        t=n,
+        mean=mu,
+        scatter=scatter,
+        vector=v,
         values=out,
-        min_window_months=min_window_months,
-        region=panel.region,
+    )
+    return CompositeIndex(
+        kind=kind, months=panel.months[min_window_months - 1 :], values=out, state=state
     )

@@ -45,6 +45,10 @@ __all__ = [
 
 # Large-sample Dickey-Fuller critical values, constant-only specification.
 ADF_CRITICAL = {0.01: -3.43, 0.05: -2.86, 0.10: -2.57}
+# Rounding spread of the differences of an exactly linear series: at most 4
+# ulps of its level measured over random slopes and intercepts, 9.5 for
+# log-differences of a geometric series.
+LINEAR_SPREAD_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -151,6 +155,27 @@ def difference_transform(series: RawSeries, kind: Transform | str) -> RawSeries:
     else:
         y = np.diff(x)
     return replace(series, months=series.months[1:], values=y, transform_applied=kind)
+
+
+def _difference_nonlinear(series: RawSeries, kind: Transform) -> RawSeries:
+    """:func:`difference_transform` for the pipeline, which refuses a linear series.
+
+    Each difference is exact only to about an ulp of the level it is taken
+    from, so steps whose spread lies within ``LINEAR_SPREAD_ULPS`` ulps of the
+    largest level are rounding noise around a constant. The series is then
+    linear (log-linear for ``log_diff``) up to rounding, and standardizing
+    that noise would scale it to unit variance, so it raises
+    :class:`ZeroVarianceError` instead.
+    """
+    out = difference_transform(series, kind)
+    level = np.asarray(series.values, dtype=float)
+    level = np.log(level) if kind is Transform.LOG_DIFF else level
+    if np.ptp(out.values) <= LINEAR_SPREAD_ULPS * np.spacing(np.abs(level).max()):
+        raise ZeroVarianceError(
+            f"series {series.series_id!r}: its {kind.value} steps are equal up to rounding "
+            "(a constant or linear series)"
+        )
+    return out
 
 
 def schwert_lag(n: int) -> int:
@@ -351,14 +376,15 @@ def ensure_stationary(
 
     Log differences are used when the level series is strictly positive,
     plain differences otherwise. Gives up after ``max_rounds`` transforms and
-    returns the last attempt together with its test result.
+    returns the last attempt together with its test result. A series whose
+    steps are equal up to rounding raises :class:`ZeroVarianceError`.
     """
     current = series
     result = adf_statistic(current, max_lag=max_lag, alpha=alpha)
     rounds = 0
     while not result.is_stationary and rounds < max_rounds:
         kind = Transform.LOG_DIFF if np.all(current.values > 0) else Transform.DIFF
-        current = difference_transform(current, kind)
+        current = _difference_nonlinear(current, kind)
         result = adf_statistic(current, max_lag=max_lag, alpha=alpha)
         rounds += 1
     return current, result
@@ -377,12 +403,13 @@ def standardize_series(
     """Full per-series pipeline: stationarity, Z-score, Newey-West weighting.
 
     ``stationarity`` is ``"auto"`` (ADF-tested, differenced when needed),
-    ``"none"``, ``"diff"`` or ``"log_diff"``.
+    ``"none"``, ``"diff"`` or ``"log_diff"``. Differencing a series that is
+    linear up to rounding raises :class:`ZeroVarianceError`.
     """
     if stationarity == "auto":
         series, _ = ensure_stationary(series, alpha=adf_alpha, max_lag=adf_max_lag)
     elif stationarity in ("diff", "log_diff"):
-        series = difference_transform(series, Transform(stationarity))
+        series = _difference_nonlinear(series, Transform(stationarity))
     elif stationarity != "none":
         raise ValueError(f"unknown stationarity mode {stationarity!r}")
     standardized = zscore(series, mode=zscore_mode, min_window=min_window)

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import shutil
@@ -376,8 +378,21 @@ class TestConfigSchema:
     def test_readme_key_table_matches_schema(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         table = readme.split("## Configuration", 1)[1].split("```", 2)[1]
-        rows = table.splitlines()[2:]  # after the fence's line and the header row
-        assert sorted(row.split()[0] for row in rows if row[:1].strip()) == sorted(CONFIG_SCHEMA)
+        header, *lines = table.splitlines()[1:]  # after the fence's line
+        column = header.index("default")
+        defaults = {}  # key -> its default cell; a continuation line may hold it
+        for line in lines:
+            if line[:1].strip():
+                key = line.split()[0]
+                defaults[key] = ""
+            if line[column - 2 : column] == "  " and line[column : column + 1].strip():
+                defaults[key] += line[column:].strip()
+        assert sorted(defaults) == sorted(CONFIG_SCHEMA)
+        for key, cell in defaults.items():
+            # "null: <what null means>" documents a null default
+            shown = None if cell.split(":")[0] == "null" else json.loads(cell)
+            default = CONFIG_SCHEMA[key][0]
+            assert (type(shown), shown) == (type(default), default), key
 
 
 class TestDataErrors:
@@ -437,7 +452,7 @@ class TestDataErrors:
         assert err.startswith("data error:") and err.count("\n") == 1
         assert "'growth_00'" in err and f"{int(year):04d}-{int(month):02d}" in err
 
-    @pytest.mark.parametrize("shape", ["constant", "linear"])
+    @pytest.mark.parametrize("shape", ["constant", "linear", "linear up to rounding"])
     def test_degenerate_series_under_adf_names_it(self, tmp_path, capsys, shape):
         synth = json.loads(write_config(tmp_path).read_text())["synth"]
         config = write_config(tmp_path, preprocess={"stationarity": "auto"}, synth={**synth, "n_series": 4})
@@ -445,14 +460,17 @@ class TestDataErrors:
         path = tmp_path / "data" / "series" / "growth_00.csv"
         lines = path.read_text().splitlines()
         for i in range(1, len(lines)):
-            value = 5 if shape == "constant" else 3 * i - 7
+            # 0.1 * k: no singular ADF regression, but differences that are
+            # rounding noise around 0.1
+            value = {"constant": 5, "linear": 3 * i - 7, "linear up to rounding": 0.1 * (i - 1)}[shape]
             lines[i] = ",".join(lines[i].split(",")[:2] + [str(value)])
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run(config, "preprocess") == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
-        assert "'growth_00'" in err and "ADF" in err
+        reason = "equal up to rounding" if shape == "linear up to rounding" else "ADF"
+        assert "'growth_00'" in err and reason in err
 
     @pytest.mark.parametrize(
         "line, corrupt",
@@ -735,6 +753,108 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+INDEX_ARTIFACTS = ("growth.csv", "inflation.csv", "loadings.json", "indices_state.npz")
+
+
+def rebuilt_indices(tmp_path: Path, config: Path) -> dict[str, bytes]:
+    """The index artifacts build-indices writes from out/panel.csv into an empty out dir."""
+    fresh = tmp_path / "fresh"
+    shutil.rmtree(fresh, ignore_errors=True)
+    fresh.mkdir()
+    for name in ("panel.csv", "panel_meta.json"):
+        shutil.copy(tmp_path / "out" / name, fresh / name)
+    doc = json.loads(config.read_text())
+    doc["paths"]["out_dir"] = str(fresh)
+    fresh_config = tmp_path / "fresh_config.json"
+    fresh_config.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(fresh_config, "build-indices") == EXIT_OK
+    return {name: (fresh / name).read_bytes() for name in INDEX_ARTIFACTS}
+
+
+def index_paths(out: str) -> list[str]:
+    """The per-category path note build-indices printed, e.g. ``rebuilt: no state``."""
+    return [line.rsplit(" (", 1)[1].rstrip(")") for line in out.splitlines() if " index: " in line]
+
+
+class TestIndexResume:
+    def test_appending_months_matches_a_rebuild(self, tmp_path, capsys):
+        # expanding z-scores with a whole-sample Newey-West weight: some
+        # appends leave the consumed panel rows alone (a hit), others rescale
+        # them (a miss)
+        config = write_config(tmp_path, preprocess={"stationarity": "none", "zscore_mode": "expanding"})
+        assert run(config, "synth") == EXIT_OK
+        held = {}
+        for path in sorted((tmp_path / "data" / "series").glob("*.csv")):
+            lines = path.read_text().splitlines(keepends=True)
+            held[path], lines = lines[-6:], lines[:-6]
+            path.write_text("".join(lines))
+        paths = []
+        for k in range(6):
+            for path, lines in held.items():
+                with path.open("a") as fh:
+                    fh.write(lines[k])
+            capsys.readouterr()
+            assert run(config, "preprocess") == EXIT_OK
+            assert run(config, "build-indices") == EXIT_OK
+            paths += index_paths(capsys.readouterr().out)
+            out = tmp_path / "out"
+            assert {name: (out / name).read_bytes() for name in INDEX_ARTIFACTS} == rebuilt_indices(
+                tmp_path, config
+            )
+        assert paths[:2] == ["rebuilt: no state"] * 2
+        assert any(p.startswith("resumed, ") for p in paths)
+        assert "rebuilt: key mismatch" in paths
+
+    def test_rerun_resumes_every_month(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        out = tmp_path / "out"
+        first = {name: (out / name).read_bytes() for name in INDEX_ARTIFACTS}
+        capsys.readouterr()
+        assert run(config, "build-indices") == EXIT_OK
+        assert index_paths(capsys.readouterr().out) == ["resumed, 91 months reused"] * 2
+        assert {name: (out / name).read_bytes() for name in INDEX_ARTIFACTS} == first
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda blob: blob[: len(blob) // 2],  # truncated
+            lambda blob: blob[:-200] + bytes([blob[-200] ^ 1]) + blob[-199:],  # a flipped bit
+            lambda blob: b"",
+            lambda blob: b"not an npz file",
+        ],
+    )
+    def test_damaged_state_is_rebuilt(self, pipeline, capsys, damage):
+        tmp_path, config = pipeline
+        path = tmp_path / "out" / "indices_state.npz"
+        path.write_bytes(damage(path.read_bytes()))
+        capsys.readouterr()
+        assert run(config, "build-indices") == EXIT_OK
+        assert index_paths(capsys.readouterr().out) == ["rebuilt: unreadable state"] * 2
+        out = tmp_path / "out"
+        assert {name: (out / name).read_bytes() for name in INDEX_ARTIFACTS} == rebuilt_indices(
+            tmp_path, config
+        )
+
+    @pytest.mark.parametrize(
+        "indices",
+        [{"min_window_months": 61}, {"growth_reference_series": "growth_02"}],
+    )
+    def test_changed_index_config_is_rebuilt(self, pipeline, capsys, indices):
+        tmp_path, config = pipeline
+        doc = json.loads(config.read_text())
+        doc["indices"] = indices
+        config.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(config, "build-indices") == EXIT_OK
+        paths = index_paths(capsys.readouterr().out)
+        assert paths[0] == "rebuilt: key mismatch"
+        out = tmp_path / "out"
+        assert {name: (out / name).read_bytes() for name in INDEX_ARTIFACTS} == rebuilt_indices(
+            tmp_path, config
+        )
+
+
 class TestArtifactCodec:
     """Artifacts written, read back and written again are byte-identical."""
 
@@ -772,7 +892,6 @@ class TestArtifactCodec:
             kind=IndexKind.GROWTH,
             months=month_range(MonthStamp(1999, 11), 3),
             values=(0.1, -1e300, 2 / 3),
-            min_window_months=60,
         )
         path = tmp_path / "growth.csv"
         write_index_csv(index, path)
@@ -780,7 +899,7 @@ class TestArtifactCodec:
         assert first.splitlines() == [
             b"year,month,value", b"1999,11,0.1", b"1999,12,-1e+300", b"2000,1,0.6666666666666666"
         ]
-        loaded = read_index_csv(path, IndexKind.GROWTH, 60)
+        loaded = read_index_csv(path, IndexKind.GROWTH)
         assert_fields_equal(loaded, index)
         write_index_csv(loaded, path)
         assert path.read_bytes() == first

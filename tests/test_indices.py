@@ -1,8 +1,13 @@
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclecast import indices
+from cyclecast.cli import read_index_states, write_index_states
 from cyclecast.dataset import MonthStamp
 from cyclecast.errors import (
     DataError,
@@ -24,7 +29,7 @@ from cyclecast.indices import (
     _warm_top_eigenvector,
 )
 
-from conftest import make_panel
+from conftest import assert_fields_equal, make_panel
 
 
 class TestFirstComponent:
@@ -426,3 +431,79 @@ class TestWarmSolver:
         expanding_pca_index(panel, "growth", 60)
         assert len(per_month) == 300 - 60
         assert np.median(per_month) <= d // 3 + 4
+
+
+def panel_of(X, rows=None):
+    return make_panel({f"s{j}": X[:rows, j] for j in range(X.shape[1])})
+
+
+def through_npz(state):
+    """``state`` written to and read back from an ``indices_state.npz`` file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "indices_state.npz"
+        write_index_states({"growth": state, "inflation": state}, path)
+        states, why = read_index_states(path)
+    assert why == ""
+    return states["growth"]
+
+
+class TestResume:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 12),
+        gap=st.sampled_from(["separated", "weak"]),
+        extra=st.integers(0, 15),
+    )
+    def test_resuming_at_every_cut_is_bit_identical(self, seed, d, gap, extra):
+        min_window = 20
+        n = min_window + extra
+        if gap == "separated":
+            rng = np.random.default_rng(seed)
+            X = np.outer(rng.standard_normal(n), rng.uniform(0.5, 1.5, d))
+            X += 0.3 * rng.standard_normal((n, d))
+        else:
+            X = weak_panel_values(seed, n=n, d=d)
+        full = expanding_pca_index(panel_of(X), "growth", min_window)
+        for k in range(min_window, n + 1):
+            head = expanding_pca_index(panel_of(X, k), "growth", min_window)
+            resumed = expanding_pca_index(
+                panel_of(X), "growth", min_window, resume=through_npz(head.state)
+            )
+            np.testing.assert_array_equal(resumed.values, full.values)
+            assert_fields_equal(resumed.state, full.state)
+
+    @pytest.mark.parametrize(
+        "change",
+        ["prefix cell", "series order", "reference series", "min window", "schema", "shorter"],
+    )
+    def test_state_of_another_panel_is_refused(self, rng, monkeypatch, change):
+        X = rng.standard_normal((70, 4)) + rng.standard_normal(70)[:, None]
+        state = expanding_pca_index(panel_of(X, 65), "growth", 60).state
+        panel, reference, min_window = panel_of(X), "s0", 60
+        assert state.describes(panel, reference, min_window)
+        if change == "prefix cell":
+            Y = X.copy()
+            Y[3, 2] = np.nextafter(Y[3, 2], np.inf)
+            panel = panel_of(Y)
+        elif change == "series order":
+            panel = make_panel({f"s{j}": X[:, j] for j in (0, 2, 1, 3)})
+        elif change == "reference series":
+            reference = "s1"
+        elif change == "min window":
+            state = replace(state, values=state.values[1:])  # the length a 61-month window has
+            min_window = 61
+        elif change == "schema":
+            monkeypatch.setattr(indices, "INDEX_STATE_SCHEMA", indices.INDEX_STATE_SCHEMA + 1)
+        else:
+            panel = panel_of(X, 64)
+        assert not state.describes(panel, reference, min_window)
+        with pytest.raises(ValueError, match="does not describe"):
+            expanding_pca_index(panel, "growth", min_window, reference_series=reference, resume=state)
+
+    def test_inconsistent_state_arrays_are_refused(self, rng):
+        state = expanding_pca_index(random_panel(rng, 62), "growth", 60).state
+        with pytest.raises(ValueError):
+            replace(state, vector=state.vector[:2])
+        with pytest.raises(ValueError):
+            replace(state, mean=np.full(3, np.nan))

@@ -23,7 +23,6 @@ def index_of(values, start=MonthStamp(2010, 1), kind=IndexKind.GROWTH):
         kind=kind,
         months=month_range(start, len(values)),
         values=tuple(float(v) for v in values),
-        min_window_months=60,
     )
 
 
