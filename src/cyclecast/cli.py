@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 import zipfile
 from dataclasses import dataclass, fields
@@ -32,13 +31,14 @@ from .dataset import (
     Region,
     SplitSpec,
     finite_cell_or_nan,
-    format_month_table,
     load_labels,
     load_series_csv,
     next_month_labels,
     read_month_table,
     split_rows,
+    write_atomic as _write_atomic,
     write_labels,
+    write_month_table,
 )
 from .errors import (
     ConfigError,
@@ -296,25 +296,19 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _write_atomic(path: Path, data: str | bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    if isinstance(data, str):
-        tmp.write_text(data, encoding="utf-8")
-    else:
-        tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 def _write_json(path: Path, doc: dict) -> None:
     _write_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 # --- panel and feature artifacts -------------------------------------------
+# The table writers hand write_month_table this module's _write_atomic, so a
+# wrapper installed on that name (the benchmark tracer, perfbench/spans.py)
+# sees the table bytes too.
 
 
-def write_panel(panel: Panel, csv_path: Path, meta_path: Path) -> None:
-    _write_atomic(csv_path, format_month_table(panel.series_ids, panel.months, panel.values))
+def write_panel(panel: Panel, csv_path: Path, meta_path: Path) -> str:
+    """Write the panel and its sidecar; :func:`write_month_table`'s note on which path ran."""
+    note = write_month_table(csv_path, panel.series_ids, panel.months, panel.values, _write_atomic)
     meta = {
         "region": panel.region.value if panel.region else None,
         "columns": [
@@ -324,6 +318,7 @@ def write_panel(panel: Panel, csv_path: Path, meta_path: Path) -> None:
         "fills": list(panel.fills),
     }
     _write_json(meta_path, meta)
+    return note
 
 
 def _read_sidecar(path: Path, parse: Callable[[dict], object]):
@@ -358,10 +353,12 @@ def read_panel(csv_path: Path, meta_path: Path) -> Panel:
     )
 
 
-def write_features(fm: FeatureMatrix, csv_path: Path, meta_path: Path, sign_only: bool) -> None:
-    _write_atomic(csv_path, format_month_table(fm.feature_names, fm.months, fm.values))
+def write_features(fm: FeatureMatrix, csv_path: Path, meta_path: Path, sign_only: bool) -> str:
+    """Write the features and their sidecar; :func:`write_month_table`'s note on which path ran."""
+    note = write_month_table(csv_path, fm.feature_names, fm.months, fm.values, _write_atomic)
     meta = {"window": fm.window, "sign_only": sign_only, "feature_names": list(fm.feature_names)}
     _write_json(meta_path, meta)
+    return note
 
 
 def read_features(csv_path: Path, meta_path: Path) -> FeatureMatrix:
@@ -372,8 +369,9 @@ def read_features(csv_path: Path, meta_path: Path) -> FeatureMatrix:
     )
 
 
-def write_index_csv(index: CompositeIndex, path: Path) -> None:
-    _write_atomic(path, format_month_table(("value",), index.months, index.values))
+def write_index_csv(index: CompositeIndex, path: Path) -> str:
+    """Write the index; :func:`write_month_table`'s note on which path ran."""
+    return write_month_table(path, ("value",), index.months, index.values, _write_atomic)
 
 
 def read_index_csv(path: Path, kind: IndexKind) -> CompositeIndex:
@@ -518,8 +516,11 @@ def cmd_preprocess(cfg: RunConfig, args: argparse.Namespace) -> int:
     start = min(int(s.months[0]) for s in standardized)
     end = max(int(s.months[-1]) for s in standardized)
     panel = align_panel(standardized, start, end)
-    write_panel(panel, cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
-    print(f"wrote panel: {panel.n_months} months x {panel.n_series} series -> {cfg.out_dir / 'panel.csv'}")
+    note = write_panel(panel, cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
+    print(
+        f"wrote panel: {panel.n_months} months x {panel.n_series} series -> {cfg.out_dir / 'panel.csv'}"
+        f" ({note})"
+    )
     return EXIT_OK
 
 
@@ -547,7 +548,7 @@ def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
             how, state = f"rebuilt: {'key mismatch' if state else no_state}", None
         index = expanding_pca_index(sub, kind, min_window, reference_series=reference, resume=state)
         new_states[kind.value] = index.state
-        write_index_csv(index, cfg.out_dir / out_name)
+        note = write_index_csv(index, cfg.out_dir / out_name)
         final = sign_normalize(
             pca_first_component(sub.values), sub.series_ids.index(reference)
         )
@@ -557,7 +558,9 @@ def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
             "explained_variance_ratio": final.explained_variance_ratio,
             "reference_series": reference,
         }
-        print(f"wrote {kind.value} index: {len(index)} months -> {cfg.out_dir / out_name} ({how})")
+        print(
+            f"wrote {kind.value} index: {len(index)} months -> {cfg.out_dir / out_name} ({note}) ({how})"
+        )
     _write_json(cfg.out_dir / "loadings.json", loadings_doc)
     write_index_states(new_states, state_path)
     return EXIT_OK
@@ -567,8 +570,13 @@ def cmd_features(cfg: RunConfig, args: argparse.Namespace) -> int:
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
     sign_only = cfg.features["trend_sign_only"]
     fm = build_feature_matrix(panel, cfg.window, sign_only=sign_only)
-    write_features(fm, cfg.out_dir / "features.csv", cfg.out_dir / "features_meta.json", sign_only)
-    print(f"wrote {fm.n_rows} feature rows x {len(fm.feature_names)} series -> {cfg.out_dir / 'features.csv'}")
+    note = write_features(
+        fm, cfg.out_dir / "features.csv", cfg.out_dir / "features_meta.json", sign_only
+    )
+    print(
+        f"wrote {fm.n_rows} feature rows x {len(fm.feature_names)} series"
+        f" -> {cfg.out_dir / 'features.csv'} ({note})"
+    )
     return EXIT_OK
 
 
@@ -633,6 +641,9 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = _fit_model(cfg.model, scaler.apply(X[fit_rows]), y[fit_rows], tc)
     final_loss = nll_loss(model.predict_proba(scaler.apply(X[fit_rows])), y[fit_rows])
     log_lines.append(f"final_fit rows={fit_rows.size} loss={final_loss:.6f}")
+    if cfg.model == "svm":
+        at_bound = model.temperature_at_bound or "none"
+        log_lines.append(f"temperature={model.temperature!r} at_bound={at_bound}")
     artifact = ModelArtifact(
         model=model,
         region=cfg.region,

@@ -14,7 +14,10 @@ indices must be contiguous: gaps are data errors, never silently filled.
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -46,6 +49,9 @@ __all__ = [
     "load_series_csv",
     "read_month_table",
     "format_month_table",
+    "write_month_table",
+    "write_atomic",
+    "digest_path",
     "finite_cell",
     "finite_cell_or_nan",
 ]
@@ -384,13 +390,121 @@ def format_month_table(names: Sequence[str], months: np.ndarray, rows) -> str:
     integers), so floats round-trip bit-exactly; NaN is an empty cell. LF line
     endings, no trailing blank line.
     """
+    rows = np.asarray(rows).reshape(len(months), len(names))
+    return _format_rows(_format_header(names), months, rows)
+
+
+def _format_header(names: Sequence[str]) -> str:
+    return ",".join(("year", "month", *names)) + "\n"
+
+
+def _format_rows(head: str, months: np.ndarray, rows: np.ndarray) -> str:
+    """``head`` followed by the body lines of :func:`format_month_table`, each ending in LF."""
     isnan = math.isnan
-    lines = [",".join(("year", "month", *names))]
     years, month0 = np.divmod(np.asarray(months, dtype=np.int64), 12)
-    values = np.asarray(rows).reshape(len(months), len(names)).tolist()
-    for year, m, row in zip(years.tolist(), month0.tolist(), values):
-        lines.append(f"{year},{m + 1}," + ",".join(["" if isnan(v) else repr(v) for v in row]))
-    return "\n".join(lines) + "\n"
+    lines = [head]
+    for year, m, row in zip(years.tolist(), month0.tolist(), rows.tolist()):
+        lines.append(f"{year},{m + 1}," + ",".join(["" if isnan(v) else repr(v) for v in row]) + "\n")
+    return "".join(lines)
+
+
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write ``data`` (str as UTF-8) to a temporary file beside ``path``, then rename it over ``path``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    if isinstance(data, str):
+        tmp.write_text(data, encoding="utf-8")
+    else:
+        tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
+def digest_path(path: str | Path) -> Path:
+    """The digest record :func:`write_month_table` keeps beside table ``path``: ``<stem>_digest.json``."""
+    path = Path(path)
+    return path.with_name(f"{path.stem}_digest.json")
+
+
+def write_month_table(
+    path: str | Path,
+    names: Sequence[str],
+    months: np.ndarray,
+    values,
+    write: Callable[[Path, str | bytes], None] = write_atomic,
+) -> str:
+    """Write a float table as :func:`format_month_table` text, reusing the file's verified prefix.
+
+    ``months`` must be contiguous ordinals; ``values`` is months by names.
+    After the table, a digest record (:func:`digest_path`) is written: the
+    row count, the first month's ordinal, the column names, and SHA-256
+    hashes of the rows' float64 bytes and of the file's bytes. If the record
+    on disk describes the first k rows of this table and still matches the
+    file, the file's bytes are kept and only rows k onwards are formatted;
+    otherwise k = 0 and every row is. The bytes written are those of
+    :func:`format_month_table` either way. Both files go through ``write``
+    (:func:`write_atomic`, or the caller's own atomic writer).
+
+    Returns which path ran: ``appended N rows``, or ``rewritten:`` followed
+    by ``no digest``, ``unreadable digest``, ``changed rows`` (another
+    header, first month, row count or cell) or ``edited file`` (the file
+    differs from the one the record was written with). A bad record never
+    raises; it only costs a full write.
+    """
+    path = Path(path)
+    months = np.asarray(months, dtype=np.int64)
+    check_contiguous(months, path.name)
+    values = np.ascontiguousarray(values, dtype=np.float64).reshape(len(months), len(names))
+    kept = _verified_prefix(path, names, months, values)
+    if isinstance(kept, str):
+        k, data, head, note = 0, b"", _format_header(names), f"rewritten: {kept}"
+    else:
+        (k, data), head, note = kept, "", f"appended {len(months) - kept[0]} rows"
+    data += _format_rows(head, months[k:], values[k:]).encode("utf-8")  # b"" + x does not copy x
+    write(path, data)
+    record = {**_row_digest(names, months, values), "file_sha256": hashlib.sha256(data).hexdigest()}
+    write(digest_path(path), json.dumps(record, sort_keys=True, indent=1) + "\n")
+    return note
+
+
+def _row_digest(names: Sequence[str], months: np.ndarray, values: np.ndarray) -> dict:
+    """The digest record's fields that describe a table's rows."""
+    return {
+        "rows": len(months),
+        "first_month": int(months[0]) if len(months) else None,
+        "columns": list(names),
+        "values_sha256": hashlib.sha256(values).hexdigest(),
+    }
+
+
+_DIGEST_FIELDS = {"rows", "first_month", "columns", "values_sha256", "file_sha256"}
+
+
+def _verified_prefix(
+    path: Path, names: Sequence[str], months: np.ndarray, values: np.ndarray
+) -> tuple[int, bytes] | str:
+    """(k, the file's bytes) when the digest record proves the file holds this
+    table's first k rows; otherwise why not."""
+    record_path = digest_path(path)
+    if not record_path.exists():
+        return "no digest"
+    try:
+        record = json.loads(record_path.read_bytes())
+        n = record["rows"]
+        if record.keys() != _DIGEST_FIELDS or type(n) is not int or n < 0:
+            return "unreadable digest"
+    except (OSError, ValueError, KeyError, TypeError):  # ValueError: not UTF-8 or not JSON
+        return "unreadable digest"
+    file_sha256 = record.pop("file_sha256")
+    if n > len(months) or record != _row_digest(names, months[:n], values[:n]):
+        return "changed rows"
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return "edited file"
+    if hashlib.sha256(data).hexdigest() != file_sha256:
+        return "edited file"
+    return n, data
 
 
 def load_labels(path: str | Path, region: Region | None = None) -> LabeledDataset:

@@ -178,6 +178,9 @@ class LinearModel:
     weights: np.ndarray  # (4, d)
     bias: np.ndarray  # (4,)
     temperature: float = 1.0
+    # Set by train_svm: "lower" or "upper" when the fitted temperature is an
+    # end of its search grid. A training diagnostic; model files do not hold it.
+    temperature_at_bound: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -342,15 +345,20 @@ def _fit_binary_svm(
     return w
 
 
-def _fit_temperature(margins: np.ndarray, codes: np.ndarray) -> float:
-    """Pick the softmax temperature minimizing held-out NLL over a log grid."""
+def _fit_temperature(margins: np.ndarray, codes: np.ndarray) -> tuple[float, str | None]:
+    """Pick the softmax temperature minimizing held-out NLL over a log grid.
+
+    Also returns ``"lower"`` or ``"upper"`` when that minimum lies on an end
+    of the 0.01-100 grid (the NLL may still fall beyond it), else None.
+    """
     grid = np.logspace(-2.0, 2.0, 161)
-    best_t, best_nll = 1.0, np.inf
-    for t in grid:
+    best_t, best_nll, at_bound = 1.0, np.inf, None
+    for i, t in enumerate(grid):
         nll = nll_loss(softmax(margins / t), codes)
         if nll < best_nll:
             best_t, best_nll = float(t), nll
-    return best_t
+            at_bound = "lower" if i == 0 else "upper" if i == grid.size - 1 else None
+    return best_t, at_bound
 
 
 def train_svm(X: np.ndarray, y, cfg: TrainConfig = TrainConfig()) -> LinearModel:
@@ -383,15 +391,18 @@ def train_svm(X: np.ndarray, y, cfg: TrainConfig = TrainConfig()) -> LinearModel
     if holdout >= 10 and n >= 20:
         shadow_w, shadow_b = fit_all(np.arange(holdout))
         margins = X[holdout:] @ shadow_w.T + shadow_b
-        temperature = _fit_temperature(margins, codes[holdout:])
+        fitted = _fit_temperature(margins, codes[holdout:])
     else:
-        temperature = None
+        fitted = None
 
     weights, bias = fit_all(np.arange(n))
-    if temperature is None:
+    if fitted is None:
         margins = X @ weights.T + bias
-        temperature = _fit_temperature(margins, codes)
-    return LinearModel(weights=weights, bias=bias, temperature=temperature)
+        fitted = _fit_temperature(margins, codes)
+    temperature, at_bound = fitted
+    return LinearModel(
+        weights=weights, bias=bias, temperature=temperature, temperature_at_bound=at_bound
+    )
 
 
 # --- multi-layer perceptron -------------------------------------------------

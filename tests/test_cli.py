@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -636,6 +637,14 @@ class TestPipeline:
             assert doc["model"]["kind"] == {"svm": "linear", "mlp": "mlp"}[kind]
             assert run(config, "evaluate") == EXIT_OK
 
+    def test_svm_log_reports_the_temperature_bound(self, pipeline):
+        tmp_path, config = pipeline
+        assert run(config, "train", "--model", "svm") == EXIT_OK
+        log = (tmp_path / "out" / "training_log.txt").read_text()
+        match = re.search(r"^temperature=(\S+) at_bound=(lower|upper|none)$", log, re.MULTILINE)
+        doc = json.loads((tmp_path / "out" / "model.json").read_text())
+        assert match and float(match[1]) == doc["model"]["temperature"]
+
     def test_window_selection_on_validation(self, pipeline):
         tmp_path, config = pipeline
         new_config = json.loads(Path(config).read_text())
@@ -853,6 +862,76 @@ class TestIndexResume:
         assert {name: (out / name).read_bytes() for name in INDEX_ARTIFACTS} == rebuilt_indices(
             tmp_path, config
         )
+
+
+TABLES = ("panel.csv", "features.csv", "growth.csv", "inflation.csv")
+
+
+def fresh_tables(tmp_path: Path, config: Path) -> dict[str, bytes]:
+    """The tables preprocess -> build-indices -> features write into an empty out dir."""
+    fresh = tmp_path / "fresh"
+    shutil.rmtree(fresh, ignore_errors=True)
+    doc = json.loads(config.read_text())
+    doc["paths"]["out_dir"] = str(fresh)
+    fresh_config = tmp_path / "fresh_config.json"
+    fresh_config.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in ("preprocess", "build-indices", "features"):
+            assert run(fresh_config, command) == EXIT_OK
+    return {name: (fresh / name).read_bytes() for name in TABLES}
+
+
+def table_notes(out: str) -> list[str]:
+    """The table-write notes printed, e.g. ``appended 1 rows`` or ``rewritten: no digest``."""
+    return re.findall(r"\((appended \d+ rows|rewritten: [a-z ]+)\)", out)
+
+
+class TestTableAppend:
+    def test_appending_months_matches_a_fresh_build(self, tmp_path, capsys):
+        # as in TestIndexResume: the whole-sample Newey-West weight rescales
+        # the panel on some appends, so those rewrite every table
+        config = write_config(tmp_path, preprocess={"stationarity": "none", "zscore_mode": "expanding"})
+        assert run(config, "synth") == EXIT_OK
+        held = {}
+        for path in sorted((tmp_path / "data" / "series").glob("*.csv")):
+            lines = path.read_text().splitlines(keepends=True)
+            held[path], lines = lines[-6:], lines[:-6]
+            path.write_text("".join(lines))
+        notes = []
+        for k in range(6):
+            for path, lines in held.items():
+                with path.open("a") as fh:
+                    fh.write(lines[k])
+            capsys.readouterr()
+            for command in ("preprocess", "build-indices", "features"):
+                assert run(config, command) == EXIT_OK
+            notes += table_notes(capsys.readouterr().out)
+            out = tmp_path / "out"
+            assert {name: (out / name).read_bytes() for name in TABLES} == fresh_tables(tmp_path, config)
+        assert len(notes) == 4 * 6
+        assert notes[:4] == ["rewritten: no digest"] * 4
+        assert "appended 1 rows" in notes
+        assert "rewritten: changed rows" in notes
+
+    def test_rerun_appends_nothing(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        out = tmp_path / "out"
+        first = {name: (out / name).read_bytes() for name in TABLES}
+        capsys.readouterr()
+        for command in ("preprocess", "build-indices", "features"):
+            assert run(config, command) == EXIT_OK
+        assert table_notes(capsys.readouterr().out) == ["appended 0 rows"] * 4
+        assert {name: (out / name).read_bytes() for name in TABLES} == first
+
+    def test_edited_table_is_rewritten(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        out = tmp_path / "out"
+        first = (out / "features.csv").read_bytes()
+        (out / "features.csv").write_bytes(first.replace(b"\n", b"\r\n"))  # same values, other bytes
+        capsys.readouterr()
+        assert run(config, "features") == EXIT_OK
+        assert table_notes(capsys.readouterr().out) == ["rewritten: edited file"]
+        assert (out / "features.csv").read_bytes() == first
 
 
 class TestArtifactCodec:

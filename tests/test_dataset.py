@@ -1,10 +1,11 @@
 import csv
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cyclecast.dataset import (
     LabeledDataset,
@@ -12,6 +13,7 @@ from cyclecast.dataset import (
     PhaseLabel,
     Region,
     SplitSpec,
+    digest_path,
     finite_cell,
     finite_cell_or_nan,
     format_month_table,
@@ -20,6 +22,7 @@ from cyclecast.dataset import (
     read_month_table,
     split_rows,
     write_labels,
+    write_month_table,
 )
 from cyclecast.errors import InvalidPhaseCodeError, MalformedRowError, NonContiguousMonthsError
 
@@ -263,6 +266,109 @@ class TestMonthTableCodec:
         assert MonthStamp(1970, 1).ordinal == 1970 * 12
         assert MonthStamp.from_ordinal(MonthStamp(1999, 12).ordinal + 1) == MonthStamp(2000, 1)
         assert MonthStamp.from_ordinal(np.int64(12)) == MonthStamp(1, 1)
+
+
+EXTREME_FLOATS = (5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1e-300, -0.0, 0.0)
+
+
+@st.composite
+def digest_tables(draw):
+    """A contiguous table with panel-style leading NaN cells, and a prefix length k."""
+    width = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 25))
+    first = draw(st.integers(MonthStamp(1, 1).ordinal, MonthStamp(9999, 12).ordinal - 25))
+    cells = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EXTREME_FLOATS))
+    pool = np.array(draw(st.lists(cells, min_size=1, max_size=8)))
+    rows = pool[np.random.default_rng(draw(st.integers(0, 2**32))).integers(0, pool.size, (n, width))]
+    for j, lead in enumerate(draw(st.lists(st.integers(0, n), min_size=width, max_size=width))):
+        rows[:lead, j] = np.nan
+    names = tuple(f"s{j}" for j in range(width))
+    return names, first + np.arange(n, dtype=np.int64), rows, draw(st.integers(0, n))
+
+
+def flip_byte(path, at):
+    blob = bytearray(path.read_bytes())
+    blob[at % len(blob)] ^= 1
+    path.write_bytes(bytes(blob))
+
+
+def other_cell(rows, at):
+    """``rows`` with the cell at flat index ``at`` replaced by a different value."""
+    rows = rows.copy()
+    i, j = divmod(at % rows.size, rows.shape[1])
+    rows[i, j] = 0.5 if rows[i, j] != 0.5 else 0.25
+    return rows
+
+
+# A tamper either writes another table in place of the first k rows, or
+# damages the files after they were written; the full write then names why.
+PREFIX_TAMPERS = {
+    "one cell": lambda t, at: (t[0], t[1], other_cell(t[2], at)),
+    "column order": lambda t, at: (t[0][::-1], t[1], t[2][:, ::-1]),
+    "first month": lambda t, at: (t[0], t[1] + 1, t[2]),
+}
+FILE_TAMPERS = {
+    "truncated file": lambda path, at: path.write_bytes(path.read_bytes()[: -1 - at % 40]),
+    "extended file": lambda path, at: path.write_bytes(path.read_bytes() + b"2000,1,1.0\n"),
+    "flipped byte": lambda path, at: flip_byte(path, at),
+    "deleted digest": lambda path, at: digest_path(path).unlink(),
+    "garbled digest": lambda path, at: flip_byte(digest_path(path), at),
+    "digest not JSON": lambda path, at: digest_path(path).write_text("[1, 2"),
+}
+TAMPER_NOTES = {
+    **dict.fromkeys(PREFIX_TAMPERS, "rewritten: changed rows"),
+    **dict.fromkeys(("truncated file", "extended file", "flipped byte"), "rewritten: edited file"),
+    "deleted digest": "rewritten: no digest",
+    "garbled digest": "rewritten: ",  # which field the flip hit decides the reason
+    "digest not JSON": "rewritten: unreadable digest",
+}
+
+
+class TestWriteMonthTable:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(table=digest_tables(), tamper=st.sampled_from(sorted(TAMPER_NOTES)), at=st.integers(0, 10**6))
+    def test_append_is_a_full_write_and_tampering_only_costs_one(
+        self, tmp_path_factory, table, tamper, at
+    ):
+        names, months, rows, k = table
+        expected = format_month_table(names, months, rows).encode("utf-8")
+        path = tmp_path_factory.mktemp("writer") / "table.csv"
+        assert write_month_table(path, names, months[:k], rows[:k]) == "rewritten: no digest"
+        assert write_month_table(path, names, months, rows) == f"appended {len(months) - k} rows"
+        assert path.read_bytes() == expected
+
+        prefix = (names, months[:k], rows[:k])
+        if tamper in PREFIX_TAMPERS:
+            assume(k > 0 and (tamper != "column order" or len(names) > 1))
+            prefix = PREFIX_TAMPERS[tamper](prefix, at)
+        write_month_table(path, *prefix)
+        if tamper in FILE_TAMPERS:
+            FILE_TAMPERS[tamper](path, at)
+        note = write_month_table(path, names, months, rows)
+        assert note.startswith(TAMPER_NOTES[tamper])
+        assert path.read_bytes() == expected
+
+    def test_digest_record_is_written_after_the_table(self, tmp_path):
+        path = tmp_path / "growth.csv"
+        writes = []
+
+        def write(target, data):
+            writes.append(target.name)
+            target.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+
+        months = month_range(MonthStamp(1999, 11), 3)
+        write_month_table(path, ("value",), months, [0.1, np.nan, -2.0], write)
+        assert writes == ["growth.csv", "growth_digest.json"]
+        record = json.loads((tmp_path / "growth_digest.json").read_text())
+        assert sorted(record) == ["columns", "file_sha256", "first_month", "rows", "values_sha256"]
+        assert (record["rows"], record["first_month"], record["columns"]) == (3, months[0], ["value"])
+        first = (tmp_path / "growth_digest.json").read_bytes()
+        assert write_month_table(path, ("value",), months, [0.1, np.nan, -2.0]) == "appended 0 rows"
+        assert (tmp_path / "growth_digest.json").read_bytes() == first
+
+    def test_gapped_months_are_refused(self, tmp_path):
+        with pytest.raises(NonContiguousMonthsError):
+            write_month_table(tmp_path / "t.csv", ("value",), np.array([10, 12]), [1.0, 2.0])
 
 
 def reference_read(path, cell):

@@ -326,6 +326,27 @@ class TestSvm:
         with pytest.raises(ValueError):
             LinearModel(weights=np.ones((4, 1)), bias=np.zeros(4), temperature=0.0)
 
+    def test_separable_holdout_lands_on_the_temperature_floor(self, tmp_path):
+        rng = np.random.default_rng(5)
+        y = np.tile([1, 4], 30)  # both classes in the trailing hold-out
+        X = np.where(y[:, None] == 1, -3.0, 3.0) + rng.normal(0.0, 0.3, (60, 2))
+        model = train_svm(X, y, TrainConfig(epochs=500))
+        assert (model.temperature, model.temperature_at_bound) == (0.01, "lower")
+        path = tmp_path / "model.json"
+        save_model(ModelArtifact(model=model, region=Region.US, window=4), path)
+        assert load_model(path).model.temperature_at_bound is None  # not part of the file
+
+    @pytest.mark.parametrize(
+        "sign,noise,at_bound", [(1.0, 0.0, "lower"), (-1.0, 0.0, "upper"), (1.0, 3.0, None)]
+    )
+    def test_temperature_bound_is_reported(self, sign, noise, at_bound):
+        rng = np.random.default_rng(2)
+        codes = rng.integers(1, 5, 200)
+        margins = sign * 4.0 * _one_hot(codes) + noise * rng.standard_normal((200, 4))
+        temperature, got = models._fit_temperature(margins, codes)
+        assert got == at_bound
+        assert (at_bound is None) == (0.01 < temperature < 100.0)
+
     def test_calibrated_on_larger_sample(self):
         rng = np.random.default_rng(11)
         X = np.vstack(
