@@ -731,7 +731,6 @@ def _phase_step_svg(months: np.ndarray, truth: Sequence[int], preds: Sequence[in
             pts.append(f"L {x_at(i):.1f} {y_at(codes[i]):.1f}")
         return " ".join(pts)
 
-    phase_names = {1: "recovery", 2: "expansion", 3: "slowdown", 4: "recession"}
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -745,7 +744,7 @@ def _phase_step_svg(months: np.ndarray, truth: Sequence[int], preds: Sequence[in
         )
         parts.append(
             f'<text x="{left - 8}" y="{y + 4:.1f}" text-anchor="end" font-size="11" '
-            f'font-family="sans-serif">{code} {phase_names[code]}</text>'
+            f'font-family="sans-serif">{code} {PhaseLabel(code).name.lower()}</text>'
         )
     for i, m in enumerate(map(MonthStamp.from_ordinal, months)):  # increasing: one January a year
         if m.month == 1 and m.year % 2 == 0:

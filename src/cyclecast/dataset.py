@@ -51,6 +51,7 @@ __all__ = [
     "format_month_table",
     "write_month_table",
     "write_atomic",
+    "prefix_sha256",
     "digest_path",
     "finite_cell",
     "finite_cell_or_nan",
@@ -420,6 +421,15 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     os.replace(tmp, path)
 
 
+def prefix_sha256(header, rows) -> str:
+    """SHA-256, in hex, of ``json.dumps(header)`` followed by the native float64
+    bytes of ``rows``: the key a resumable artifact keeps for the data it was
+    built from (the table digest record, ``indices.IndexState``)."""
+    digest = hashlib.sha256(json.dumps(header).encode())
+    digest.update(np.ascontiguousarray(rows, dtype=float))
+    return digest.hexdigest()
+
+
 def digest_path(path: str | Path) -> Path:
     """The digest record :func:`write_month_table` keeps beside table ``path``: ``<stem>_digest.json``."""
     path = Path(path)
@@ -437,17 +447,18 @@ def write_month_table(
 
     ``months`` must be contiguous ordinals; ``values`` is months by names.
     After the table, a digest record (:func:`digest_path`) is written: the
-    row count, the first month's ordinal, the column names, and SHA-256
-    hashes of the rows' float64 bytes and of the file's bytes. If the record
-    on disk describes the first k rows of this table and still matches the
-    file, the file's bytes are kept and only rows k onwards are formatted;
-    otherwise k = 0 and every row is. The bytes written are those of
-    :func:`format_month_table` either way. Both files go through ``write``
-    (:func:`write_atomic`, or the caller's own atomic writer).
+    row count, the rows' :func:`prefix_sha256` key (over the column names,
+    the first month's ordinal and the values) and a SHA-256 of the file's
+    bytes. If the record on disk describes the first k rows of this table
+    and still matches the file, the file's bytes are kept and only rows k
+    onwards are formatted; otherwise k = 0 and every row is. The bytes
+    written are those of :func:`format_month_table` either way. Both files
+    go through ``write`` (:func:`write_atomic`, or the caller's own atomic
+    writer).
 
     Returns which path ran: ``appended N rows``, or ``rewritten:`` followed
     by ``no digest``, ``unreadable digest``, ``changed rows`` (another
-    header, first month, row count or cell) or ``edited file`` (the file
+    header, first month or cell, or fewer rows) or ``edited file`` (the file
     differs from the one the record was written with). A bad record never
     raises; it only costs a full write.
     """
@@ -462,22 +473,21 @@ def write_month_table(
         (k, data), head, note = kept, "", f"appended {len(months) - kept[0]} rows"
     data += _format_rows(head, months[k:], values[k:]).encode("utf-8")  # b"" + x does not copy x
     write(path, data)
-    record = {**_row_digest(names, months, values), "file_sha256": hashlib.sha256(data).hexdigest()}
+    record = {
+        "rows": len(months),
+        "key": _rows_key(names, months, values),
+        "file_sha256": hashlib.sha256(data).hexdigest(),
+    }
     write(digest_path(path), json.dumps(record, sort_keys=True, indent=1) + "\n")
     return note
 
 
-def _row_digest(names: Sequence[str], months: np.ndarray, values: np.ndarray) -> dict:
-    """The digest record's fields that describe a table's rows."""
-    return {
-        "rows": len(months),
-        "first_month": int(months[0]) if len(months) else None,
-        "columns": list(names),
-        "values_sha256": hashlib.sha256(values).hexdigest(),
-    }
+def _rows_key(names: Sequence[str], months: np.ndarray, values: np.ndarray) -> str:
+    """The digest record's ``key`` of a table's rows."""
+    return prefix_sha256([list(names), int(months[0]) if len(months) else None], values)
 
 
-_DIGEST_FIELDS = {"rows", "first_month", "columns", "values_sha256", "file_sha256"}
+_DIGEST_FIELDS = {"rows", "key", "file_sha256"}
 
 
 def _verified_prefix(
@@ -495,14 +505,13 @@ def _verified_prefix(
             return "unreadable digest"
     except (OSError, ValueError, KeyError, TypeError):  # ValueError: not UTF-8 or not JSON
         return "unreadable digest"
-    file_sha256 = record.pop("file_sha256")
-    if n > len(months) or record != _row_digest(names, months[:n], values[:n]):
+    if n > len(months) or record["key"] != _rows_key(names, months[:n], values[:n]):
         return "changed rows"
     try:
         data = path.read_bytes()
     except OSError:
         return "edited file"
-    if hashlib.sha256(data).hexdigest() != file_sha256:
+    if hashlib.sha256(data).hexdigest() != record["file_sha256"]:
         return "edited file"
     return n, data
 
@@ -523,25 +532,11 @@ def load_labels(path: str | Path, region: Region | None = None) -> LabeledDatase
 
 def write_labels(ds: LabeledDataset, path: str | Path) -> None:
     """Write ``year,month,phase`` CSV: LF line endings, no trailing blank line."""
-    text = format_month_table(("phase",), ds.months, [int(label) for label in ds.labels])
-    Path(path).write_bytes(text.encode("utf-8"))
+    write_atomic(path, format_month_table(("phase",), ds.months, [int(label) for label in ds.labels]))
 
 
-def load_series_csv(
-    path: str | Path,
-    series_id: str,
-    region: Region,
-    category: Category,
-    transform_applied: Transform = Transform.NONE,
-) -> RawSeries:
+def load_series_csv(path: str | Path, series_id: str, region: Region, category: Category) -> RawSeries:
     """Read a ``year,month,value`` CSV into a :class:`RawSeries`."""
     _, months, rows = read_month_table(path, ("value",))
-    return RawSeries(
-        series_id=series_id,
-        region=region,
-        category=category,
-        months=months,
-        values=rows[:, 0],
-        transform_applied=transform_applied,
-    )
+    return RawSeries(series_id, region, category, months=months, values=rows[:, 0])
 

@@ -201,14 +201,6 @@ def build_report(distributions, truth) -> EvaluationReport:
     )
 
 
-_PHASE_NAMES = {
-    PhaseLabel.RECOVERY: "recovery",
-    PhaseLabel.EXPANSION: "expansion",
-    PhaseLabel.SLOWDOWN: "slowdown",
-    PhaseLabel.RECESSION: "recession",
-}
-
-
 def _pct(value: float) -> str:
     return f"{100.0 * value:.2f}%"
 
@@ -230,7 +222,7 @@ def render_report(report: EvaluationReport, format: str = "text") -> str:
     if format == "csv":
         lines = ["metric,value"]
         for phase in PhaseLabel:
-            lines.append(f"f_{_PHASE_NAMES[phase]},{_pct(report.per_class_f[int(phase) - 1])}")
+            lines.append(f"f_{phase.name.lower()},{_pct(report.per_class_f[int(phase) - 1])}")
         lines.append(f"macro,{_pct(report.macro_f)}")
         lines.append(f"weighted,{_pct(report.weighted_f)}")
         lines.append(f"top1,{_pct(report.top1)}")
@@ -238,17 +230,17 @@ def render_report(report: EvaluationReport, format: str = "text") -> str:
         lines.append(f"two_label,{_pct(report.two_label_accuracy)}")
         return "\n".join(lines) + "\n"
     if format == "text":
-        names = [_PHASE_NAMES[p] for p in PhaseLabel]
+        names = [p.name.lower() for p in PhaseLabel]
         width = max(len(n) for n in names) + 2
         lines = ["Confusion matrix (rows = predicted, columns = true)"]
         lines.append(" " * width + "".join(f"{n:>11}" for n in names))
         for phase in PhaseLabel:
             row = report.confusion.counts[int(phase) - 1]
-            lines.append(f"{_PHASE_NAMES[phase]:<{width}}" + "".join(f"{v:>11d}" for v in row))
+            lines.append(f"{phase.name.lower():<{width}}" + "".join(f"{v:>11d}" for v in row))
         lines.append("")
         for phase in PhaseLabel:
             lines.append(
-                f"F {_PHASE_NAMES[phase]:<10} {_pct(report.per_class_f[int(phase) - 1])}"
+                f"F {phase.name.lower():<10} {_pct(report.per_class_f[int(phase) - 1])}"
             )
         lines.append(f"F macro      {_pct(report.macro_f)}")
         lines.append(f"F weighted   {_pct(report.weighted_f)}")

@@ -1,11 +1,14 @@
 """Optional external-data client.
 
 Downloads raw monthly series from provider HTTP APIs into the toolkit's CSV
-format, with a directory cache (one file per provider/series pair, written
-atomically) so the rest of the pipeline never needs network access. Providers
-hide behind one request/parse interface; sub-monthly observations collapse to
-the last value of each month. API keys come from the config or from
-``CYCLECAST_<PROVIDER>_KEY``.
+format, with a directory cache so the rest of the pipeline never needs network
+access. Each cache entry is the series' ``year,month,value`` CSV,
+``<provider>__<id>.csv`` with both names percent-encoded, written atomically
+like every other file; the caller's region and category are applied when an
+entry is read, and a missing or damaged entry is a miss. Providers hide behind
+one request/parse interface; sub-monthly observations collapse to the last
+value of each month, and a value that is not a finite number is a data error.
+API keys come from the config or from ``CYCLECAST_<PROVIDER>_KEY``.
 """
 
 from __future__ import annotations
@@ -24,9 +27,19 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .dataset import Category, MonthStamp, RawSeries, Region, Transform, format_month_table
+from .dataset import (
+    Category,
+    MonthStamp,
+    RawSeries,
+    Region,
+    finite_cell,
+    format_month_table,
+    load_series_csv,
+    write_atomic,
+)
 from .errors import (
     AuthError,
+    DataError,
     NetworkError,
     NonNumericPayloadError,
     UnknownSeriesError,
@@ -34,7 +47,6 @@ from .errors import (
 
 __all__ = [
     "ProviderConfig",
-    "CacheEntry",
     "Provider",
     "FredJsonProvider",
     "CsvProvider",
@@ -43,8 +55,6 @@ __all__ = [
     "api_key_from_env",
     "load_series_manifest",
 ]
-
-CACHE_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -57,14 +67,6 @@ class ProviderConfig:
     def __post_init__(self):
         if self.rate_limit <= 0:
             raise ValueError("rate_limit must be > 0")
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    provider_id: str
-    series_id: str
-    fetched_at: float
-    payload: RawSeries
 
 
 def api_key_from_env(provider_id: str) -> str | None:
@@ -88,6 +90,15 @@ def _parse_date(text: str) -> tuple[int, int, int]:
     if m is None:
         raise NonNumericPayloadError(f"bad date {text!r}")
     return int(m.group(1)), int(m.group(2)), int(m.group(3))
+
+
+def _finite_value(raw, series_id: str) -> float:
+    try:
+        return finite_cell(raw)
+    except (TypeError, ValueError):
+        raise NonNumericPayloadError(
+            f"series {series_id!r}: value {raw!r} is not a finite number"
+        ) from None
 
 
 class FredJsonProvider:
@@ -115,13 +126,7 @@ class FredJsonProvider:
             raw = obs.get("value", ".")
             if raw == ".":
                 continue
-            year, month, day = _parse_date(obs["date"])
-            try:
-                out.append((year, month, day, float(raw)))
-            except (TypeError, ValueError):
-                raise NonNumericPayloadError(
-                    f"series {series_id!r}: value {raw!r} is not numeric"
-                ) from None
+            out.append((*_parse_date(obs["date"]), _finite_value(raw, series_id)))
         return out
 
 
@@ -140,13 +145,7 @@ class CsvProvider:
             parts = line.split(",")
             if len(parts) != 2:
                 raise NonNumericPayloadError(f"series {series_id!r}: bad row {line!r}")
-            year, month, day = _parse_date(parts[0])
-            try:
-                out.append((year, month, day, float(parts[1])))
-            except ValueError:
-                raise NonNumericPayloadError(
-                    f"series {series_id!r}: value {parts[1]!r} is not numeric"
-                ) from None
+            out.append((*_parse_date(parts[0]), _finite_value(parts[1], series_id)))
         return out
 
 
@@ -168,7 +167,8 @@ def _urllib_transport(url: str, timeout: float = 30.0) -> tuple[int, bytes]:
 
 
 def _safe_name(text: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", text)
+    """``text`` percent-encoded: one file-name part per string, ``[A-Za-z0-9._~-]`` kept as is."""
+    return urllib.parse.quote(text, safe="")
 
 
 class SeriesClient:
@@ -200,7 +200,7 @@ class SeriesClient:
         self._request_times: deque[float] = deque()
 
     def _cache_path(self, series_id: str) -> Path:
-        return self.cache_dir / f"{_safe_name(self.cfg.provider_id)}__{_safe_name(series_id)}.json"
+        return self.cache_dir / f"{_safe_name(self.cfg.provider_id)}__{_safe_name(series_id)}.csv"
 
     def _throttle(self) -> None:
         """Never exceed rate_limit requests in any sliding 60-second window."""
@@ -221,12 +221,13 @@ class SeriesClient:
         series_id: str,
         region: Region = Region.US,
         category: Category = Category.OTHER,
-        refresh: bool = False,
     ) -> RawSeries:
         """Return the monthly series, from cache when possible."""
-        cached = None if refresh else self._read_cache(series_id, region, category)
-        if cached is not None:
-            return cached.payload
+        path = self._cache_path(series_id)
+        try:
+            return load_series_csv(path, series_id, region, category)
+        except (FileNotFoundError, UnicodeDecodeError, DataError):
+            pass  # a missing, non-UTF-8 or malformed entry is a miss
         if self.offline:
             raise NetworkError(
                 f"offline mode: series {series_id!r} not in cache {self.cache_dir}"
@@ -251,65 +252,18 @@ class SeriesClient:
             months=months,
             values=values,
         )
-        self._write_cache(CacheEntry(self.cfg.provider_id, series_id, time.time(), series))
+        export_series_csv(series, path)
         return series
-
-    def _read_cache(
-        self, series_id: str, region: Region, category: Category
-    ) -> CacheEntry | None:
-        path = self._cache_path(series_id)
-        if not path.exists():
-            return None
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            series = RawSeries(
-                series_id=doc["series_id"],
-                region=Region(doc["region"]),
-                category=Category(doc["category"]),
-                months=[MonthStamp(y, m).ordinal for y, m in doc["months"]],
-                values=doc["values"],
-                transform_applied=Transform(doc["transform"]),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            return None  # unreadable cache entries are treated as misses
-        return CacheEntry(
-            provider_id=doc.get("provider_id", self.cfg.provider_id),
-            series_id=series_id,
-            fetched_at=float(doc.get("fetched_at", 0.0)),
-            payload=series,
-        )
-
-    def _write_cache(self, entry: CacheEntry) -> None:
-        doc = {
-            "schema_version": CACHE_SCHEMA_VERSION,
-            "provider_id": entry.provider_id,
-            "series_id": entry.series_id,
-            "fetched_at": entry.fetched_at,
-            "region": entry.payload.region.value,
-            "category": entry.payload.category.value,
-            "transform": entry.payload.transform_applied.value,
-            "months": [[m // 12, m % 12 + 1] for m in entry.payload.months.tolist()],
-            "values": entry.payload.values.tolist(),
-        }
-        path = self._cache_path(entry.series_id)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)  # atomic on POSIX
 
 
 def export_series_csv(series: RawSeries, path: str | Path) -> None:
     """Write ``year,month,value`` CSV readable by the dataset module."""
-    text = format_month_table(("value",), series.months, series.values)
-    Path(path).write_bytes(text.encode("utf-8"))
+    write_atomic(path, format_month_table(("value",), series.months, series.values))
 
 
-def load_series_manifest(path: str | Path | None = None) -> dict:
-    """Load a series manifest; the bundled one is a convenience list of
-    public series ids, not a curated research dataset."""
-    if path is None:
-        from importlib.resources import files
+def load_series_manifest() -> dict:
+    """Load the bundled series manifest, a convenience list of public series
+    ids, not a curated research dataset."""
+    from importlib.resources import files
 
-        text = files("cyclecast.data").joinpath("us_series_manifest.json").read_text("utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    return json.loads(text)
+    return json.loads(files("cyclecast.data").joinpath("us_series_manifest.json").read_text("utf-8"))

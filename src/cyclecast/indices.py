@@ -36,14 +36,12 @@ first ``min_window_months`` rows.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .dataset import MonthStamp, check_contiguous, month_row, set_arrays
+from .dataset import MonthStamp, check_contiguous, month_row, prefix_sha256, set_arrays
 from .errors import (
     DegenerateCovarianceError,
     InsufficientHistoryError,
@@ -86,16 +84,14 @@ class PcaResult:
 
 
 def _state_key(panel: Panel, reference_series: str, min_window_months: int, rows: int) -> str:
-    """SHA-256, in hex, of what an expanding index through panel row ``rows``
+    """:func:`prefix_sha256` of what an expanding index through panel row ``rows``
     depends on: the state schema, the series in order, the reference series,
-    the minimum window, the first month, and the bytes of ``values[:rows]``."""
-    header = [
-        INDEX_STATE_SCHEMA, list(panel.series_ids), reference_series, min_window_months,
-        int(panel.months[0]),
-    ]
-    digest = hashlib.sha256(json.dumps(header).encode())
-    digest.update(np.ascontiguousarray(panel.values[:rows], dtype=float))
-    return digest.hexdigest()
+    the minimum window, the first month, and ``values[:rows]``."""
+    return prefix_sha256(
+        [INDEX_STATE_SCHEMA, list(panel.series_ids), reference_series, min_window_months,
+         int(panel.months[0])],
+        panel.values[:rows],
+    )
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import PhaseLabel, Region
+from .dataset import PhaseLabel, Region, write_atomic
 from .errors import (
     BadKError,
     CorruptFileError,
@@ -632,9 +632,7 @@ def save_model(
         ),
         "extra": artifact.extra,
     }
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    write_atomic(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path: str | Path) -> ModelArtifact:

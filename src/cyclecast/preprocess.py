@@ -49,6 +49,8 @@ ADF_CRITICAL = {0.01: -3.43, 0.05: -2.86, 0.10: -2.57}
 # ulps of its level measured over random slopes and intercepts, 9.5 for
 # log-differences of a geometric series.
 LINEAR_SPREAD_ULPS = 16
+# Differencing rounds ensure_stationary tries before it gives up.
+MAX_DIFFERENCE_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -370,19 +372,19 @@ def ensure_stationary(
     series: RawSeries,
     alpha: float = 0.05,
     max_lag: int | None = None,
-    max_rounds: int = 2,
 ) -> tuple[RawSeries, AdfResult]:
     """Difference a series until the ADF test rejects a unit root.
 
     Log differences are used when the level series is strictly positive,
-    plain differences otherwise. Gives up after ``max_rounds`` transforms and
-    returns the last attempt together with its test result. A series whose
-    steps are equal up to rounding raises :class:`ZeroVarianceError`.
+    plain differences otherwise. Gives up after ``MAX_DIFFERENCE_ROUNDS``
+    transforms and returns the last attempt together with its test result. A
+    series whose steps are equal up to rounding raises
+    :class:`ZeroVarianceError`.
     """
     current = series
     result = adf_statistic(current, max_lag=max_lag, alpha=alpha)
     rounds = 0
-    while not result.is_stationary and rounds < max_rounds:
+    while not result.is_stationary and rounds < MAX_DIFFERENCE_ROUNDS:
         kind = Transform.LOG_DIFF if np.all(current.values > 0) else Transform.DIFF
         current = _difference_nonlinear(current, kind)
         result = adf_statistic(current, max_lag=max_lag, alpha=alpha)

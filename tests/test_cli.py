@@ -7,6 +7,7 @@ import re
 import shutil
 import tempfile
 from pathlib import Path
+from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from cyclecast.cli import (
     write_index_csv,
     write_panel,
 )
-from cyclecast.dataset import Category, MonthStamp
+from cyclecast.dataset import Category, MonthStamp, read_month_table
 from cyclecast.errors import ConfigError
 from cyclecast.evaluation import report_from_json
 from cyclecast.features import build_feature_matrix
@@ -732,6 +733,68 @@ class TestFetchCommand:
             },
         )
         assert run(config, "--offline", "fetch") == EXIT_DATA
+
+    def test_offline_fetch_takes_the_category_from_the_config(self, tmp_path, monkeypatch):
+        payload = json.dumps({"observations": [{"date": "2020-01-01", "value": "1.0"}]}).encode()
+        monkeypatch.setattr("cyclecast.fetch._urllib_transport", lambda url, timeout=30.0: (200, payload))
+        for category, flags in (("growth", ()), ("inflation", ("--offline",))):
+            config = write_config(
+                tmp_path,
+                fetch={
+                    "cache_dir": str(tmp_path / "cache"),
+                    "series": [{"id": "AAA", "region": "us", "category": category}],
+                },
+            )
+            assert run(config, *flags, "fetch") == EXIT_OK
+            manifest = json.loads((tmp_path / "data" / "series" / "manifest.json").read_text())
+            assert [e["category"] for e in manifest["series"]] == [category]
+
+    def test_non_finite_value_is_data_error(self, tmp_path, monkeypatch, capsys):
+        payload = json.dumps({"observations": [{"date": "2020-01-01", "value": "NaN"}]}).encode()
+        monkeypatch.setattr("cyclecast.fetch._urllib_transport", lambda url, timeout=30.0: (200, payload))
+        config = write_config(
+            tmp_path,
+            fetch={"cache_dir": str(tmp_path / "cache"), "series": [{"id": "AAA"}]},
+        )
+        capsys.readouterr()
+        assert run(config, "fetch") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: series 'AAA': value 'NaN' is not a finite number\n"
+
+
+class TestOneWriter:
+    def test_every_file_goes_through_write_atomic(self, tmp_path, monkeypatch):
+        """synth, fetch and the pipeline with a direct Path write refused for any non-temp file."""
+        # The series synth writes alternate growth/inflation; fetch serves them back as FRED JSON.
+        ids = [f"{('growth', 'inflation')[j % 2]}_{j:02d}" for j in range(8)]
+        entries = [{"id": sid, "category": sid.partition("_")[0]} for sid in ids]
+        config = write_config(tmp_path, fetch={"cache_dir": str(tmp_path / "cache"), "series": entries})
+        series_dir = tmp_path / "data" / "series"
+
+        def transport(url, timeout=30.0):
+            sid = parse_qs(urlparse(url).query)["series_id"][0]
+            _, months, rows = read_month_table(series_dir / f"{sid}.csv", ("value",))
+            observations = [
+                {"date": f"{MonthStamp.from_ordinal(m)}-01", "value": repr(v)}
+                for m, v in zip(months.tolist(), rows[:, 0].tolist())
+            ]
+            return 200, json.dumps({"observations": observations}).encode()
+
+        monkeypatch.setattr("cyclecast.fetch._urllib_transport", transport)
+        for name in ("write_text", "write_bytes"):
+            real = getattr(Path, name)
+
+            def guarded(self, *args, _real=real, **kwargs):
+                assert self.name.endswith(".tmp"), f"{self} written without write_atomic"
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(Path, name, guarded)
+        for command in ("synth", "fetch", "preprocess", "build-indices", "features", "train", "evaluate"):
+            assert run(config, command) == EXIT_OK, command
+        cached = sorted(p.name for p in (tmp_path / "cache").iterdir())
+        assert cached == [f"fred__{sid}.csv" for sid in sorted(ids)]
+        assert (tmp_path / "out" / "phases.svg").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestDeterminism:

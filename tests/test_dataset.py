@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import warnings
@@ -19,6 +20,7 @@ from cyclecast.dataset import (
     format_month_table,
     load_labels,
     load_series_csv,
+    prefix_sha256,
     read_month_table,
     split_rows,
     write_labels,
@@ -360,8 +362,9 @@ class TestWriteMonthTable:
         write_month_table(path, ("value",), months, [0.1, np.nan, -2.0], write)
         assert writes == ["growth.csv", "growth_digest.json"]
         record = json.loads((tmp_path / "growth_digest.json").read_text())
-        assert sorted(record) == ["columns", "file_sha256", "first_month", "rows", "values_sha256"]
-        assert (record["rows"], record["first_month"], record["columns"]) == (3, months[0], ["value"])
+        assert sorted(record) == ["file_sha256", "key", "rows"]
+        key = prefix_sha256([["value"], int(months[0])], [[0.1], [np.nan], [-2.0]])
+        assert (record["rows"], record["key"]) == (3, key)
         first = (tmp_path / "growth_digest.json").read_bytes()
         assert write_month_table(path, ("value",), months, [0.1, np.nan, -2.0]) == "appended 0 rows"
         assert (tmp_path / "growth_digest.json").read_bytes() == first
@@ -369,6 +372,28 @@ class TestWriteMonthTable:
     def test_gapped_months_are_refused(self, tmp_path):
         with pytest.raises(NonContiguousMonthsError):
             write_month_table(tmp_path / "t.csv", ("value",), np.array([10, 12]), [1.0, 2.0])
+
+    def test_five_field_record_reads_as_unreadable(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        months = month_range(MonthStamp(2000, 1), 2)
+        write_month_table(path, ("a",), months, [1.0, 2.0])
+        expected = path.read_bytes()
+        record = {
+            "rows": 2, "first_month": int(months[0]), "columns": ["a"],
+            "values_sha256": hashlib.sha256(np.array([1.0, 2.0])).hexdigest(),
+            "file_sha256": hashlib.sha256(expected).hexdigest(),
+        }
+        digest_path(path).write_text(json.dumps(record), encoding="utf-8")
+        assert write_month_table(path, ("a",), months, [1.0, 2.0]) == "rewritten: unreadable digest"
+        assert path.read_bytes() == expected
+
+
+def test_prefix_sha256_hashes_the_json_header_then_the_float64_bytes():
+    rows = np.arange(6, dtype=np.int32).reshape(3, 2)
+    header = [["a", "b"], 24000, None]
+    expected = hashlib.sha256(json.dumps(header).encode() + rows.astype(np.float64).tobytes())
+    assert prefix_sha256(header, rows) == expected.hexdigest()
+    assert prefix_sha256(header, rows[:, ::-1]) != expected.hexdigest()
 
 
 def reference_read(path, cell):

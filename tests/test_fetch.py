@@ -124,6 +124,60 @@ class TestFetchSeries:
         assert leftovers == []
 
 
+class TestCache:
+    def test_entry_is_the_series_csv(self, tmp_path):
+        payload = fred_payload([obs("2020-01-01", "1.5"), obs("2020-02-01", "2.5")])
+        client, _ = make_client(tmp_path, {"series_id=GDP": (200, payload)})
+        series = client.fetch_series("GDP")
+        exported = tmp_path / "GDP.csv"
+        export_series_csv(series, exported)
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == ["fred__GDP.csv"]
+        assert (tmp_path / "cache" / "fred__GDP.csv").read_bytes() == exported.read_bytes()
+
+    def test_hit_takes_the_callers_region_and_category(self, tmp_path):
+        payload = fred_payload([obs("2020-01-01", "1.0")])
+        client, transport = make_client(tmp_path, {"series_id=GDP": (200, payload)})
+        client.fetch_series("GDP", region=Region.US, category=Category.GROWTH)
+        offline, _ = make_client(tmp_path, {}, offline=True)
+        for c in (client, offline):
+            series = c.fetch_series("GDP", region=Region.EZ, category=Category.INFLATION)
+            assert (series.region, series.category) == (Region.EZ, Category.INFLATION)
+        assert len(transport.calls) == 1
+
+    @pytest.mark.parametrize(
+        "damage", [b"", b"garbage\n", b"\xff\xfe\x00", b"year,month,value\n2020,1,nan\n"]
+    )
+    def test_damaged_entry_is_fetched_again_once(self, tmp_path, damage):
+        payload = fred_payload([obs("2020-01-01", "1.0")])
+        client, transport = make_client(tmp_path, {"series_id=GDP": (200, payload)})
+        (tmp_path / "cache" / "fred__GDP.csv").write_bytes(damage)
+        assert client.fetch_series("GDP").values.tolist() == [1.0]
+        assert client.fetch_series("GDP").values.tolist() == [1.0]
+        assert len(transport.calls) == 1
+
+    def test_json_entry_of_the_old_format_is_a_miss(self, tmp_path):
+        client, _ = make_client(tmp_path, {}, offline=True)
+        doc = {"series_id": "GDP", "region": "us", "category": "growth", "transform": "none",
+               "months": [[2020, 1]], "values": [1.0]}
+        (tmp_path / "cache" / "fred__GDP.json").write_text(json.dumps(doc))
+        with pytest.raises(NetworkError, match="not in cache"):
+            client.fetch_series("GDP")
+
+    def test_distinct_ids_get_distinct_files(self, tmp_path):
+        routes = {
+            "series_id=A%2FB": (200, fred_payload([obs("2020-01-01", "1.0")])),
+            "series_id=A_B": (200, fred_payload([obs("2020-01-01", "2.0")])),
+        }
+        client, _ = make_client(tmp_path, routes)
+        assert client.fetch_series("A/B").values.tolist() == [1.0]
+        assert client.fetch_series("A_B").values.tolist() == [2.0]
+        names = sorted(p.name for p in (tmp_path / "cache").iterdir())
+        assert names == ["fred__A%2FB.csv", "fred__A_B.csv"]
+        offline, _ = make_client(tmp_path, {}, offline=True)
+        assert offline.fetch_series("A/B").values.tolist() == [1.0]
+        assert offline.fetch_series("A_B").values.tolist() == [2.0]
+
+
 class TestRateLimiter:
     def test_never_exceeds_limit_in_any_window(self, tmp_path):
         clock = {"now": 0.0}
@@ -196,6 +250,19 @@ class TestCsvProvider:
     def test_bad_shape(self):
         with pytest.raises(NonNumericPayloadError):
             CsvProvider().parse(b"2020-01-31,1,2\n", "X")
+
+
+@pytest.mark.parametrize("token", ["NaN", "inf", "-Infinity"])
+class TestNonFiniteValues:
+    def test_fred_json(self, token):
+        payload = fred_payload([obs("2020-01-01", "1.0"), obs("2020-02-01", token)])
+        with pytest.raises(NonNumericPayloadError, match=f"series 'X'.*{token!r}"):
+            FredJsonProvider().parse(payload, "X")
+
+    def test_csv(self, token):
+        payload = f"date,value\n2020-01-31,1.0\n2020-02-29,{token}\n".encode()
+        with pytest.raises(NonNumericPayloadError, match=f"series 'X'.*{token!r}"):
+            CsvProvider().parse(payload, "X")
 
 
 class TestManifest:
