@@ -12,10 +12,9 @@ content, so reruns on unchanged inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import io
+import functools
 import json
 import sys
-import zipfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
@@ -34,8 +33,10 @@ from .dataset import (
     load_labels,
     load_series_csv,
     next_month_labels,
+    pack_npz,
     read_month_table,
     split_rows,
+    unpack_npz,
     write_atomic as _write_atomic,
     write_labels,
     write_month_table,
@@ -380,17 +381,14 @@ def read_index_csv(path: Path, kind: IndexKind) -> CompositeIndex:
 
 
 def write_index_states(states: dict[str, IndexState], path: Path) -> None:
-    """The states in ``np.savez``'s layout, one ``<kind>.<field>.npy`` member
-    per state field. ``np.savez`` stamps each member with the wall clock;
-    these carry zipfile's fixed default date, so equal states give equal bytes."""
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w") as archive:
-        for kind, state in states.items():
-            for f in fields(IndexState):
-                with archive.open(zipfile.ZipInfo(f"{kind}.{f.name}.npy"), "w") as fh:
-                    array = np.asarray(getattr(state, f.name))
-                    np.lib.format.write_array(fh, array, allow_pickle=False)
-    _write_atomic(path, buf.getvalue())
+    """The states as a :func:`pack_npz` archive, one ``<kind>.<field>`` member
+    per state field."""
+    arrays = {
+        f"{kind}.{f.name}": getattr(state, f.name)
+        for kind, state in states.items()
+        for f in fields(IndexState)
+    }
+    _write_atomic(path, pack_npz(arrays))
 
 
 def read_index_states(path: Path) -> tuple[dict[str, IndexState], str]:
@@ -398,20 +396,14 @@ def read_index_states(path: Path) -> tuple[dict[str, IndexState], str]:
     if not path.exists():
         return {}, "no state"
     try:
-        with zipfile.ZipFile(path) as archive:  # read() checks each member's CRC
-            arrays = {
-                name.removesuffix(".npy"): np.lib.format.read_array(
-                    io.BytesIO(archive.read(name)), allow_pickle=False
-                )
-                for name in archive.namelist()
-            }
+        arrays = unpack_npz(path.read_bytes())
         states = {}
         for kind in IndexKind:
             named = {f.name: arrays[f"{kind.value}.{f.name}"] for f in fields(IndexState)}
             named["key"], named["t"] = str(named["key"].item()), int(named["t"].item())
             states[kind.value] = IndexState(**named)
         return states, ""
-    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+    except (OSError, KeyError, TypeError, ValueError):
         return {}, "unreadable state"
 
 
@@ -837,6 +829,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # one parser per process: building it costs more than a parse
 def build_parser() -> _Parser:
     parser = _Parser(prog="cyclecast", description=__doc__)
     parser.add_argument("--config", help="JSON config file")

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import warnings
+import zipfile
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -52,6 +55,8 @@ __all__ = [
     "write_month_table",
     "write_atomic",
     "prefix_sha256",
+    "pack_npz",
+    "unpack_npz",
     "digest_path",
     "finite_cell",
     "finite_cell_or_nan",
@@ -271,8 +276,16 @@ def read_month_table(
     ``cell`` names the cell format: :func:`finite_cell` (finite floats, the
     default), :func:`finite_cell_or_nan` (the same, but an empty cell is NaN;
     the panel) or ``int``. ``months`` is an int64 ordinal array and ``rows`` a
-    months-by-columns float array. Blank lines are skipped; every other defect
-    raises :class:`MalformedRowError` with its line number.
+    months-by-columns float array. Blank lines are skipped; every other defect,
+    bytes that are not UTF-8 among them, raises :class:`MalformedRowError`
+    with its line number.
+
+    A table :func:`write_month_table` wrote is not parsed again: when its
+    digest record (:func:`digest_path`) holds the SHA-256 of the file's bytes,
+    the rows come from the record. They are the rows parsing would return, bit
+    for bit (NaN cells as the parser's NaN), and a header that fails
+    ``columns`` raises the same error. Float cells only: ``int`` tables, and
+    tables whose rows this ``cell`` would reject, are always parsed.
 
     Only the header goes through ``csv``. The body is parsed in one
     ``np.loadtxt`` pass (quoted cells allowed), and the month range and
@@ -289,20 +302,23 @@ def read_month_table(
     if not path.exists():
         raise FileNotFoundError(str(path))
     expected = ",".join(("year", "month", *(columns or ("<columns...>",))))
-    with path.open(encoding="utf-8") as fh:  # universal newlines: \r\n and \r end a line too
-        header_line = fh.readline()
-        lines = fh.read().split("\n")
-    if not header_line:
+    gaps = cell is finite_cell_or_nan
+    recorded = None if cell is int else _recorded_rows(path, gaps)
+    if recorded is not None:
+        names, months, values = recorded
+        _header_names(["year", "month", *names], columns, expected)
+        return names, months, values
+    # universal newlines, as text-mode open() reads: \r\n and \r end a line too
+    lines = _utf8(path, path.read_bytes()).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines == [""]:
         raise MalformedRowError(1, f"empty file, expected header {expected}")
-    header = next(csv.reader([header_line]), [])
-    keys = [h.strip().lower() for h in header]
-    if keys[:2] != ["year", "month"] or (columns is not None and keys[2:] != list(columns)):
-        raise MalformedRowError(1, f"bad header {header!r}, expected {expected}")
+    header = next(csv.reader([lines[0] + "\n" if len(lines) > 1 else lines[0]]), [])  # as readline() gives it
+    names = _header_names(header, columns, expected)
+    lines = lines[1:]
     width = len(header)
     dtype = np.dtype(
         [("year", np.int64), ("month", np.int64), ("cells", _CELL_DTYPES[cell], (width - 2,))]
     )
-    gaps = cell is finite_cell_or_nan
     table = _parse_month_rows(lines, dtype, gaps)
     bad = None if table is None else _bad_rows(table, gaps)
     if bad is None or bad.size:
@@ -313,7 +329,27 @@ def read_month_table(
             number = numbers[bad[0]]
         raise MalformedRowError(number, _row_fault(lines[number - 2], width, cell))
     months = table["year"] * 12 + table["month"] - 1
-    return tuple(header[2:]), months, table["cells"].astype(float)
+    return names, months, table["cells"].astype(float)
+
+
+def _utf8(path: Path, data: bytes) -> str:
+    """``data`` decoded as UTF-8, or :class:`MalformedRowError` naming the file and the line of
+    the first byte that is not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise MalformedRowError(
+            before.count(b"\n") + 1, f"{path} is not UTF-8: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
+def _header_names(header: list[str], columns: Sequence[str] | None, expected: str) -> tuple[str, ...]:
+    """The value-column names of a parsed header row, checked against ``columns``."""
+    keys = [h.strip().lower() for h in header]
+    if keys[:2] != ["year", "month"] or (columns is not None and keys[2:] != list(columns)):
+        raise MalformedRowError(1, f"bad header {header!r}, expected {expected}")
+    return tuple(header[2:])
 
 
 def _parse_month_rows(lines: list[str], dtype: np.dtype, gaps: bool) -> np.ndarray | None:
@@ -423,17 +459,119 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
 
 def prefix_sha256(header, rows) -> str:
     """SHA-256, in hex, of ``json.dumps(header)`` followed by the native float64
-    bytes of ``rows``: the key a resumable artifact keeps for the data it was
-    built from (the table digest record, ``indices.IndexState``)."""
+    bytes of ``rows``: the key ``indices.IndexState`` keeps for the panel rows
+    it was built from."""
     digest = hashlib.sha256(json.dumps(header).encode())
     digest.update(np.ascontiguousarray(rows, dtype=float))
     return digest.hexdigest()
 
 
+def pack_npz(arrays: dict[str, object]) -> bytes:
+    """``arrays`` in ``np.savez``'s layout, one ``<name>.npy`` member each.
+
+    ``np.savez`` stamps each member with the wall clock; these carry
+    zipfile's fixed default date, so equal arrays give equal bytes.
+    """
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as archive:
+        for name, array in arrays.items():
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                np.lib.format.write_array(fh, np.asarray(array), allow_pickle=False)
+    return buf.getvalue()
+
+
+def unpack_npz(data: bytes) -> dict[str, np.ndarray]:
+    """The arrays of :func:`pack_npz` bytes by name, read without pickle.
+
+    Bytes that :func:`pack_npz` would not make of the arrays they hold raise
+    ``ValueError``: a member whose CRC fails, a truncated or foreign archive,
+    a member zipfile cannot read (a flipped bit can mark one compressed with
+    an unknown method, or encrypted), and a change to a byte no CRC covers,
+    such as a member's date.
+    """
+    try:
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:  # read() checks each member's CRC
+            arrays = {
+                name.removesuffix(".npy"): np.lib.format.read_array(
+                    io.BytesIO(archive.read(name)), allow_pickle=False
+                )
+                for name in archive.namelist()
+            }
+    except (EOFError, NotImplementedError, RuntimeError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"unreadable npz archive: {exc}") from exc
+    if pack_npz(arrays) != data:
+        raise ValueError("npz archive differs from the packing of its arrays")
+    return arrays
+
+
 def digest_path(path: str | Path) -> Path:
-    """The digest record :func:`write_month_table` keeps beside table ``path``: ``<stem>_digest.json``."""
+    """The digest record :func:`write_month_table` keeps beside table ``path``: ``<stem>_digest.npz``."""
     path = Path(path)
-    return path.with_name(f"{path.stem}_digest.json")
+    return path.with_name(f"{path.stem}_digest.npz")
+
+
+def _read_record(path: Path) -> tuple[str, list[str], np.ndarray, np.ndarray]:
+    """(file SHA-256, names, months, values) of the digest record beside table ``path``.
+
+    FileNotFoundError if there is none; ValueError if it is damaged or not a record.
+    """
+    not_a_record = ValueError(f"{digest_path(path).name}: not a table digest record")
+    arrays = unpack_npz(digest_path(path).read_bytes())
+    if arrays.keys() != {"meta", "values"}:
+        raise not_a_record
+    meta, values = json.loads(str(arrays["meta"][()])), arrays["values"]
+    if not isinstance(meta, dict) or meta.keys() != {"file_sha256", "names", "first_month"}:
+        raise not_a_record
+    sha, names, first = meta["file_sha256"], meta["names"], meta["first_month"]
+    if (
+        type(sha) is not str
+        or not (isinstance(names, list) and all(type(n) is str for n in names))
+        or values.dtype != np.float64
+        or values.shape[1:] != (len(names),)
+        or not values.flags.c_contiguous
+        or type(first) is not (int if len(values) else type(None))
+    ):
+        raise not_a_record
+    return sha, names, (first or 0) + np.arange(len(values), dtype=np.int64), values
+
+
+def _file_sha256(path: Path) -> str:
+    """SHA-256, in hex, of the file's bytes, read 64 KiB at a time: a large table is never held whole."""
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+# Header names that csv reads back as written, one line, one field each.
+_PLAIN_NAME = re.compile(r'[^,"\r\n\x00]*')
+
+
+def _recorded_rows(path: Path, gaps: bool) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
+    """(names, months, values) from the digest record of table ``path``, when
+    they are what parsing the file returns; else None.
+
+    They are when the record holds the SHA-256 of the file's bytes (so the
+    file is the text :func:`format_month_table` made of these rows) and that
+    text parses: one or more plain names, years within 0..9999, and cells
+    finite, or NaN (an empty cell) where ``gaps`` allows it.
+    """
+    try:
+        sha, names, months, values = _read_record(path)
+        if sha != _file_sha256(path):
+            return None
+    except (OSError, ValueError):
+        return None
+    if not names or not all(_PLAIN_NAME.fullmatch(name) for name in names):
+        return None
+    if months.size and not (months.min() >= 0 and months.max() < 10000 * 12):
+        return None
+    nan = np.isnan(values)
+    if np.isinf(values).any() or (nan.any() and not gaps):
+        return None
+    values[nan] = np.nan  # the parser's NaN, whatever NaN the writer was given
+    return tuple(names), months, values
 
 
 def write_month_table(
@@ -446,10 +584,13 @@ def write_month_table(
     """Write a float table as :func:`format_month_table` text, reusing the file's verified prefix.
 
     ``months`` must be contiguous ordinals; ``values`` is months by names.
-    After the table, a digest record (:func:`digest_path`) is written: the
-    row count, the rows' :func:`prefix_sha256` key (over the column names,
-    the first month's ordinal and the values) and a SHA-256 of the file's
-    bytes. If the record on disk describes the first k rows of this table
+    After the table, a digest record (:func:`digest_path`) is written: a
+    :func:`pack_npz` archive of ``meta``, a JSON object with the SHA-256 of
+    the file's bytes (``file_sha256``), the column ``names`` and the first
+    month's ordinal (``first_month``, null for no rows), and the float64
+    ``values``. :func:`read_month_table` returns the record's rows
+    instead of parsing a file whose bytes it matches. If the record on disk
+    holds the first k rows of this table, bit for bit, under the same names,
     and still matches the file, the file's bytes are kept and only rows k
     onwards are formatted; otherwise k = 0 and every row is. The bytes
     written are those of :func:`format_month_table` either way. Both files
@@ -457,10 +598,10 @@ def write_month_table(
     writer).
 
     Returns which path ran: ``appended N rows``, or ``rewritten:`` followed
-    by ``no digest``, ``unreadable digest``, ``changed rows`` (another
-    header, first month or cell, or fewer rows) or ``edited file`` (the file
-    differs from the one the record was written with). A bad record never
-    raises; it only costs a full write.
+    by ``no digest``, ``unreadable digest``, ``changed rows`` (other names,
+    an earlier first month or cell, or fewer rows) or ``edited file`` (the
+    file differs from the one the record was written with). A bad record
+    never raises; it only costs a full write.
     """
     path = Path(path)
     months = np.asarray(months, dtype=np.int64)
@@ -473,21 +614,14 @@ def write_month_table(
         (k, data), head, note = kept, "", f"appended {len(months) - kept[0]} rows"
     data += _format_rows(head, months[k:], values[k:]).encode("utf-8")  # b"" + x does not copy x
     write(path, data)
-    record = {
-        "rows": len(months),
-        "key": _rows_key(names, months, values),
+    meta = {
         "file_sha256": hashlib.sha256(data).hexdigest(),
+        "names": list(names),
+        "first_month": int(months[0]) if len(months) else None,  # the rest follow, contiguous
     }
-    write(digest_path(path), json.dumps(record, sort_keys=True, indent=1) + "\n")
+    del data  # a large table's text need not outlive it while the record is packed
+    write(digest_path(path), pack_npz({"meta": json.dumps(meta, sort_keys=True), "values": values}))
     return note
-
-
-def _rows_key(names: Sequence[str], months: np.ndarray, values: np.ndarray) -> str:
-    """The digest record's ``key`` of a table's rows."""
-    return prefix_sha256([list(names), int(months[0]) if len(months) else None], values)
-
-
-_DIGEST_FIELDS = {"rows", "key", "file_sha256"}
 
 
 def _verified_prefix(
@@ -495,23 +629,25 @@ def _verified_prefix(
 ) -> tuple[int, bytes] | str:
     """(k, the file's bytes) when the digest record proves the file holds this
     table's first k rows; otherwise why not."""
-    record_path = digest_path(path)
-    if not record_path.exists():
-        return "no digest"
     try:
-        record = json.loads(record_path.read_bytes())
-        n = record["rows"]
-        if record.keys() != _DIGEST_FIELDS or type(n) is not int or n < 0:
-            return "unreadable digest"
-    except (OSError, ValueError, KeyError, TypeError):  # ValueError: not UTF-8 or not JSON
+        sha, recorded_names, recorded_months, recorded_values = _read_record(path)
+    except FileNotFoundError:
+        return "no digest"
+    except (OSError, ValueError):
         return "unreadable digest"
-    if n > len(months) or record["key"] != _rows_key(names, months[:n], values[:n]):
+    n = len(recorded_months)
+    if (
+        n > len(months)
+        or recorded_names != list(names)
+        or not np.array_equal(recorded_months, months[:n])
+        or not np.array_equal(recorded_values.view(np.uint64), values[:n].view(np.uint64))
+    ):
         return "changed rows"
     try:
         data = path.read_bytes()
     except OSError:
         return "edited file"
-    if hashlib.sha256(data).hexdigest() != record["file_sha256"]:
+    if hashlib.sha256(data).hexdigest() != sha:
         return "edited file"
     return n, data
 

@@ -86,7 +86,7 @@ class Provider(Protocol):
 
 
 def _parse_date(text: str) -> tuple[int, int, int]:
-    m = re.fullmatch(r"(\d{4})-(\d{2})-(\d{2})", text.strip())
+    m = re.fullmatch(r"(\d{4})-(0[1-9]|1[0-2])-(\d{2})", text.strip())
     if m is None:
         raise NonNumericPayloadError(f"bad date {text!r}")
     return int(m.group(1)), int(m.group(2)), int(m.group(3))
@@ -117,16 +117,24 @@ class FredJsonProvider:
     def parse(self, payload: bytes, series_id: str) -> list[Observation]:
         try:
             doc = json.loads(payload)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise NonNumericPayloadError(f"series {series_id!r}: not JSON ({exc})") from exc
-        if "observations" not in doc:
+        if isinstance(doc, dict) and "observations" not in doc:
             raise UnknownSeriesError(series_id)
+        observations = doc["observations"] if isinstance(doc, dict) else None
+        if not isinstance(observations, list) or not all(isinstance(o, dict) for o in observations):
+            raise NonNumericPayloadError(
+                f"series {series_id!r}: expected an object with a list of observations"
+            )
         out: list[Observation] = []
-        for obs in doc["observations"]:
+        for obs in observations:
             raw = obs.get("value", ".")
             if raw == ".":
                 continue
-            out.append((*_parse_date(obs["date"]), _finite_value(raw, series_id)))
+            date = obs.get("date")
+            if not isinstance(date, str):
+                raise NonNumericPayloadError(f"series {series_id!r}: observation {obs!r} has no date")
+            out.append((*_parse_date(date), _finite_value(raw, series_id)))
         return out
 
 
@@ -137,7 +145,10 @@ class CsvProvider:
         return f"{cfg.base_url.rstrip('/')}/{urllib.parse.quote(series_id)}.csv"
 
     def parse(self, payload: bytes, series_id: str) -> list[Observation]:
-        text = payload.decode("utf-8")
+        try:
+            text = payload.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise NonNumericPayloadError(f"series {series_id!r}: not UTF-8 ({exc})") from exc
         out: list[Observation] = []
         for line_no, line in enumerate(text.splitlines()):
             if not line.strip() or (line_no == 0 and line.lower().startswith("date")):

@@ -199,6 +199,15 @@ class TestConfigHandling:
             main(["--definitely-not-a-flag"])
         assert exc.value.code == EXIT_USAGE
 
+    def test_each_usage_error_prints_one_usage_line(self, capsys):
+        for argv in (["--definitely-not-a-flag"], ["predict"], ["--definitely-not-a-flag"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_USAGE
+            lines = capsys.readouterr().err.splitlines()
+            assert [line.startswith("usage: cyclecast") for line in lines].count(True) == 1
+            assert ": error: " in lines[-1] and all(": error: " not in line for line in lines[:-1])
+
     def test_bad_predict_month_exits_4(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["predict", "--month", "1975-13"])
@@ -435,6 +444,31 @@ class TestDataErrors:
         assert run(config, "preprocess") == EXIT_DATA
         err = capsys.readouterr().err
         assert "line 5" in err and "non-finite" in err
+
+    def test_non_utf8_series_names_file_and_line(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert run(config, "synth") == EXIT_OK
+        path = tmp_path / "data" / "series" / "growth_00.csv"
+        lines = path.read_bytes().count(b"\n")
+        with path.open("ab") as fh:
+            fh.write(b"\xff\xfe")
+        capsys.readouterr()
+        assert run(config, "preprocess") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert f"line {lines + 1}:" in err and "growth_00.csv is not UTF-8" in err
+
+    def test_non_utf8_labels_name_file_and_line(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        path = tmp_path / "data" / "labels.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[4] = lines[4][:-1] + b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert run(config, "train") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "line 5:" in err and "labels.csv is not UTF-8" in err
 
     @pytest.mark.parametrize("edit", ["repeat", "swap"])
     def test_unordered_series_months_name_the_month(self, tmp_path, capsys, edit):
@@ -995,6 +1029,39 @@ class TestTableAppend:
         assert run(config, "features") == EXIT_OK
         assert table_notes(capsys.readouterr().out) == ["rewritten: edited file"]
         assert (out / "features.csv").read_bytes() == first
+
+
+class TestRecordedTables:
+    """Tables the program wrote are read back from their digest records."""
+
+    COMMANDS = (("build-indices",), ("features",), ("predict", "--month", "1981-06"))
+
+    def test_only_a_hand_edited_table_is_parsed(self, pipeline, capsys, monkeypatch):
+        tmp_path, config = pipeline
+        assert run(config, "train") == EXIT_OK
+        parses = []
+        loadtxt = np.loadtxt
+
+        def counting_loadtxt(*args, **kwargs):
+            parses.append(args[0])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        first = {}
+        for argv in self.COMMANDS:
+            capsys.readouterr()
+            assert run(config, *argv) == EXIT_OK
+            first[argv] = capsys.readouterr().out
+        assert parses == []
+
+        panel = tmp_path / "out" / "panel.csv"
+        panel.write_bytes(panel.read_bytes().replace(b"\n", b"\r\n"))  # same rows, other bytes
+        for argv in self.COMMANDS:
+            parses.clear()
+            capsys.readouterr()
+            assert run(config, *argv) == EXIT_OK
+            assert len(parses) == 1
+            assert capsys.readouterr().out == first[argv]
 
 
 class TestArtifactCodec:

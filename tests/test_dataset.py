@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from cyclecast.dataset import (
     prefix_sha256,
     read_month_table,
     split_rows,
+    unpack_npz,
     write_labels,
     write_month_table,
 )
@@ -360,14 +362,18 @@ class TestWriteMonthTable:
 
         months = month_range(MonthStamp(1999, 11), 3)
         write_month_table(path, ("value",), months, [0.1, np.nan, -2.0], write)
-        assert writes == ["growth.csv", "growth_digest.json"]
-        record = json.loads((tmp_path / "growth_digest.json").read_text())
-        assert sorted(record) == ["file_sha256", "key", "rows"]
-        key = prefix_sha256([["value"], int(months[0])], [[0.1], [np.nan], [-2.0]])
-        assert (record["rows"], record["key"]) == (3, key)
-        first = (tmp_path / "growth_digest.json").read_bytes()
+        assert writes == ["growth.csv", "growth_digest.npz"]
+        record = unpack_npz((tmp_path / "growth_digest.npz").read_bytes())
+        assert sorted(record) == ["meta", "values"]
+        assert json.loads(str(record["meta"])) == {
+            "file_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "names": ["value"],
+            "first_month": int(months[0]),
+        }
+        assert record["values"].tobytes() == np.array([[0.1], [np.nan], [-2.0]]).tobytes()
+        first = (tmp_path / "growth_digest.npz").read_bytes()
         assert write_month_table(path, ("value",), months, [0.1, np.nan, -2.0]) == "appended 0 rows"
-        assert (tmp_path / "growth_digest.json").read_bytes() == first
+        assert (tmp_path / "growth_digest.npz").read_bytes() == first
 
     def test_gapped_months_are_refused(self, tmp_path):
         with pytest.raises(NonContiguousMonthsError):
@@ -386,6 +392,124 @@ class TestWriteMonthTable:
         digest_path(path).write_text(json.dumps(record), encoding="utf-8")
         assert write_month_table(path, ("a",), months, [1.0, 2.0]) == "rewritten: unreadable digest"
         assert path.read_bytes() == expected
+
+
+def read_outcome(path, columns=None, cell=finite_cell_or_nan):
+    """What read_month_table returns, bit for bit, or the type and message of what it raises."""
+    try:
+        names, months, rows = read_month_table(path, columns, cell)
+    except (MalformedRowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return names, months.dtype, months.tobytes(), rows.dtype, rows.shape, rows.tobytes()
+
+
+def parse_outcome(path, columns=None, cell=finite_cell_or_nan):
+    """:func:`read_outcome` with the digest record deleted, so the file is parsed."""
+    digest_path(path).unlink(missing_ok=True)
+    return read_outcome(path, columns, cell)
+
+
+def flip_digit(path, at):
+    """``path`` with one digit of its body replaced by another digit."""
+    blob = bytearray(path.read_bytes())
+    digits = [i for i in range(blob.index(b"\n"), len(blob)) if chr(blob[i]).isdigit()]
+    if digits:
+        i = digits[at % len(digits)]
+        blob[i] = ord("0") + (blob[i] - ord("0") + 1 + at % 9) % 10
+    path.write_bytes(bytes(blob))
+
+
+def copy_record_of_another_table(path, at):
+    """The record of the same table with one cell changed, copied over ``path``'s."""
+    names, months, rows = read_month_table(path, cell=finite_cell_or_nan)
+    other = path.with_name("other.csv")
+    write_month_table(other, names, months, other_cell(rows, at))
+    digest_path(path).write_bytes(digest_path(other).read_bytes())
+
+
+# Damage to a table or its record after write_month_table wrote them.
+READ_TAMPERS = {
+    "edited cell": flip_digit,
+    "CRLF line endings": lambda path, at: path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n")),
+    "truncated file": FILE_TAMPERS["truncated file"],
+    "extended file": FILE_TAMPERS["extended file"],
+    "deleted record": lambda path, at: digest_path(path).unlink(),
+    "truncated record": lambda path, at: digest_path(path).write_bytes(
+        digest_path(path).read_bytes()[: at % digest_path(path).stat().st_size]
+    ),
+    "flipped record bit": lambda path, at: flip_byte(digest_path(path), at),
+    "record not a zip": FILE_TAMPERS["digest not JSON"],
+    "record of another table": copy_record_of_another_table,
+}
+
+
+class TestRecordedRead:
+    """read_month_table takes a table's rows from its digest record only when
+    they are bit for bit what parsing the file returns."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        table=digest_tables(),
+        cell=st.sampled_from([finite_cell_or_nan, finite_cell]),
+        columns=st.sampled_from(["any", "names", "other"]),
+    )
+    def test_record_reads_as_the_parse(self, tmp_path_factory, table, cell, columns):
+        names, months, rows, k = table
+        path = tmp_path_factory.mktemp("recorded") / "table.csv"
+        write_month_table(path, names, months[:k], rows[:k])
+        write_month_table(path, names, months, rows)  # appended: the record covers both writes
+        columns = {"any": None, "names": names, "other": (*names, "extra")}[columns]
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            recorded = read_outcome(path, columns, cell)
+        parses_nan = cell is finite_cell and np.isnan(rows).any()
+        assert (loadtxt.call_count > 0) == (parses_nan and columns != (*names, "extra"))
+        assert recorded == parse_outcome(path, columns, cell)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(table=digest_tables(), tamper=st.sampled_from(sorted(READ_TAMPERS)), at=st.integers(0, 10**6))
+    def test_tampered_table_or_record_reads_as_the_parse(self, tmp_path_factory, table, tamper, at):
+        names, months, rows, _ = table
+        path = tmp_path_factory.mktemp("tampered") / "table.csv"
+        write_month_table(path, names, months, rows)
+        READ_TAMPERS[tamper](path, at)
+        assert read_outcome(path) == parse_outcome(path)
+
+    def test_record_with_its_file_hash_is_still_refused_for_what_the_parse_rejects(self, tmp_path):
+        months = month_range(MonthStamp(2000, 1), 2)
+        cases = [
+            (("phase",), [1.0, 2.0], int),  # "1.0" in an integer field
+            (("a\nb",), [1.0, 2.0], finite_cell),  # a name csv splits over two lines
+            (("a,b",), [1.0, 2.0], finite_cell),  # a name csv splits into two columns
+            (("a",), [1.0, np.inf], finite_cell),  # "inf" is not a finite cell
+        ]
+        for names, values, cell in cases:
+            path = tmp_path / "table.csv"
+            write_month_table(path, names, months, values)
+            with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+                recorded = read_outcome(path, cell=cell)
+            assert loadtxt.call_count >= 1
+            assert recorded == parse_outcome(path, cell=cell)
+            assert recorded[0] is MalformedRowError
+
+    def test_nan_cells_read_as_the_parsers_nan(self, tmp_path):
+        path = tmp_path / "table.csv"
+        other_nan = np.float64(-np.nan)  # sign bit set: bits the parser never returns
+        months = month_range(MonthStamp(2000, 1), 2)
+        write_month_table(path, ("a", "b"), months, [[other_nan, 1.0], [2.0, -0.0]])
+        assert read_outcome(path) == parse_outcome(path)
+
+    def test_years_outside_the_format_are_parsed(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_month_table(path, ("a",), np.array([-2, -1]), [1.0, 2.0])  # year -1
+        assert read_outcome(path)[0] is MalformedRowError
+        assert read_outcome(path) == parse_outcome(path)
+
+    def test_non_utf8_table_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"year,month,a\r\n2000,1,1.0\r2000,2,\xff2.0\n")
+        with pytest.raises(MalformedRowError, match=r"line 3: .*table\.csv is not UTF-8") as info:
+            read_month_table(path)
+        assert info.value.line_number == 3
 
 
 def test_prefix_sha256_hashes_the_json_header_then_the_float64_bytes():

@@ -252,6 +252,36 @@ class TestCsvProvider:
             CsvProvider().parse(b"2020-01-31,1,2\n", "X")
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b'{"observations": [{"value": "1.0"}]}',  # no date
+        b'{"observations": 5}',
+        b"5",
+        b"[]",
+        b'{"observations": [5]}',
+        b'{"observations": [{"date": 20200101, "value": "1.0"}]}',
+        b'{"observations": [{"date": "2020-13-01", "value": "1.0"}]}',
+        b"\xff",  # not UTF-8
+    ],
+)
+def test_fred_payload_of_another_shape_is_a_data_error(payload):
+    with pytest.raises(NonNumericPayloadError):
+        FredJsonProvider().parse(payload, "X")
+
+
+def test_shape_errors_name_the_series():
+    for payload in (b'{"observations": [{"value": "1.0"}]}', b'{"observations": 5}', b"5"):
+        with pytest.raises(NonNumericPayloadError, match="series 'X'"):
+            FredJsonProvider().parse(payload, "X")
+
+
+@pytest.mark.parametrize("payload", [b"2020-13-31,1.0\n", b"date,value\n2020-01-31,\xff\n"])
+def test_csv_payload_with_a_bad_month_or_bytes_is_a_data_error(payload):
+    with pytest.raises(NonNumericPayloadError):
+        CsvProvider().parse(payload, "X")
+
+
 @pytest.mark.parametrize("token", ["NaN", "inf", "-Infinity"])
 class TestNonFiniteValues:
     def test_fred_json(self, token):

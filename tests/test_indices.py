@@ -501,6 +501,21 @@ class TestResume:
         with pytest.raises(ValueError, match="does not describe"):
             expanding_pca_index(panel, "growth", min_window, reference_series=reference, resume=state)
 
+    def test_flipped_bit_in_a_zip_header_reads_as_unreadable(self, rng, tmp_path):
+        # A flag or method bit zipfile cannot handle (an encrypted or
+        # compressed member) raises neither BadZipFile nor ValueError.
+        state = expanding_pca_index(random_panel(rng, 62), "growth", 60).state
+        path = tmp_path / "indices_state.npz"
+        write_index_states({"growth": state, "inflation": state}, path)
+        blob = path.read_bytes()
+        central = int.from_bytes(blob[-6:-2], "little")  # end record: where the directory starts
+        for at in [*range(30), *range(central, central + 46)]:  # first local and directory headers
+            for bit in range(8):
+                damaged = bytearray(blob)
+                damaged[at] ^= 1 << bit
+                path.write_bytes(bytes(damaged))
+                assert read_index_states(path) == ({}, "unreadable state"), (at, bit)
+
     def test_inconsistent_state_arrays_are_refused(self, rng):
         state = expanding_pca_index(random_panel(rng, 62), "growth", 60).state
         with pytest.raises(ValueError):
