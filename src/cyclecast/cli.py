@@ -343,7 +343,7 @@ def read_panel(csv_path: Path, meta_path: Path) -> Panel:
     categories, fills, region = _read_sidecar(meta_path, _panel_meta)
     unknown = [i for i in ids if i not in categories]
     if unknown:
-        raise MalformedRowError(1, f"columns {unknown} are not in {meta_path.name}")
+        raise MalformedRowError(1, f"{csv_path}: columns {unknown} are not in {meta_path.name}")
     return Panel(
         months=months,
         series_ids=ids,
@@ -884,7 +884,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CycleCastError, FileNotFoundError) as exc:
+    except (CycleCastError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -278,7 +278,7 @@ def read_month_table(
     the panel) or ``int``. ``months`` is an int64 ordinal array and ``rows`` a
     months-by-columns float array. Blank lines are skipped; every other defect,
     bytes that are not UTF-8 among them, raises :class:`MalformedRowError`
-    with its line number.
+    naming the file and the line.
 
     A table :func:`write_month_table` wrote is not parsed again: when its
     digest record (:func:`digest_path`) holds the SHA-256 of the file's bytes,
@@ -306,14 +306,14 @@ def read_month_table(
     recorded = None if cell is int else _recorded_rows(path, gaps)
     if recorded is not None:
         names, months, values = recorded
-        _header_names(["year", "month", *names], columns, expected)
+        _header_names(path, ["year", "month", *names], columns, expected)
         return names, months, values
     # universal newlines, as text-mode open() reads: \r\n and \r end a line too
     lines = _utf8(path, path.read_bytes()).replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines == [""]:
-        raise MalformedRowError(1, f"empty file, expected header {expected}")
+        raise MalformedRowError(1, f"{path}: empty file, expected header {expected}")
     header = next(csv.reader([lines[0] + "\n" if len(lines) > 1 else lines[0]]), [])  # as readline() gives it
-    names = _header_names(header, columns, expected)
+    names = _header_names(path, header, columns, expected)
     lines = lines[1:]
     width = len(header)
     dtype = np.dtype(
@@ -327,7 +327,7 @@ def read_month_table(
             number = next((n for n in numbers if _line_is_bad(lines[n - 2], dtype, gaps)), numbers[-1])
         else:
             number = numbers[bad[0]]
-        raise MalformedRowError(number, _row_fault(lines[number - 2], width, cell))
+        raise MalformedRowError(number, f"{path}: {_row_fault(lines[number - 2], width, cell)}")
     months = table["year"] * 12 + table["month"] - 1
     return names, months, table["cells"].astype(float)
 
@@ -344,11 +344,13 @@ def _utf8(path: Path, data: bytes) -> str:
         ) from None
 
 
-def _header_names(header: list[str], columns: Sequence[str] | None, expected: str) -> tuple[str, ...]:
-    """The value-column names of a parsed header row, checked against ``columns``."""
+def _header_names(
+    path: Path, header: list[str], columns: Sequence[str] | None, expected: str
+) -> tuple[str, ...]:
+    """The value-column names of table ``path``'s parsed header row, checked against ``columns``."""
     keys = [h.strip().lower() for h in header]
     if keys[:2] != ["year", "month"] or (columns is not None and keys[2:] != list(columns)):
-        raise MalformedRowError(1, f"bad header {header!r}, expected {expected}")
+        raise MalformedRowError(1, f"{path}: bad header {header!r}, expected {expected}")
     return tuple(header[2:])
 
 
@@ -454,7 +456,11 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
         tmp.write_text(data, encoding="utf-8")
     else:
         tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def prefix_sha256(header, rows) -> str:

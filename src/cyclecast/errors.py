@@ -65,22 +65,11 @@ class EmptyOverlapError(DataError):
 
 
 class DegenerateCovarianceError(DataError):
-    """Panel carries no variance; PCA is undefined."""
+    """Panel carries no variance, or its eigensolver did not converge; PCA is undefined."""
 
 
 class ZeroReferenceLoadingError(DataError):
     """Sign normalization reference column has a zero loading."""
-
-
-class PowerIterationError(DataError):
-    """Power iteration did not meet its tolerance within the step budget."""
-
-    def __init__(self, steps: int, residual: float):
-        super().__init__(
-            f"power iteration did not converge in {steps} steps (last |w - v| = {residual:.3e})"
-        )
-        self.steps = steps
-        self.residual = residual
 
 
 class PanelTooShortError(DataError):

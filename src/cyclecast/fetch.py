@@ -19,7 +19,6 @@ import re
 import time
 import urllib.error
 import urllib.parse
-import urllib.request
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -168,6 +167,8 @@ def _monthly_last(observations: list[Observation]) -> tuple[np.ndarray, np.ndarr
 
 
 def _urllib_transport(url: str, timeout: float = 30.0) -> tuple[int, bytes]:
+    import urllib.request  # here, not at module level: it pulls in http.client, ssl and email
+
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:
             return response.status, response.read()

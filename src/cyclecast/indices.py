@@ -2,28 +2,22 @@
 standardized panel, re-estimated on an expanding window.
 
 A cold start (:func:`pca_first_component`, and the first month of an
-expanding index) finds the eigenvector by power iteration on the sample
-covariance matrix (tolerance 1e-12, at most 10000 iterations per start) —
-dependency-free and adequate for panels of up to a few hundred series. A
-start that does not meet the tolerance within the budget raises
-:class:`PowerIterationError`. PCA leaves the component sign ambiguous, so
-loadings are normalized against a designated reference column.
+expanding index) takes the top eigenpair of the sample covariance matrix
+from LAPACK's symmetric eigensolver (``np.linalg.eigh``); one that does not
+converge is a :class:`DegenerateCovarianceError`. PCA leaves the component
+sign ambiguous, so loadings are normalized against a designated reference
+column.
 
 The expanding index is incremental: it keeps a running mean and a centred
 scatter matrix, updates both by rank one as each month arrives, and
-warm-starts from the previous month's signed eigenvector. Power iteration
-converges at the rate lambda2/lambda1, so a warm month first takes about d/3
-power steps for d series (the cost of one factorisation). A month still
-short of the tolerance switches to Rayleigh-quotient iteration, whose
-convergence is cubic whatever the eigengap, and accepts a vector only when
-one power step moves it by less than the tolerance and a Cholesky
-factorisation of ``lambda (1 + 1e-9) I - C`` certifies that no eigenvalue
-lies above its Rayleigh quotient lambda (Sylvester's law of inertia). A
-singular or non-finite solve or the RQI step cap resumes plain power
-iteration, with its full budget and :class:`PowerIterationError`, from the
-last RQI vector; a failed certificate resumes it from where RQI began. The
-emitted values agree with a cold per-month fit of ``values[:t]`` to about
-1e-10.
+warm-starts from the previous month's signed eigenvector. A warm month takes
+``max(1, d // 3)`` power steps for d series (about the cost of one
+factorisation) and keeps the vector once a step moves it by less than the
+tolerance 1e-12. Power iteration converges at the rate lambda2/lambda1, so a
+month with close top eigenvalues misses that budget, and a start in the
+nullspace never meets it; such a month is solved by ``eigh`` as a cold start
+is. The emitted values agree with a per-month ``eigh`` fit of
+``values[:t]`` to about 1e-10.
 
 Each month depends only on the running state ``(t, mean, scatter, vector)``
 left by the month before, so an index can stop and resume: the result
@@ -46,7 +40,6 @@ from .errors import (
     DegenerateCovarianceError,
     InsufficientHistoryError,
     PanelTooShortError,
-    PowerIterationError,
     ZeroReferenceLoadingError,
 )
 from .preprocess import Panel
@@ -62,10 +55,7 @@ __all__ = [
 ]
 
 POWER_ITERATION_TOL = 1e-12
-POWER_ITERATION_MAX_STEPS = 10_000
-RQI_MAX_STEPS = 8
-CERTIFICATE_MARGIN = 1e-9  # relative room above the top eigenvalue in the Cholesky check
-INDEX_STATE_SCHEMA = 1  # bump when the meaning of an IndexState changes
+INDEX_STATE_SCHEMA = 2  # bump when the meaning of an IndexState changes
 
 
 class IndexKind(Enum):
@@ -162,15 +152,6 @@ class CompositeIndex:
         return self.values[pos + 1 - window : pos + 1]
 
 
-def _power_starts(d: int, warm: np.ndarray | None):
-    """Start vectors in the order tried; the random one is built only if reached."""
-    if warm is not None:
-        yield warm
-    yield np.ones(d)
-    yield np.eye(d)[0]
-    yield np.random.default_rng(0).standard_normal(d)
-
-
 def _power_iterate(cov: np.ndarray, v: np.ndarray, steps: int) -> tuple[np.ndarray, float | None]:
     """Up to ``steps`` power steps from the unit vector ``v``, stopping once a
     step moves it by less than the tolerance. Returns the last iterate and
@@ -192,73 +173,27 @@ def _power_iterate(cov: np.ndarray, v: np.ndarray, steps: int) -> tuple[np.ndarr
     return v, residual
 
 
-def _top_eigenvector(cov: np.ndarray, start: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Power iteration for the dominant eigenpair of a PSD matrix.
+def _top_eigenpair(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """The dominant eigenpair of a symmetric matrix by LAPACK's ``eigh``.
 
-    Starts from ``start`` when given (a warm start, such as last month's
-    eigenvector), then from deterministic fallbacks; a start lying in the
-    nullspace is abandoned for the next one. A start that does not meet the
-    tolerance within ``POWER_ITERATION_MAX_STEPS`` raises
-    :class:`PowerIterationError` rather than returning its last iterate.
+    An ``eigh`` that does not converge raises
+    :class:`DegenerateCovarianceError` rather than returning anything.
     """
-    for v in _power_starts(cov.shape[0], start):
-        v, residual = _power_iterate(cov, v / np.linalg.norm(v), POWER_ITERATION_MAX_STEPS)
-        if residual is None:
-            continue  # start vector is in the nullspace
-        if residual >= POWER_ITERATION_TOL:
-            raise PowerIterationError(POWER_ITERATION_MAX_STEPS, residual)
-        return v, float(v @ cov @ v)
-    raise DegenerateCovarianceError("every power-iteration start lies in the nullspace")
-
-
-def _rayleigh_quotient_iteration(cov: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float | None]:
-    """Rayleigh-quotient iteration for the top eigenpair from the unit vector ``v``.
-
-    Returns ``(vector, eigenvalue)`` once one power step moves the iterate by
-    less than the tolerance and the Cholesky certificate holds. Otherwise
-    returns ``(vector, None)`` with the vector power iteration should resume
-    from: the last iterate after a singular or non-finite solve or at the step
-    cap; ``v`` itself when the iterate is another eigenvector (the certificate
-    fails, or it lies in the nullspace), on which power iteration would stop
-    at once.
-    """
-    start, eye = v, np.eye(cov.shape[0])
-    for _ in range(RQI_MAX_STEPS):
-        try:
-            w = np.linalg.solve(cov - (v @ cov @ v) * eye, v)
-        except np.linalg.LinAlgError:
-            return v, None
-        norm = np.linalg.norm(w)
-        if not 0.0 < norm < np.inf:
-            return v, None
-        v, residual = _power_iterate(cov, w / norm, 1)
-        if residual is None:
-            return start, None
-        if residual < POWER_ITERATION_TOL:
-            value = float(v @ cov @ v)
-            try:
-                np.linalg.cholesky(value * (1.0 + CERTIFICATE_MARGIN) * eye - cov)
-            except np.linalg.LinAlgError:
-                return start, None
-            return v, value
-    return v, None
+    try:
+        values, vectors = np.linalg.eigh(cov)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateCovarianceError(f"eigh did not converge: {exc}") from None
+    return vectors[:, -1], float(values[-1])
 
 
 def _warm_top_eigenvector(cov: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, float]:
-    """The dominant eigenpair of a PSD matrix from a nearby ``start``.
-
-    Power iteration for about ``d / 3`` steps returns exactly what
-    :func:`_top_eigenvector` would when it meets the tolerance within them;
-    otherwise Rayleigh-quotient iteration takes over, and a month it cannot
-    certify resumes plain power iteration.
-    """
+    """The dominant eigenpair of a PSD matrix from a nearby ``start``: about
+    ``d / 3`` power steps (the cost of one factorisation) when they meet the
+    tolerance, else :func:`_top_eigenpair`."""
     v, residual = _power_iterate(cov, start / np.linalg.norm(start), max(1, cov.shape[0] // 3))
-    if residual is None:
-        return _top_eigenvector(cov)
-    if residual < POWER_ITERATION_TOL:
-        return v, float(v @ cov @ v)
-    v, value = _rayleigh_quotient_iteration(cov, v)
-    return (v, value) if value is not None else _top_eigenvector(cov, start=v)
+    if residual is None or residual >= POWER_ITERATION_TOL:
+        return _top_eigenpair(cov)
+    return v, float(v @ cov @ v)
 
 
 def _checked_trace(cov: np.ndarray) -> float:
@@ -287,7 +222,7 @@ def pca_first_component(panel: np.ndarray) -> PcaResult:
     centered = X - X.mean(axis=0)
     cov = centered.T @ centered / X.shape[0]
     trace = _checked_trace(cov)
-    loadings, eigenvalue = _top_eigenvector(cov)
+    loadings, eigenvalue = _top_eigenpair(cov)
     scores = centered @ loadings
     return PcaResult(
         loadings=loadings,
@@ -378,7 +313,7 @@ def expanding_pca_index(
             scatter += np.outer(delta, x - mu)
         cov = scatter / t
         _checked_trace(cov)
-        v, _ = _top_eigenvector(cov) if v is None else _warm_top_eigenvector(cov, v)
+        v, _ = _top_eigenpair(cov) if v is None else _warm_top_eigenvector(cov, v)
         v = v * _reference_sign(v, ref_col)
         out[t - min_window_months] = (x - mu) @ v
     state = IndexState(

@@ -32,13 +32,14 @@ from cyclecast.cli import (
     write_index_csv,
     write_panel,
 )
-from cyclecast.dataset import Category, MonthStamp, read_month_table
+from cyclecast.dataset import Category, MonthStamp, format_month_table, read_month_table
 from cyclecast.errors import ConfigError
 from cyclecast.evaluation import report_from_json
 from cyclecast.features import build_feature_matrix
 from cyclecast.indices import CompositeIndex, IndexKind
 
 from conftest import assert_fields_equal, make_panel, month_range
+from test_indices import eigh_index, window_with_ratio
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -444,6 +445,7 @@ class TestDataErrors:
         assert run(config, "preprocess") == EXIT_DATA
         err = capsys.readouterr().err
         assert "line 5" in err and "non-finite" in err
+        assert err.startswith("data error:") and f"line 5: {path}: " in err
 
     def test_non_utf8_series_names_file_and_line(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -469,6 +471,29 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
         assert "line 5:" in err and "labels.csv is not UTF-8" in err
+
+    def test_directory_in_place_of_a_series_file(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert run(config, "synth") == EXIT_OK
+        path = tmp_path / "data" / "series" / "growth_00.csv"
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        assert run(config, "preprocess") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "Is a directory" in err and "growth_00.csv" in err
+
+    def test_directory_in_place_of_the_panel(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert run(config, "synth") == EXIT_OK
+        (tmp_path / "out" / "panel.csv").mkdir(parents=True)
+        capsys.readouterr()
+        assert run(config, "preprocess") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "Is a directory" in err and "panel.csv" in err
+        assert not list((tmp_path / "out").glob("*.tmp"))
 
     @pytest.mark.parametrize("edit", ["repeat", "swap"])
     def test_unordered_series_months_name_the_month(self, tmp_path, capsys, edit):
@@ -526,7 +551,9 @@ class TestDataErrors:
         panel_path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run(config, command) == EXIT_DATA
-        assert f"line {line}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"line {line}:" in err
+        assert f"line {line}: {panel_path}: " in err
 
     @pytest.mark.parametrize("edit", ["delete", "repeat"])
     @pytest.mark.parametrize(
@@ -959,6 +986,47 @@ class TestIndexResume:
         assert {name: (out / name).read_bytes() for name in INDEX_ARTIFACTS} == rebuilt_indices(
             tmp_path, config
         )
+
+
+def write_tight_panel(tmp_path: Path) -> tuple[Path, np.ndarray]:
+    """A hand-written panel whose first 60-month growth window has lambda2 / lambda1 = 0.999;
+    returns the config and the growth block."""
+    rng = np.random.default_rng(11)
+    growth = np.vstack([window_with_ratio(rng, 5, 0.999), rng.standard_normal((12, 5))])
+    values = np.hstack([growth, rng.standard_normal((72, 3)) + rng.standard_normal(72)[:, None]])
+    ids = [f"growth_{j:02d}" for j in range(5)] + [f"inflation_{j:02d}" for j in range(3)]
+    out = tmp_path / "out"
+    out.mkdir()
+    months = np.arange(72) + MonthStamp(1970, 1).ordinal
+    (out / "panel.csv").write_text(format_month_table(ids, months, values))
+    meta = {
+        "region": "us",
+        "columns": [{"id": i, "category": i.split("_")[0]} for i in ids],
+        "fills": [0] * len(ids),
+    }
+    (out / "panel_meta.json").write_text(json.dumps(meta))
+    return write_config(tmp_path), growth
+
+
+class TestIndexSolver:
+    def test_tight_first_window_builds(self, tmp_path, capsys):
+        config, growth = write_tight_panel(tmp_path)
+        assert run(config, "build-indices") == EXIT_OK
+        _, _, got = read_month_table(tmp_path / "out" / "growth.csv", ("value",))
+        assert np.abs(got[:, 0] - eigh_index(growth, 60)).max() <= 1e-9
+
+    def test_eigh_that_does_not_converge_exits_3(self, tmp_path, capsys, monkeypatch):
+        config, _ = write_tight_panel(tmp_path)
+
+        def not_converged(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", not_converged)
+        capsys.readouterr()
+        assert run(config, "build-indices") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "eigh did not converge" in err
 
 
 TABLES = ("panel.csv", "features.csv", "growth.csv", "inflation.csv")

@@ -235,6 +235,7 @@ class TestSeriesCsv:
             load_series_csv(p, "x", Region.US, Category.GROWTH)
         assert exc.value.line_number == 4
         assert "line 4" in str(exc.value)
+        assert f"line 4: {p}: " in str(exc.value)
 
 
 @st.composite

@@ -14,18 +14,17 @@ from cyclecast.errors import (
     DegenerateCovarianceError,
     InsufficientHistoryError,
     PanelTooShortError,
-    PowerIterationError,
     ZeroReferenceLoadingError,
 )
 from cyclecast.indices import (
-    POWER_ITERATION_MAX_STEPS,
     POWER_ITERATION_TOL,
     IndexKind,
     PcaResult,
     expanding_pca_index,
     pca_first_component,
     sign_normalize,
-    _top_eigenvector,
+    _power_iterate,
+    _top_eigenpair,
     _warm_top_eigenvector,
 )
 
@@ -89,34 +88,38 @@ class TestFirstComponent:
         assert np.abs(np.abs(r.loadings) - 1 / np.sqrt(2)).max() < 1e-9
         assert r.explained_variance_ratio == pytest.approx(1.0, abs=1e-9)
 
+    def test_equal_variance_negatively_correlated_columns(self):
+        # the ones vector is the minor eigenvector here, so a power iteration
+        # started from it stops there at once
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+        r = pca_first_component(X)
+        top = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        assert np.abs(r.loadings - (top if r.loadings[0] > 0 else -top)).max() < 1e-12
+        assert r.explained_variance_ratio == pytest.approx(0.75, rel=1e-12)
+
+    def test_eigh_failure_is_a_data_error(self, monkeypatch):
+        def not_converged(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", not_converged)
+        with pytest.raises(DegenerateCovarianceError, match="eigh did not converge") as info:
+            pca_first_component(np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 0.5]]))
+        assert isinstance(info.value, DataError)
+
 
 class TestPowerIteration:
-    def test_non_convergence_raises(self):
-        # eigengap 1e-7: the ones start cannot meet the tolerance within the budget
-        with pytest.raises(PowerIterationError) as info:
-            _top_eigenvector(np.diag([1.0, 1.0 - 1e-7]))
-        assert isinstance(info.value, DataError)
-        assert info.value.steps == POWER_ITERATION_MAX_STEPS
-        assert info.value.residual >= POWER_ITERATION_TOL
-        assert f"{POWER_ITERATION_MAX_STEPS} steps" in str(info.value)
-
     def test_warm_start_finds_the_same_eigenpair(self, rng):
         X = rng.standard_normal((50, 6)) * rng.uniform(0.5, 3.0, 6)
         cov = np.cov(X, rowvar=False)
-        cold, cold_value = _top_eigenvector(cov)
-        warm, warm_value = _top_eigenvector(cov, start=cold + 0.01 * rng.standard_normal(6))
+        cold, cold_value = _top_eigenpair(cov)
+        warm, warm_value = _warm_top_eigenvector(cov, cold + 0.01 * rng.standard_normal(6))
         assert np.abs(warm - cold).max() < 1e-9
         assert warm_value == pytest.approx(cold_value, rel=1e-12)
 
-    def test_every_start_in_nullspace_raises(self):
-        # trace > 0, but every start maps to a vector below the tolerance
-        with pytest.raises(DegenerateCovarianceError):
-            _top_eigenvector(1e-14 * np.eye(3))
-
     def test_nullspace_warm_start_falls_back(self):
-        # the warm start lies in the nullspace, the ones start does not
+        # the warm start lies in the nullspace: the month goes to eigh
         cov = np.outer([1.0, 2.0], [1.0, 2.0])
-        v, value = _top_eigenvector(cov, start=np.array([2.0, -1.0]))
+        v, value = _warm_top_eigenvector(cov, np.array([2.0, -1.0]))
         assert np.abs(np.abs(v) - np.array([1.0, 2.0]) / np.sqrt(5.0)).max() < 1e-12
         assert value == pytest.approx(5.0, rel=1e-12)
 
@@ -290,8 +293,27 @@ def weak_panel_values(seed, n=150, d=10):
     return steps + 0.2 * rng.standard_normal(n)[:, None]
 
 
-def failing_cholesky(a):
-    raise np.linalg.LinAlgError("certificate refused")
+def counted_eigh(monkeypatch) -> list:
+    """Patch ``np.linalg.eigh`` to log one entry per call; returns the log."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def window_with_ratio(rng, d, ratio, n=60):
+    """``n`` rows whose divisor-``n`` covariance has lambda1 = 1 and lambda2 = ``ratio``
+    in a random orthogonal eigenbasis."""
+    Z = rng.standard_normal((n, d))
+    Z -= Z.mean(axis=0)
+    Z = np.linalg.svd(Z, full_matrices=False)[0] * np.sqrt(n)  # centred, Z.T @ Z = n I
+    cov, _ = spectrum_cov(rng, d, ratio)
+    values, vectors = np.linalg.eigh(cov)
+    return Z @ (vectors * np.sqrt(np.clip(values, 0.0, None))).T
 
 
 class TestWarmSolver:
@@ -315,75 +337,40 @@ class TestWarmSolver:
         # a wide eigengap meets the tolerance within the d // 3 power steps
         cov, top = spectrum_cov(rng, 30, 0.01)
         start = top + 1e-3 * rng.standard_normal(30)
-        cold, cold_value = _top_eigenvector(cov, start=start)
-        monkeypatch.setattr(np.linalg, "solve", None)  # RQI is never reached
+        power, residual = _power_iterate(cov, start / np.linalg.norm(start), 30 // 3)
+        assert residual < POWER_ITERATION_TOL
+        monkeypatch.setattr(np.linalg, "eigh", None)  # eigh is never reached
         warm, warm_value = _warm_top_eigenvector(cov, start)
-        np.testing.assert_array_equal(warm, cold)
-        assert warm_value == cold_value
+        np.testing.assert_array_equal(warm, power)
+        assert warm_value == float(power @ cov @ power)
 
     def test_failed_certificate_falls_back_to_power_iteration(self, monkeypatch):
+        # the months the power steps miss are solved by eigh
         X = weak_panel_values(seed=2, n=100, d=5)
         panel = make_panel({f"s{j}": X[:, j] for j in range(5)})
-        fallbacks = []
-        top = indices._top_eigenvector
-
-        def counted(cov, start=None):
-            fallbacks.append(start is not None)
-            return top(cov, start)
-
-        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
-        monkeypatch.setattr(indices, "_top_eigenvector", counted)
+        calls = counted_eigh(monkeypatch)
         got = expanding_pca_index(panel, "growth", 40).values
-        assert sum(fallbacks) >= 10  # every month RQI reached resumed power iteration
+        assert len(calls) >= 1 + 10  # the cold first month and the warm months that missed
         assert np.abs(got - eigh_index(X, 40)).max() <= 1e-9
 
     def test_start_near_the_second_eigenvector(self):
         # when the top two eigenvalues cross between months, last month's
-        # vector is nearest the second one: RQI converges there, the
-        # certificate fails, and power iteration must resume from where RQI
-        # began, not from the RQI vector, on which it would stop at once
+        # vector is nearest the second one; the power steps miss and eigh
+        # finds the top pair
         cov = np.diag([1.0, 0.9, 0.3, 0.2, 0.1, 0.0])
         v, value = _warm_top_eigenvector(cov, np.eye(6)[1] + 1e-3 * np.ones(6))
         assert np.abs(v - np.eye(6)[0]).max() < 1e-9
         assert value == pytest.approx(1.0, rel=1e-12)
 
-    def test_failed_certificate_keeps_the_step_budget_error(self, monkeypatch):
-        cov, top = spectrum_cov(np.random.default_rng(3), 8, 0.99)
-        start = top + 1e-3 * np.random.default_rng(4).standard_normal(8)
-        monkeypatch.setattr(indices, "POWER_ITERATION_MAX_STEPS", 20)
-        _warm_top_eigenvector(cov, start)  # RQI certifies without the fallback
-        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
-        with pytest.raises(PowerIterationError) as info:
-            _warm_top_eigenvector(cov, start)
-        assert info.value.steps == 20
-
     def test_singular_solve_falls_back(self, monkeypatch):
         # one power step from (1, 1, 3) lands on Rayleigh quotient exactly 2,
-        # an eigenvalue, so the first RQI solve is singular
+        # an eigenvalue; the month still gets the top pair, from one eigh
         cov = np.diag([3.0, 2.0, 1.0])
-        solves = []
-        solve = np.linalg.solve
-
-        def recorded(a, b):
-            try:
-                return solve(a, b)
-            except np.linalg.LinAlgError:
-                solves.append("singular")
-                raise
-
-        monkeypatch.setattr(np.linalg, "solve", recorded)
+        calls = counted_eigh(monkeypatch)
         v, value = _warm_top_eigenvector(cov, np.array([1.0, 1.0, 3.0]))
-        assert solves == ["singular"]
-        assert np.abs(v - [1.0, 0.0, 0.0]).max() < 1e-9
+        assert calls == [3]
+        assert np.abs(np.abs(v) - [1.0, 0.0, 0.0]).max() < 1e-9
         assert value == pytest.approx(3.0, rel=1e-12)
-
-    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0])
-    def test_non_finite_or_zero_solve_falls_back(self, monkeypatch, bad):
-        cov, top = spectrum_cov(np.random.default_rng(5), 6, 0.95)
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, bad))
-        v, value = _warm_top_eigenvector(cov, top + 1e-4 * np.random.default_rng(6).standard_normal(6))
-        assert np.abs(v - (top if top @ v > 0 else -top)).max() <= 1e-9
-        assert value == pytest.approx(1.0, rel=1e-12)
 
     def test_exact_eigenvector_start(self):
         # neither raises nor warns (warnings are errors in this suite)
@@ -392,15 +379,15 @@ class TestWarmSolver:
         assert value == 3.0
 
     def test_step_count_does_not_depend_on_the_eigengap(self, monkeypatch):
-        # counts power steps (matrix-vector products) and solves per warm
-        # month: the d // 3 budget plus two RQI steps of one solve and one
-        # power step each; eigengap-bound power iteration would take hundreds
+        # counts power steps (matrix-vector products) and eigh calls per warm
+        # month: the d // 3 budget plus one eigh; eigengap-bound power
+        # iteration would take hundreds
         d = 10
         X = weak_panel_values(seed=2, n=300, d=d)
         top2 = np.linalg.eigvalsh(np.cov(X, rowvar=False))[-2:]
         assert top2[0] / top2[1] > 0.9
         ops, per_month = [], []
-        power, solve, warm = indices._power_iterate, np.linalg.solve, indices._warm_top_eigenvector
+        power, eigh, warm = indices._power_iterate, np.linalg.eigh, indices._warm_top_eigenvector
 
         def one_step_at_a_time(cov, v, steps):
             residual = np.inf
@@ -414,9 +401,9 @@ class TestWarmSolver:
                     break
             return v, residual
 
-        def counted_solve(a, b):
-            ops.append("solve")
-            return solve(a, b)
+        def eigh_op(a):
+            ops.append("eigh")
+            return eigh(a)
 
         def per_month_count(cov, start):
             ops.clear()
@@ -425,12 +412,22 @@ class TestWarmSolver:
             return result
 
         monkeypatch.setattr(indices, "_power_iterate", one_step_at_a_time)
-        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(np.linalg, "eigh", eigh_op)
         monkeypatch.setattr(indices, "_warm_top_eigenvector", per_month_count)
         panel = make_panel({f"s{j}": X[:, j] for j in range(d)})
         expanding_pca_index(panel, "growth", 60)
         assert len(per_month) == 300 - 60
-        assert np.median(per_month) <= d // 3 + 4
+        assert np.median(per_month) <= d // 3 + 1
+
+    def test_first_window_with_a_tight_eigengap(self):
+        # lambda2 / lambda1 = 0.999 on the first window: power iteration
+        # from a cold start would need tens of thousands of steps
+        rng = np.random.default_rng(7)
+        X = np.vstack([window_with_ratio(rng, 6, 0.999), rng.standard_normal((20, 6))])
+        top2 = np.linalg.eigvalsh(np.cov(X[:60], rowvar=False, bias=True))[-2:]
+        assert top2[0] / top2[1] == pytest.approx(0.999, rel=1e-9)
+        got = expanding_pca_index(panel_of(X), "growth", 60).values
+        assert np.abs(got - eigh_index(X, 60)).max() <= 1e-9
 
 
 def panel_of(X, rows=None):
