@@ -15,7 +15,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
@@ -33,10 +33,10 @@ from .dataset import (
     load_labels,
     load_series_csv,
     next_month_labels,
-    pack_npz,
+    pack_record,
     read_month_table,
     split_rows,
-    unpack_npz,
+    unpack_record,
     write_atomic as _write_atomic,
     write_labels,
     write_month_table,
@@ -335,6 +335,10 @@ def _read_sidecar(path: Path, parse: Callable[[dict], object]):
 def _panel_meta(meta: dict) -> tuple[dict[str, Category], tuple | None, Region | None]:
     categories = {col["id"]: Category(col["category"]) for col in meta["columns"]}
     fills = tuple(meta["fills"]) if "fills" in meta else None
+    if fills is not None and not (
+        len(fills) == len(meta["columns"]) and all(type(f) is int and f >= 0 for f in fills)
+    ):
+        raise ValueError(f"fills {meta['fills']!r} are not one non-negative int per column")
     return categories, fills, Region(meta["region"]) if meta.get("region") else None
 
 
@@ -381,14 +385,15 @@ def read_index_csv(path: Path, kind: IndexKind) -> CompositeIndex:
 
 
 def write_index_states(states: dict[str, IndexState], path: Path) -> None:
-    """The states as a :func:`pack_npz` archive, one ``<kind>.<field>`` member
-    per state field."""
+    """The states as one :func:`pack_record`: ``{kind: {"key", "t"}}`` in its
+    meta, and each state's arrays as ``<kind>.mean|scatter|vector|values``."""
+    meta = {kind: {"key": state.key, "t": state.t} for kind, state in states.items()}
     arrays = {
-        f"{kind}.{f.name}": getattr(state, f.name)
+        f"{kind}.{name}": getattr(state, name)
         for kind, state in states.items()
-        for f in fields(IndexState)
+        for name in ("mean", "scatter", "vector", "values")
     }
-    _write_atomic(path, pack_npz(arrays))
+    _write_atomic(path, pack_record(meta, arrays))
 
 
 def read_index_states(path: Path) -> tuple[dict[str, IndexState], str]:
@@ -396,12 +401,12 @@ def read_index_states(path: Path) -> tuple[dict[str, IndexState], str]:
     if not path.exists():
         return {}, "no state"
     try:
-        arrays = unpack_npz(path.read_bytes())
+        meta, arrays = unpack_record(path.read_bytes())
         states = {}
         for kind in IndexKind:
-            named = {f.name: arrays[f"{kind.value}.{f.name}"] for f in fields(IndexState)}
-            named["key"], named["t"] = str(named["key"].item()), int(named["t"].item())
-            states[kind.value] = IndexState(**named)
+            prefix = f"{kind.value}."
+            named = {name.removeprefix(prefix): a for name, a in arrays.items() if name.startswith(prefix)}
+            states[kind.value] = IndexState(**meta[kind.value], **named)
         return states, ""
     except (OSError, KeyError, TypeError, ValueError):
         return {}, "unreadable state"
@@ -519,7 +524,7 @@ def cmd_preprocess(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json").complete()
     min_window = cfg.indices["min_window_months"]
-    state_path = cfg.out_dir / "indices_state.npz"
+    state_path = cfg.out_dir / "indices_state.rec"
     states, no_state = read_index_states(state_path)
     loadings_doc, new_states = {}, {}
     for kind, ref_key, out_name in (

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 import os
 import re
 import warnings
-import zipfile
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -55,8 +53,8 @@ __all__ = [
     "write_month_table",
     "write_atomic",
     "prefix_sha256",
-    "pack_npz",
-    "unpack_npz",
+    "pack_record",
+    "unpack_record",
     "digest_path",
     "finite_cell",
     "finite_cell_or_nan",
@@ -472,48 +470,55 @@ def prefix_sha256(header, rows) -> str:
     return digest.hexdigest()
 
 
-def pack_npz(arrays: dict[str, object]) -> bytes:
-    """``arrays`` in ``np.savez``'s layout, one ``<name>.npy`` member each.
+def pack_record(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
+    """``meta`` and ``arrays`` as one record, the format of the index state and the table digests.
 
-    ``np.savez`` stamps each member with the wall clock; these carry
-    zipfile's fixed default date, so equal arrays give equal bytes.
+    In order: a 4-byte little-endian header length; the header,
+    ``{"meta": meta, "shapes": {name: shape}}`` as sorted-key JSON; each
+    array as little-endian float64 in C order, in sorted-name order; and the
+    SHA-256 of everything before it. Equal inputs give equal bytes.
     """
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w") as archive:
-        for name, array in arrays.items():
-            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
-                np.lib.format.write_array(fh, np.asarray(array), allow_pickle=False)
-    return buf.getvalue()
+    blobs = {name: np.require(arrays[name], "<f8", "C") for name in sorted(arrays)}
+    shapes = {name: blob.shape for name, blob in blobs.items()}
+    header = json.dumps({"meta": meta, "shapes": shapes}, sort_keys=True).encode()
+    body = b"".join([len(header).to_bytes(4, "little"), header, *(blob.data for blob in blobs.values())])
+    return body + hashlib.sha256(body).digest()
 
 
-def unpack_npz(data: bytes) -> dict[str, np.ndarray]:
-    """The arrays of :func:`pack_npz` bytes by name, read without pickle.
+def unpack_record(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """(meta, arrays) of :func:`pack_record` bytes; the arrays are writable float64.
 
-    Bytes that :func:`pack_npz` would not make of the arrays they hold raise
-    ``ValueError``: a member whose CRC fails, a truncated or foreign archive,
-    a member zipfile cannot read (a flipped bit can mark one compressed with
-    an unknown method, or encrypted), and a change to a byte no CRC covers,
-    such as a member's date.
+    The trailer is checked first, so bytes truncated, extended or changed
+    anywhere raise ``ValueError``. So does a header :func:`pack_record` does
+    not write: other keys, a ``meta`` that is not an object, a shape that is
+    not a list of non-negative ints, or arrays that do not fill the body.
     """
-    try:
-        with zipfile.ZipFile(io.BytesIO(data)) as archive:  # read() checks each member's CRC
-            arrays = {
-                name.removesuffix(".npy"): np.lib.format.read_array(
-                    io.BytesIO(archive.read(name)), allow_pickle=False
-                )
-                for name in archive.namelist()
-            }
-    except (EOFError, NotImplementedError, RuntimeError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"unreadable npz archive: {exc}") from exc
-    if pack_npz(arrays) != data:
-        raise ValueError("npz archive differs from the packing of its arrays")
-    return arrays
+    view = memoryview(data)
+    body = view[:-32]
+    if len(view) < 36 or hashlib.sha256(body).digest() != view[-32:]:
+        raise ValueError("record fails its SHA-256 trailer")
+    size = int.from_bytes(body[:4], "little")
+    header = json.loads(bytes(body[4 : 4 + size]))  # its errors are ValueErrors
+    if not (isinstance(header, dict) and header.keys() == {"meta", "shapes"}):
+        raise ValueError("record header is not {meta, shapes}")
+    meta, shapes = header["meta"], header["shapes"]
+    if not (isinstance(meta, dict) and isinstance(shapes, dict)) or not all(
+        isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape) for shape in shapes.values()
+    ):
+        raise ValueError("record meta or shapes is not an object, or a shape not a list of ints >= 0")
+    shapes = {name: shapes[name] for name in sorted(shapes)}
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    flat = np.frombuffer(body, "<f8", offset=4 + size).astype(np.float64)
+    if flat.size != sum(sizes):
+        raise ValueError("record arrays do not fill its body")
+    parts = np.split(flat, np.cumsum(sizes[:-1], dtype=np.int64))
+    return meta, {name: part.reshape(shapes[name]) for name, part in zip(shapes, parts)}
 
 
 def digest_path(path: str | Path) -> Path:
-    """The digest record :func:`write_month_table` keeps beside table ``path``: ``<stem>_digest.npz``."""
+    """The digest record :func:`write_month_table` keeps beside table ``path``: ``<stem>_digest.rec``."""
     path = Path(path)
-    return path.with_name(f"{path.stem}_digest.npz")
+    return path.with_name(f"{path.stem}_digest.rec")
 
 
 def _read_record(path: Path) -> tuple[str, list[str], np.ndarray, np.ndarray]:
@@ -521,23 +526,18 @@ def _read_record(path: Path) -> tuple[str, list[str], np.ndarray, np.ndarray]:
 
     FileNotFoundError if there is none; ValueError if it is damaged or not a record.
     """
-    not_a_record = ValueError(f"{digest_path(path).name}: not a table digest record")
-    arrays = unpack_npz(digest_path(path).read_bytes())
-    if arrays.keys() != {"meta", "values"}:
-        raise not_a_record
-    meta, values = json.loads(str(arrays["meta"][()])), arrays["values"]
-    if not isinstance(meta, dict) or meta.keys() != {"file_sha256", "names", "first_month"}:
-        raise not_a_record
-    sha, names, first = meta["file_sha256"], meta["names"], meta["first_month"]
+    meta, arrays = unpack_record(digest_path(path).read_bytes())
+    sha, names, first = (meta.get(key) for key in ("file_sha256", "names", "first_month"))
+    values = arrays.get("values")
     if (
-        type(sha) is not str
+        meta.keys() != {"file_sha256", "names", "first_month"}
+        or arrays.keys() != {"values"}
+        or type(sha) is not str
         or not (isinstance(names, list) and all(type(n) is str for n in names))
-        or values.dtype != np.float64
         or values.shape[1:] != (len(names),)
-        or not values.flags.c_contiguous
         or type(first) is not (int if len(values) else type(None))
     ):
-        raise not_a_record
+        raise ValueError(f"{digest_path(path).name}: not a table digest record")
     return sha, names, (first or 0) + np.arange(len(values), dtype=np.int64), values
 
 
@@ -591,11 +591,11 @@ def write_month_table(
 
     ``months`` must be contiguous ordinals; ``values`` is months by names.
     After the table, a digest record (:func:`digest_path`) is written: a
-    :func:`pack_npz` archive of ``meta``, a JSON object with the SHA-256 of
-    the file's bytes (``file_sha256``), the column ``names`` and the first
-    month's ordinal (``first_month``, null for no rows), and the float64
-    ``values``. :func:`read_month_table` returns the record's rows
-    instead of parsing a file whose bytes it matches. If the record on disk
+    :func:`pack_record` whose meta holds the SHA-256 of the file's bytes
+    (``file_sha256``), the column ``names`` and the first month's ordinal
+    (``first_month``, null for no rows), and whose one array is the float64
+    ``values``. :func:`read_month_table` returns the record's rows instead
+    of parsing a file whose bytes it matches. If the record on disk
     holds the first k rows of this table, bit for bit, under the same names,
     and still matches the file, the file's bytes are kept and only rows k
     onwards are formatted; otherwise k = 0 and every row is. The bytes
@@ -626,7 +626,7 @@ def write_month_table(
         "first_month": int(months[0]) if len(months) else None,  # the rest follow, contiguous
     }
     del data  # a large table's text need not outlive it while the record is packed
-    write(digest_path(path), pack_npz({"meta": json.dumps(meta, sort_keys=True), "values": values}))
+    write(digest_path(path), pack_record(meta, {"values": values}))
     return note
 
 

@@ -106,6 +106,8 @@ class IndexState:
         arrays = (self.mean, self.scatter, self.vector, self.values)
         if not (shaped and all(np.isfinite(a).all() for a in arrays)):
             raise ValueError("index state arrays are misshapen or non-finite")
+        if type(self.key) is not str or type(self.t) is not int:
+            raise ValueError("index state key must be a str and t an int")
 
     def describes(self, panel: Panel, reference_series: str, min_window_months: int) -> bool:
         """Whether this state is the one a build of ``panel`` reaches after ``t`` rows."""

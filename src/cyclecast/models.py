@@ -554,7 +554,11 @@ def predict_proba(model: TrainedModel, x: Sequence[float] | np.ndarray) -> Phase
 
 @dataclass(frozen=True)
 class ModelArtifact:
-    """A trained model plus the context needed to apply it to new data."""
+    """A trained model plus the context needed to apply it to new data.
+
+    ``window`` is None or an int >= 2. The scaler's mean and std are finite
+    (std > 0) and as wide as the feature names and the model's input.
+    """
 
     model: TrainedModel | RbbcpModel
     region: Region | None = None
@@ -562,6 +566,20 @@ class ModelArtifact:
     feature_names: tuple[str, ...] | None = None
     scaler: FeatureScaler | None = None
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.window is not None and (type(self.window) is not int or self.window < 2):
+            raise ValueError(f"window {self.window!r} is not null or an int >= 2")
+        shapes = set() if isinstance(self.model, RbbcpModel) else {(self.model.n_features,)}
+        if self.feature_names is not None:
+            shapes.add((len(self.feature_names),))
+        if self.scaler is not None:
+            mean, std = self.scaler.mean, self.scaler.std
+            if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+                raise ValueError("scaler mean and std must be finite, std > 0")
+            shapes |= {mean.shape, std.shape}
+        if len(shapes) > 1:
+            raise ValueError(f"feature names, scaler and model input differ in width: {sorted(shapes)}")
 
 
 def _array(nested) -> np.ndarray:
@@ -636,7 +654,8 @@ def save_model(
 
 
 def load_model(path: str | Path) -> ModelArtifact:
-    """Read a model container written by :func:`save_model`."""
+    """Read a model container written by :func:`save_model`; a payload that
+    makes no valid :class:`ModelArtifact` raises :class:`CorruptFileError`."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
@@ -651,18 +670,14 @@ def load_model(path: str | Path) -> ModelArtifact:
         raise VersionMismatchError(version, MODEL_SCHEMA_VERSION)
     try:
         model = _model_from_payload(doc["model"])
-        scaler = doc.get("scaler")
+        scaler, names = doc.get("scaler"), doc.get("feature_names")
         return ModelArtifact(
             model=model,
             region=Region(doc["region"]) if doc.get("region") else None,
             window=doc.get("window"),
-            feature_names=tuple(doc["feature_names"]) if doc.get("feature_names") else None,
-            scaler=(
-                FeatureScaler(mean=_array(scaler["mean"]), std=_array(scaler["std"]))
-                if scaler
-                else None
-            ),
+            feature_names=None if names is None else tuple(names),
+            scaler=None if scaler is None else FeatureScaler(_array(scaler["mean"]), _array(scaler["std"])),
             extra=doc.get("extra", {}),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path}: malformed model payload ({exc})") from exc

@@ -593,6 +593,8 @@ class TestDataErrors:
             ("out/panel_meta.json", lambda doc: doc.pop("columns"), "features"),
             ("out/panel_meta.json", lambda doc: doc["columns"][0].pop("id"), "build-indices"),
             ("out/panel_meta.json", None, "features"),  # not JSON
+            ("out/panel_meta.json", lambda doc: doc["fills"].pop(), "features"),
+            ("out/panel_meta.json", lambda doc: doc.update(fills=["0"] * len(doc["fills"])), "build-indices"),
         ],
     )
     def test_damaged_sidecar_is_data_error(self, pipeline, capsys, sidecar, damage, command):
@@ -608,6 +610,37 @@ class TestDataErrors:
         assert run(config, command) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and path.name in err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda doc: doc.update(scaler={}),
+            lambda doc: doc.update(window="x"),
+            lambda doc: doc.update(window=True),
+            lambda doc: doc.update(window=2.5),
+            lambda doc: doc.update(window=1),
+            lambda doc: doc["scaler"]["mean"].pop(),
+            lambda doc: doc["scaler"].update(std=[0.0] * len(doc["scaler"]["std"])),
+            lambda doc: doc["scaler"]["mean"].__setitem__(0, float("nan")),
+            lambda doc: doc["model"].update(weights=[row[:-1] for row in doc["model"]["weights"]]),
+        ],
+        ids=[
+            "empty scaler", "string window", "bool window", "float window", "window 1",
+            "short scaler mean", "zero scaler std", "NaN scaler mean", "narrow weights",
+        ],
+    )
+    def test_bad_model_values_are_data_error(self, pipeline, capsys, damage):
+        tmp_path, config = pipeline
+        assert run(config, "train") == EXIT_OK
+        model_path = tmp_path / "out" / "model.json"
+        doc = json.loads(model_path.read_text())
+        damage(doc)
+        model_path.write_text(json.dumps(doc))
+        for argv in (["evaluate"], ["predict", "--month", "1981-06"]):
+            capsys.readouterr()
+            assert run(config, *argv) == EXIT_DATA
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("data error:") and "model.json" in err[0]
 
     def test_model_feature_names_must_match_panel(self, pipeline, capsys):
         tmp_path, config = pipeline
@@ -886,7 +919,7 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
-INDEX_ARTIFACTS = ("growth.csv", "inflation.csv", "loadings.json", "indices_state.npz")
+INDEX_ARTIFACTS = ("growth.csv", "inflation.csv", "loadings.json", "indices_state.rec")
 
 
 def rebuilt_indices(tmp_path: Path, config: Path) -> dict[str, bytes]:
@@ -954,12 +987,12 @@ class TestIndexResume:
             lambda blob: blob[: len(blob) // 2],  # truncated
             lambda blob: blob[:-200] + bytes([blob[-200] ^ 1]) + blob[-199:],  # a flipped bit
             lambda blob: b"",
-            lambda blob: b"not an npz file",
+            lambda blob: b"not a record",
         ],
     )
     def test_damaged_state_is_rebuilt(self, pipeline, capsys, damage):
         tmp_path, config = pipeline
-        path = tmp_path / "out" / "indices_state.npz"
+        path = tmp_path / "out" / "indices_state.rec"
         path.write_bytes(damage(path.read_bytes()))
         capsys.readouterr()
         assert run(config, "build-indices") == EXIT_OK

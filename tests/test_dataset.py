@@ -21,10 +21,11 @@ from cyclecast.dataset import (
     format_month_table,
     load_labels,
     load_series_csv,
+    pack_record,
     prefix_sha256,
     read_month_table,
     split_rows,
-    unpack_npz,
+    unpack_record,
     write_labels,
     write_month_table,
 )
@@ -324,7 +325,7 @@ TAMPER_NOTES = {
     **dict.fromkeys(PREFIX_TAMPERS, "rewritten: changed rows"),
     **dict.fromkeys(("truncated file", "extended file", "flipped byte"), "rewritten: edited file"),
     "deleted digest": "rewritten: no digest",
-    "garbled digest": "rewritten: ",  # which field the flip hit decides the reason
+    "garbled digest": "rewritten: unreadable digest",  # the record's SHA-256 trailer fails
     "digest not JSON": "rewritten: unreadable digest",
 }
 
@@ -363,18 +364,18 @@ class TestWriteMonthTable:
 
         months = month_range(MonthStamp(1999, 11), 3)
         write_month_table(path, ("value",), months, [0.1, np.nan, -2.0], write)
-        assert writes == ["growth.csv", "growth_digest.npz"]
-        record = unpack_npz((tmp_path / "growth_digest.npz").read_bytes())
-        assert sorted(record) == ["meta", "values"]
-        assert json.loads(str(record["meta"])) == {
+        assert writes == ["growth.csv", "growth_digest.rec"]
+        meta, arrays = unpack_record((tmp_path / "growth_digest.rec").read_bytes())
+        assert meta == {
             "file_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
             "names": ["value"],
             "first_month": int(months[0]),
         }
-        assert record["values"].tobytes() == np.array([[0.1], [np.nan], [-2.0]]).tobytes()
-        first = (tmp_path / "growth_digest.npz").read_bytes()
+        assert sorted(arrays) == ["values"]
+        assert arrays["values"].tobytes() == np.array([[0.1], [np.nan], [-2.0]]).tobytes()
+        first = (tmp_path / "growth_digest.rec").read_bytes()
         assert write_month_table(path, ("value",), months, [0.1, np.nan, -2.0]) == "appended 0 rows"
-        assert (tmp_path / "growth_digest.npz").read_bytes() == first
+        assert (tmp_path / "growth_digest.rec").read_bytes() == first
 
     def test_gapped_months_are_refused(self, tmp_path):
         with pytest.raises(NonContiguousMonthsError):
@@ -439,7 +440,7 @@ READ_TAMPERS = {
         digest_path(path).read_bytes()[: at % digest_path(path).stat().st_size]
     ),
     "flipped record bit": lambda path, at: flip_byte(digest_path(path), at),
-    "record not a zip": FILE_TAMPERS["digest not JSON"],
+    "foreign record": FILE_TAMPERS["digest not JSON"],
     "record of another table": copy_record_of_another_table,
 }
 
@@ -519,6 +520,96 @@ def test_prefix_sha256_hashes_the_json_header_then_the_float64_bytes():
     expected = hashlib.sha256(json.dumps(header).encode() + rows.astype(np.float64).tobytes())
     assert prefix_sha256(header, rows) == expected.hexdigest()
     assert prefix_sha256(header, rows[:, ::-1]) != expected.hexdigest()
+
+
+# Bit patterns the codec must keep: -0.0, the smallest subnormal, infinity,
+# and NaNs with payloads (signalling, quiet with low bits set, negative).
+SPECIAL_BITS = (
+    0x8000000000000000, 0x0000000000000001, 0x7FF0000000000000,
+    0x7FF0000000000001, 0x7FF8000000000123, 0xFFF8000000000000,
+)
+
+
+@st.composite
+def record_arrays(draw):
+    """0 to 3 named float64 arrays of 0 rows, 1x1, dxd and other shapes, from raw bit patterns."""
+    bits = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(SPECIAL_BITS))
+    arrays = {}
+    for name in draw(st.lists(st.text(max_size=6), max_size=3, unique=True)):
+        d = draw(st.integers(1, 5))
+        shape = draw(st.sampled_from([(0, d), (1, 1), (d, d), (d,), ()]))
+        cells = draw(st.lists(bits, min_size=math.prod(shape), max_size=math.prod(shape)))
+        arrays[name] = np.array(cells, dtype=np.uint64).view(np.float64).reshape(shape)
+    return arrays
+
+
+def seal(header: bytes, body: bytes = b"", length: int | None = None) -> bytes:
+    """A record of this header and body, its length field ``length`` (the
+    header's own by default), under a trailer that matches it."""
+    data = (len(header) if length is None else length).to_bytes(4, "little") + header + body
+    return data + hashlib.sha256(data).digest()
+
+
+class TestRecordCodec:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        arrays=record_arrays(),
+        meta=st.dictionaries(
+            st.text(max_size=8),
+            st.one_of(st.none(), st.integers(), st.text(max_size=8), st.lists(st.text(max_size=4))),
+            max_size=4,
+        ),
+    )
+    def test_round_trip_is_bit_exact_and_deterministic(self, arrays, meta):
+        meta = {**meta, "names": ["Wachstum_ä", "通胀", "ñ\u2028"]}
+        data = pack_record(meta, arrays)
+        assert pack_record(dict(reversed(meta.items())), dict(reversed(arrays.items()))) == data
+        got_meta, got = unpack_record(data)
+        assert got_meta == meta
+        assert got.keys() == arrays.keys()
+        for name, array in arrays.items():
+            assert got[name].dtype == np.float64 and got[name].shape == array.shape
+            np.testing.assert_array_equal(got[name].view(np.uint64), array.view(np.uint64))
+            assert got[name].flags.writeable
+
+    def test_layout(self):
+        data = pack_record({"k": 1}, {"b": np.array([2.0]), "a": np.eye(2)})
+        header = b'{"meta": {"k": 1}, "shapes": {"a": [2, 2], "b": [1]}}'
+        assert data == seal(header, np.eye(2).astype("<f8").tobytes() + np.array([2.0], "<f8").tobytes())
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            seal(b"{}")[:-1],
+            seal(b'{"meta": {}, "shapes": {}}') + b"\0",
+            seal(b'{"meta": {}, "shapes": {}}')[:-40] + b"\1" + seal(b'{"meta": {}, "shapes": {}}')[-39:],
+            seal(b"\xff"),
+            seal(b"[1, 2]"),
+            seal(b'{"meta": {}}'),
+            seal(b'{"shapes": {}}'),
+            seal(b'{"meta": {}, "shapes": {}, "extra": 1}'),
+            seal(b'{"meta": [], "shapes": {}}'),
+            seal(b'{"meta": {}, "shapes": []}'),
+            seal(b'{"meta": {}, "shapes": {"a": 1}}', bytes(8)),
+            seal(b'{"meta": {}, "shapes": {"a": [-1]}}'),
+            seal(b'{"meta": {}, "shapes": {"a": [1.0]}}', bytes(8)),
+            seal(b'{"meta": {}, "shapes": {"a": [true]}}', bytes(8)),
+            seal(b'{"meta": {}, "shapes": {"a": [2]}}', bytes(8)),
+            seal(b'{"meta": {}, "shapes": {"a": [2]}}', bytes(24)),
+            seal(b'{"meta": {}, "shapes": {}}', bytes(8)),
+            seal(b'{"meta": {}, "shapes": {}}', length=100),
+        ],
+        ids=[
+            "empty", "truncated", "extended", "flipped", "not UTF-8", "not an object", "no shapes", "no meta",
+            "extra key", "meta not an object", "shapes not an object", "shape not a list",
+            "negative dimension", "float dimension", "bool dimension", "short body", "long body",
+            "body without arrays", "header length past the end",
+        ],
+    )
+    def test_malformed_record_raises_value_error(self, data):
+        with pytest.raises(ValueError):
+            unpack_record(data)
 
 
 def reference_read(path, cell):
