@@ -584,7 +584,10 @@ def _require_split(cfg: RunConfig) -> SplitSpec:
 
 
 def _fit_model(kind: str, X: np.ndarray, y: np.ndarray, tc: TrainConfig):
-    return {"mlr": train_mlr, "svm": train_svm, "mlp": train_mlp}[kind](X, y, tc)
+    try:
+        return {"mlr": train_mlr, "svm": train_svm, "mlp": train_mlp}[kind](X, y, tc)
+    except ValueError as exc:  # the model's own checks, e.g. weights that diverged
+        raise DataError(f"{kind} training gave no valid model: {exc}") from None
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -655,14 +658,20 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _indices_for_rbbcp(cfg: RunConfig) -> tuple[CompositeIndex, CompositeIndex]:
-    growth = read_index_csv(cfg.out_dir / "growth.csv", IndexKind.GROWTH)
-    inflation = read_index_csv(cfg.out_dir / "inflation.csv", IndexKind.INFLATION)
-    return growth, inflation
+def _scorer(cfg: RunConfig, artifact: ModelArtifact) -> tuple[np.ndarray, Callable]:
+    """The feature months (ordinals) the model can forecast from, and ``score``,
+    which maps some of them to the model's distributions for the months after
+    them: the one scoring path of ``evaluate`` and ``predict``."""
+    model, scaler = artifact.model, artifact.scaler
+    if isinstance(artifact.model, RbbcpModel):  # every month where both trend windows are full
+        growth = read_index_csv(cfg.out_dir / "growth.csv", IndexKind.GROWTH)
+        inflation = read_index_csv(cfg.out_dir / "inflation.csv", IndexKind.INFLATION)
+        tw = model.trend_window
+        # Not np.intersect1d: its first call imports numpy.ma, about 1 MB.
+        common = set(growth.months[tw - 1 :].tolist()) & set(inflation.months[tw - 1 :].tolist())
+        months = np.array(sorted(common), dtype=np.int64)
+        return months, lambda ms: np.array([model.predict_proba_at(inflation, growth, m) for m in ms])
 
-
-def _model_features(cfg: RunConfig, artifact: ModelArtifact) -> FeatureMatrix:
-    """Features rebuilt from panel.csv with the window the model was trained on."""
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
     if artifact.window is None:
         raise DataError("model file records no feature window")
@@ -672,39 +681,15 @@ def _model_features(cfg: RunConfig, artifact: ModelArtifact) -> FeatureMatrix:
         raise DataError(
             f"model features {artifact.feature_names} differ from panel.csv's {fm.feature_names}"
         )
-    return fm
 
+    def score(ms: np.ndarray) -> np.ndarray:
+        rows = fm.values[np.searchsorted(fm.months, ms)]
+        rows = rows if scaler is None else scaler.apply(rows)
+        # One row per call: BLAS sums a one-row product in another order than
+        # a batch, and a forecast must not depend on what was scored with it.
+        return np.vstack([model.predict_proba(row[None, :]) for row in rows])
 
-def _test_distributions(
-    cfg: RunConfig, artifact: ModelArtifact
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distributions, truth codes, and feature months (ordinals) for the test split."""
-    split = _require_split(cfg)
-    labels = load_labels(cfg.labels_path, region=cfg.region)
-    if isinstance(artifact.model, RbbcpModel):
-        growth, inflation = _indices_for_rbbcp(cfg)
-        scored = []
-        test_months = growth.months[split_rows(growth.months, split)["test"]]
-        targets = next_month_labels(labels, test_months)
-        for m, target in zip(test_months[targets > 0], targets[targets > 0]):
-            try:
-                scored.append((artifact.model.predict_proba_at(inflation, growth, m), target, m))
-            except InsufficientHistoryError:
-                continue
-        if not scored:
-            raise CycleCastError("no test months with enough index history")
-        return tuple(map(np.asarray, zip(*scored)))
-
-    fm = _model_features(cfg, artifact)
-    X, y, feat_months = forecast_alignment(fm, labels)
-    rows = split_rows(feat_months, split)["test"]
-    if rows.size == 0:
-        raise CycleCastError("test split contains no feature rows")
-    X_test = X[rows]
-    if artifact.scaler is not None:
-        X_test = artifact.scaler.apply(X_test)
-    dists = artifact.model.predict_proba(X_test)
-    return dists, y[rows], feat_months[rows]
+    return fm.months, score
 
 
 def _phase_step_svg(months: np.ndarray, truth: Sequence[int], preds: Sequence[int]) -> str:
@@ -766,7 +751,16 @@ def _phase_step_svg(months: np.ndarray, truth: Sequence[int], preds: Sequence[in
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     artifact = load_model(args.model_file or cfg.out_dir / "model.json")
-    dists, truth, months = _test_distributions(cfg, artifact)
+    split = _require_split(cfg)
+    labels = load_labels(cfg.labels_path, region=cfg.region)
+    months, score = _scorer(cfg, artifact)
+    targets = next_month_labels(labels, months)
+    rows = split_rows(months, split)["test"]
+    rows = rows[targets[rows] > 0]
+    if rows.size == 0:
+        raise CycleCastError("the test split holds no labeled month the model can score")
+    months, truth = months[rows], targets[rows]
+    dists = score(months)
     report = evaluation.build_report(dists, truth)
     fmt = args.format
     suffix = {"text": "txt", "json": "json", "csv": "csv"}[fmt]
@@ -784,21 +778,13 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     artifact = load_model(args.model_file or cfg.out_dir / "model.json")
-    month = args.month.ordinal
-    if isinstance(artifact.model, RbbcpModel):
-        growth, inflation = _indices_for_rbbcp(cfg)
-        dist = artifact.model.predict_proba_at(inflation, growth, month)
-    else:
-        fm = _model_features(cfg, artifact)
-        try:
-            row = fm.row_at(month)
-        except KeyError:
-            raise InsufficientHistoryError(
-                f"no feature row at {args.month}; window history incomplete"
-            ) from None
-        if artifact.scaler is not None:
-            row = artifact.scaler.apply(row[None, :])[0]
-        dist = artifact.model.predict_proba(row[None, :])[0]
+    months, score = _scorer(cfg, artifact)
+    if args.month.ordinal not in months:
+        span = " to ".join(str(MonthStamp.from_ordinal(m)) for m in (*months[:1], *months[-1:]))
+        raise InsufficientHistoryError(
+            f"cannot forecast from {args.month}: the model can score feature months {span or 'none'}"
+        )
+    dist = score([args.month.ordinal])[0]
     target = args.month.next()
     ranked = rank_phases(dist)
     if args.format == "json":

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import Category, LabeledDataset, month_row, next_month_labels, set_arrays
+from .dataset import Category, LabeledDataset, next_month_labels, set_arrays
 from .errors import (
     EmptyAfterFilterError,
     EmptyOverlapError,
@@ -52,9 +52,6 @@ class FeatureMatrix:
     @property
     def n_rows(self) -> int:
         return len(self.months)
-
-    def row_at(self, month: int) -> np.ndarray:
-        return self.values[month_row(self.months, month)]
 
 
 @dataclass(frozen=True)

@@ -183,8 +183,12 @@ class LinearModel:
     temperature_at_bound: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        shapes = np.shape(self.weights), np.shape(self.bias)
+        if len(shapes[0]) != 2 or shapes[0][0] != N_PHASES or shapes[1] != (N_PHASES,):
+            raise ValueError(f"weights and bias of shapes {shapes} are not (4, d) and (4,)")
+        finite = np.isfinite(self.weights).all() and np.isfinite(self.bias).all()
+        if not (finite and 0 < self.temperature < np.inf):
+            raise ValueError("weights, bias and temperature must be finite, temperature > 0")
 
     @property
     def n_features(self) -> int:
@@ -413,6 +417,15 @@ class MlpModel:
     weights: tuple[np.ndarray, ...]  # layer k: (d_k, d_{k+1})
     biases: tuple[np.ndarray, ...]
 
+    def __post_init__(self):
+        # The widths d_0..d_k the weights name; layer k must be (d_k, d_{k+1}), its bias (d_{k+1},).
+        shapes = [np.shape(w) for w in self.weights], [np.shape(b) for b in self.biases]
+        sizes = [s[0] for s in shapes[0][:1] if s] + [s[-1] for s in shapes[0] if s]
+        if shapes != (list(zip(sizes, sizes[1:])), [(d,) for d in sizes[1:]]) or sizes[-1:] != [N_PHASES]:
+            raise ValueError(f"layer and bias shapes {shapes} do not chain to 4 outputs")
+        if not all(np.isfinite(a).all() for a in (*self.weights, *self.biases)):
+            raise ValueError("weights and biases must be finite")
+
     @property
     def n_features(self) -> int:
         return self.weights[0].shape[0]
@@ -623,10 +636,7 @@ def _model_from_payload(payload: dict) -> TrainedModel | RbbcpModel:
             biases=tuple(_array(b) for b in payload["biases"]),
         )
     if kind == "rbbcp":
-        return RbbcpModel(
-            trend_window=int(payload["trend_window"]),
-            zero_is_up=bool(payload["zero_is_up"]),
-        )
+        return RbbcpModel(trend_window=payload["trend_window"], zero_is_up=payload["zero_is_up"])
     raise CorruptFileError(f"unknown model kind {kind!r}")
 
 

@@ -87,6 +87,11 @@ class RbbcpModel:
     trend_window: int = 12
     zero_is_up: bool = False
 
+    def __post_init__(self):
+        tw, up = self.trend_window, self.zero_is_up
+        if type(tw) is not int or tw < 2 or type(up) is not bool:
+            raise ValueError(f"need an int trend_window >= 2 and a bool zero_is_up, got {tw!r}, {up!r}")
+
     def predict_proba_at(
         self, inflation_index: CompositeIndex, growth_index: CompositeIndex, month: int
     ) -> np.ndarray:

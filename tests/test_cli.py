@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclecast import models
+from cyclecast import cli, evaluation, models
 from cyclecast.cli import (
     CONFIG_SCHEMA,
     EXIT_CONFIG,
@@ -32,7 +32,7 @@ from cyclecast.cli import (
     write_index_csv,
     write_panel,
 )
-from cyclecast.dataset import Category, MonthStamp, format_month_table, read_month_table
+from cyclecast.dataset import Category, MonthStamp, PhaseLabel, format_month_table, read_month_table
 from cyclecast.errors import ConfigError
 from cyclecast.evaluation import report_from_json
 from cyclecast.features import build_feature_matrix
@@ -74,6 +74,15 @@ def write_config(tmp_path: Path, **overrides) -> Path:
 
 def run(config: Path, *argv: str) -> int:
     return main(["--config", str(config), *argv])
+
+
+def train_model(config: Path, model: str) -> None:
+    """``train --model model``; the MLP for 30 epochs, which keeps a test fast."""
+    if model == "mlp":
+        doc = json.loads(config.read_text())
+        doc["train"] = {"epochs": 30}
+        config.write_text(json.dumps(doc))
+    assert run(config, "train", "--model", model) == EXIT_OK
 
 
 FLAG_KEYS = {
@@ -418,10 +427,29 @@ class TestDataErrors:
         tmp_path, config = pipeline
         assert run(config, "evaluate") == EXIT_DATA
 
-    def test_predict_insufficient_history(self, pipeline):
+    @pytest.mark.parametrize("model", ["rbbcp", "mlr", "svm", "mlp"])
+    def test_predict_insufficient_history(self, pipeline, capsys, model):
+        # The panel runs 1970-01 to 1982-06. Features need 4 months (window 4);
+        # the indices start at month 60 and rbbcp's trend needs 4 of them.
         tmp_path, config = pipeline
-        assert run(config, "train") == EXIT_OK
-        assert run(config, "predict", "--month", "1970-01") == EXIT_DATA
+        train_model(config, model)
+        before_first = "1975-02" if model == "rbbcp" else "1970-03"
+        for month in (before_first, "1982-07"):
+            capsys.readouterr()
+            assert run(config, "predict", "--month", month) == EXIT_DATA
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("data error:") and month in err[0]
+
+    def test_rbbcp_scores_the_months_both_indices_cover(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        train_model(config, "rbbcp")
+        path = tmp_path / "out" / "inflation.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + "".join(lines[11:]))  # starts 1975-10, growth 1974-12
+        capsys.readouterr()
+        assert run(config, "predict", "--month", "1975-03") == EXIT_DATA
+        assert "feature months 1976-01 to 1982-06" in capsys.readouterr().err
+        assert run(config, "predict", "--month", "1976-01") == EXIT_OK
 
     def test_failed_mlr_line_search_exits_3(self, pipeline, capsys, monkeypatch):
         tmp_path, config = pipeline
@@ -612,26 +640,47 @@ class TestDataErrors:
         assert err.startswith("data error:") and path.name in err
 
     @pytest.mark.parametrize(
-        "damage",
+        "model,damage",
         [
-            lambda doc: doc.update(scaler={}),
-            lambda doc: doc.update(window="x"),
-            lambda doc: doc.update(window=True),
-            lambda doc: doc.update(window=2.5),
-            lambda doc: doc.update(window=1),
-            lambda doc: doc["scaler"]["mean"].pop(),
-            lambda doc: doc["scaler"].update(std=[0.0] * len(doc["scaler"]["std"])),
-            lambda doc: doc["scaler"]["mean"].__setitem__(0, float("nan")),
-            lambda doc: doc["model"].update(weights=[row[:-1] for row in doc["model"]["weights"]]),
+            ("mlr", lambda doc: doc.update(scaler={})),
+            ("mlr", lambda doc: doc.update(window="x")),
+            ("mlr", lambda doc: doc.update(window=True)),
+            ("mlr", lambda doc: doc.update(window=2.5)),
+            ("mlr", lambda doc: doc.update(window=1)),
+            ("mlr", lambda doc: doc["scaler"]["mean"].pop()),
+            ("mlr", lambda doc: doc["scaler"].update(std=[0.0] * len(doc["scaler"]["std"]))),
+            ("mlr", lambda doc: doc["scaler"]["mean"].__setitem__(0, float("nan"))),
+            ("mlr", lambda doc: doc["model"].update(weights=[row[:-1] for row in doc["model"]["weights"]])),
+            ("mlr", lambda doc: doc["model"]["bias"].pop()),
+            ("mlr", lambda doc: doc["model"]["weights"].pop()),
+            ("mlr", lambda doc: doc["model"]["weights"][0].__setitem__(0, float("inf"))),
+            ("svm", lambda doc: doc["model"].update(temperature=float("nan"))),
+            ("svm", lambda doc: doc["model"].update(temperature=0.0)),
+            ("mlp", lambda doc: [row.pop() for row in doc["model"]["weights"][1]]),
+            ("mlp", lambda doc: doc["model"]["biases"][-1].pop()),
+            ("mlp", lambda doc: [r.append(0.0) for r in doc["model"]["weights"][-1] + [doc["model"]["biases"][-1]]]),
+            ("mlp", lambda doc: doc["model"]["biases"].pop()),
+            ("mlp", lambda doc: doc["model"]["weights"][2][0].__setitem__(0, float("nan"))),
+            ("rbbcp", lambda doc: doc["model"].update(trend_window=1)),
+            ("rbbcp", lambda doc: doc["model"].update(trend_window=0)),
+            ("rbbcp", lambda doc: doc["model"].update(trend_window=2.7)),
+            ("rbbcp", lambda doc: doc["model"].update(trend_window=True)),
+            ("rbbcp", lambda doc: doc["model"].update(zero_is_up="no")),
+            ("rbbcp", lambda doc: doc["model"].update(zero_is_up=0)),
         ],
         ids=[
             "empty scaler", "string window", "bool window", "float window", "window 1",
             "short scaler mean", "zero scaler std", "NaN scaler mean", "narrow weights",
+            "short bias", "three weight rows", "infinite weight", "NaN temperature",
+            "zero temperature", "second MLP layer 50x49", "short last MLP bias",
+            "five MLP outputs", "MLP bias missing", "NaN MLP weight",
+            "trend window 1", "trend window 0", "float trend window", "bool trend window",
+            "string zero_is_up", "int zero_is_up",
         ],
     )
-    def test_bad_model_values_are_data_error(self, pipeline, capsys, damage):
+    def test_bad_model_values_are_data_error(self, pipeline, capsys, model, damage):
         tmp_path, config = pipeline
-        assert run(config, "train") == EXIT_OK
+        train_model(config, model)
         model_path = tmp_path / "out" / "model.json"
         doc = json.loads(model_path.read_text())
         damage(doc)
@@ -769,6 +818,42 @@ class TestPipeline:
         assert run(config, "features", "--window", "6") == EXIT_OK
         assert json.loads((out / "features_meta.json").read_text())["window"] == 6
         assert outputs() == matching
+
+    @pytest.mark.parametrize("model", ["rbbcp", "mlr", "svm", "mlp"])
+    def test_evaluate_scores_what_predict_prints(self, pipeline, capsys, monkeypatch, model):
+        tmp_path, config = pipeline
+        train_model(config, model)
+        seen = {}
+
+        def capture(name, fn):
+            def wrapper(*args):
+                seen[name] = args[0]
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(evaluation, "build_report", capture("dists", evaluation.build_report))
+        monkeypatch.setattr(cli, "_phase_step_svg", capture("months", cli._phase_step_svg))
+        assert run(config, "evaluate") == EXIT_OK
+        months, dists = seen["months"], seen["dists"]
+        for i in sorted({*range(0, len(months), 20), len(months) - 1}):
+            month = MonthStamp.from_ordinal(months[i])
+            capsys.readouterr()
+            assert run(config, "--format", "json", "predict", "--month", str(month)) == EXIT_OK
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["month"] == str(month.next())
+            assert [doc["distribution"][p.name.lower()] for p in PhaseLabel] == dists[i].tolist()
+
+    def test_evaluate_skips_unlabeled_test_months(self, pipeline, monkeypatch):
+        tmp_path, config = pipeline
+        assert run(config, "train") == EXIT_OK
+        labels = tmp_path / "data" / "labels.csv"
+        labels.write_text("".join(labels.read_text().splitlines(keepends=True)[:-5]))  # to 1982-01
+        seen = []
+        monkeypatch.setattr(cli, "_phase_step_svg", lambda months, *_: seen.append(months) or "")
+        assert run(config, "evaluate") == EXIT_OK
+        assert [str(MonthStamp.from_ordinal(m)) for m in seen[0][[0, -1]]] == ["1979-12", "1981-12"]
+        assert len(seen[0]) == 25
 
     def test_predict_with_rbbcp_is_one_hot(self, pipeline, capsys):
         tmp_path, config = pipeline

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cyclecast.dataset import Category, LabeledDataset, MonthStamp, PhaseLabel
+from cyclecast.dataset import Category, LabeledDataset, MonthStamp, PhaseLabel, month_row
 from cyclecast.errors import (
     EmptyAfterFilterError,
     EmptyOverlapError,
@@ -104,7 +104,7 @@ class TestBuildFeatureMatrix:
         shorter = make_panel({k: v[:20] for k, v in full_cols.items()})
         fm_short = build_feature_matrix(shorter, 8)
         for m, row in zip(fm_short.months, fm_short.values):
-            np.testing.assert_array_equal(fm_full.row_at(m), row)
+            np.testing.assert_array_equal(fm_full.values[month_row(fm_full.months, m)], row)
 
     def test_sign_only_mode(self, rng):
         panel = make_panel({"a": rng.standard_normal(15)})
