@@ -33,10 +33,9 @@ from .dataset import (
     load_labels,
     load_series_csv,
     next_month_labels,
-    pack_record,
     read_month_table,
+    read_table_state,
     split_rows,
-    unpack_record,
     write_atomic as _write_atomic,
     write_labels,
     write_month_table,
@@ -375,8 +374,11 @@ def read_features(csv_path: Path, meta_path: Path) -> FeatureMatrix:
 
 
 def write_index_csv(index: CompositeIndex, path: Path) -> str:
-    """Write the index; :func:`write_month_table`'s note on which path ran."""
-    return write_month_table(path, ("value",), index.months, index.values, _write_atomic)
+    """Write the index, with its state's key, mean, scatter and vector in the
+    table's record; :func:`write_month_table`'s note on which path ran."""
+    s = index.state
+    state = s and ({"key": s.key}, {"mean": s.mean, "scatter": s.scatter, "vector": s.vector})
+    return write_month_table(path, ("value",), index.months, index.values, _write_atomic, state)
 
 
 def read_index_csv(path: Path, kind: IndexKind) -> CompositeIndex:
@@ -384,32 +386,16 @@ def read_index_csv(path: Path, kind: IndexKind) -> CompositeIndex:
     return CompositeIndex(kind=kind, months=months, values=values[:, 0])
 
 
-def write_index_states(states: dict[str, IndexState], path: Path) -> None:
-    """The states as one :func:`pack_record`: ``{kind: {"key", "t"}}`` in its
-    meta, and each state's arrays as ``<kind>.mean|scatter|vector|values``."""
-    meta = {kind: {"key": state.key, "t": state.t} for kind, state in states.items()}
-    arrays = {
-        f"{kind}.{name}": getattr(state, name)
-        for kind, state in states.items()
-        for name in ("mean", "scatter", "vector", "values")
-    }
-    _write_atomic(path, pack_record(meta, arrays))
-
-
-def read_index_states(path: Path) -> tuple[dict[str, IndexState], str]:
-    """The states :func:`write_index_states` wrote, by kind; or none, and why."""
-    if not path.exists():
-        return {}, "no state"
+def _index_state(path: Path) -> tuple[IndexState | None, str]:
+    """The state :func:`write_index_csv` stored with index table ``path``, or None and why not."""
+    found = read_table_state(path)
+    if isinstance(found, str):
+        return None, found
+    values, meta, arrays = found
     try:
-        meta, arrays = unpack_record(path.read_bytes())
-        states = {}
-        for kind in IndexKind:
-            prefix = f"{kind.value}."
-            named = {name.removeprefix(prefix): a for name, a in arrays.items() if name.startswith(prefix)}
-            states[kind.value] = IndexState(**meta[kind.value], **named)
-        return states, ""
-    except (OSError, KeyError, TypeError, ValueError):
-        return {}, "unreadable state"
+        return IndexState(values=values[:, 0], **meta, **arrays), ""
+    except (IndexError, TypeError, ValueError):
+        return None, "unreadable state"
 
 
 def _write_series_dir(cfg: RunConfig, series: Sequence[RawSeries]) -> None:
@@ -524,9 +510,7 @@ def cmd_preprocess(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json").complete()
     min_window = cfg.indices["min_window_months"]
-    state_path = cfg.out_dir / "indices_state.rec"
-    states, no_state = read_index_states(state_path)
-    loadings_doc, new_states = {}, {}
+    loadings_doc = {}
     for kind, ref_key, out_name in (
         (IndexKind.GROWTH, "growth_reference_series", "growth.csv"),
         (IndexKind.INFLATION, "inflation_reference_series", "inflation.csv"),
@@ -538,13 +522,11 @@ def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
         reference = sub.series_ids[0] if reference is None else reference
         if reference not in sub.series_ids:
             raise ConfigError(f"indices.{ref_key} {reference!r} is not a {kind.value} series")
-        state = states.get(kind.value)
-        if state is not None and state.describes(sub, reference, min_window):
-            how = f"resumed, {state.values.size} months reused"
-        else:
-            how, state = f"rebuilt: {'key mismatch' if state else no_state}", None
+        state, why = _index_state(cfg.out_dir / out_name)
+        if state is not None and not state.describes(sub, reference, min_window):
+            state, why = None, "key mismatch"
+        how = f"resumed, {state.values.size} months reused" if state is not None else f"rebuilt: {why}"
         index = expanding_pca_index(sub, kind, min_window, reference_series=reference, resume=state)
-        new_states[kind.value] = index.state
         note = write_index_csv(index, cfg.out_dir / out_name)
         final = sign_normalize(
             pca_first_component(sub.values), sub.series_ids.index(reference)
@@ -559,7 +541,6 @@ def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"wrote {kind.value} index: {len(index)} months -> {cfg.out_dir / out_name} ({note}) ({how})"
         )
     _write_json(cfg.out_dir / "loadings.json", loadings_doc)
-    write_index_states(new_states, state_path)
     return EXIT_OK
 
 
@@ -584,8 +565,9 @@ def _require_split(cfg: RunConfig) -> SplitSpec:
 
 
 def _fit_model(kind: str, X: np.ndarray, y: np.ndarray, tc: TrainConfig):
-    try:
-        return {"mlr": train_mlr, "svm": train_svm, "mlp": train_mlp}[kind](X, y, tc)
+    try:  # a run that diverges overflows; the model's finiteness check reports it, not numpy
+        with np.errstate(all="ignore"):
+            return {"mlr": train_mlr, "svm": train_svm, "mlp": train_mlp}[kind](X, y, tc)
     except ValueError as exc:  # the model's own checks, e.g. weights that diverged
         raise DataError(f"{kind} training gave no valid model: {exc}") from None
 

@@ -51,6 +51,7 @@ __all__ = [
     "read_month_table",
     "format_month_table",
     "write_month_table",
+    "read_table_state",
     "write_atomic",
     "prefix_sha256",
     "pack_record",
@@ -471,7 +472,7 @@ def prefix_sha256(header, rows) -> str:
 
 
 def pack_record(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
-    """``meta`` and ``arrays`` as one record, the format of the index state and the table digests.
+    """``meta`` and ``arrays`` as one record, the format of the table digests.
 
     In order: a 4-byte little-endian header length; the header,
     ``{"meta": meta, "shapes": {name: shape}}`` as sorted-key JSON; each
@@ -521,24 +522,29 @@ def digest_path(path: str | Path) -> Path:
     return path.with_name(f"{path.stem}_digest.rec")
 
 
-def _read_record(path: Path) -> tuple[str, list[str], np.ndarray, np.ndarray]:
-    """(file SHA-256, names, months, values) of the digest record beside table ``path``.
+def _read_record(path: Path) -> tuple[str, list[str], np.ndarray, np.ndarray, tuple | None]:
+    """(file SHA-256, names, months, values, state) of the digest record beside
+    table ``path``; ``state`` is the (meta, arrays) stored with the table, or None.
 
     FileNotFoundError if there is none; ValueError if it is damaged or not a record.
     """
     meta, arrays = unpack_record(digest_path(path).read_bytes())
-    sha, names, first = (meta.get(key) for key in ("file_sha256", "names", "first_month"))
-    values = arrays.get("values")
+    sha, names, first, state = (meta.get(key) for key in ("file_sha256", "names", "first_month", "state"))
+    values = arrays.pop("values", None)
     if (
-        meta.keys() != {"file_sha256", "names", "first_month"}
-        or arrays.keys() != {"values"}
+        meta.keys() - {"state"} != {"file_sha256", "names", "first_month"}
+        or values is None
+        or not all(name.startswith("state.") for name in arrays)
+        or not (isinstance(state, dict) if "state" in meta else not arrays)
         or type(sha) is not str
         or not (isinstance(names, list) and all(type(n) is str for n in names))
         or values.shape[1:] != (len(names),)
         or type(first) is not (int if len(values) else type(None))
     ):
         raise ValueError(f"{digest_path(path).name}: not a table digest record")
-    return sha, names, (first or 0) + np.arange(len(values), dtype=np.int64), values
+    if state is not None:
+        state = state, {name.removeprefix("state."): array for name, array in arrays.items()}
+    return sha, names, (first or 0) + np.arange(len(values), dtype=np.int64), values, state
 
 
 def _file_sha256(path: Path) -> str:
@@ -564,7 +570,7 @@ def _recorded_rows(path: Path, gaps: bool) -> tuple[tuple[str, ...], np.ndarray,
     finite, or NaN (an empty cell) where ``gaps`` allows it.
     """
     try:
-        sha, names, months, values = _read_record(path)
+        sha, names, months, values, _ = _read_record(path)
         if sha != _file_sha256(path):
             return None
     except (OSError, ValueError):
@@ -586,6 +592,7 @@ def write_month_table(
     months: np.ndarray,
     values,
     write: Callable[[Path, str | bytes], None] = write_atomic,
+    state: tuple[dict, dict[str, np.ndarray]] | None = None,
 ) -> str:
     """Write a float table as :func:`format_month_table` text, reusing the file's verified prefix.
 
@@ -593,9 +600,11 @@ def write_month_table(
     After the table, a digest record (:func:`digest_path`) is written: a
     :func:`pack_record` whose meta holds the SHA-256 of the file's bytes
     (``file_sha256``), the column ``names`` and the first month's ordinal
-    (``first_month``, null for no rows), and whose one array is the float64
-    ``values``. :func:`read_month_table` returns the record's rows instead
-    of parsing a file whose bytes it matches. If the record on disk
+    (``first_month``, null for no rows), and whose array ``values`` holds the
+    float64 rows; a ``state`` (meta, arrays) to resume the table's build from
+    adds its meta as ``state`` and its arrays as ``state.<name>``
+    (:func:`read_table_state`). :func:`read_month_table` returns the record's
+    rows instead of parsing a file whose bytes it matches. If the record on disk
     holds the first k rows of this table, bit for bit, under the same names,
     and still matches the file, the file's bytes are kept and only rows k
     onwards are formatted; otherwise k = 0 and every row is. The bytes
@@ -626,8 +635,25 @@ def write_month_table(
         "first_month": int(months[0]) if len(months) else None,  # the rest follow, contiguous
     }
     del data  # a large table's text need not outlive it while the record is packed
-    write(digest_path(path), pack_record(meta, {"values": values}))
+    arrays = {"values": values}
+    if state is not None:
+        meta["state"] = state[0]
+        arrays.update({f"state.{name}": array for name, array in state[1].items()})
+    write(digest_path(path), pack_record(meta, arrays))
     return note
+
+
+def read_table_state(path: str | Path) -> tuple[np.ndarray, dict, dict[str, np.ndarray]] | str:
+    """(values, state meta, state arrays) of the digest record beside table
+    ``path``, or why not: ``no state`` or ``unreadable state``. The record's
+    trailer proves them; the file's hash governs only :func:`read_month_table`."""
+    try:
+        _, _, _, values, state = _read_record(Path(path))
+    except FileNotFoundError:
+        return "no state"
+    except (OSError, ValueError):
+        return "unreadable state"
+    return "no state" if state is None else (values, *state)
 
 
 def _verified_prefix(
@@ -636,7 +662,7 @@ def _verified_prefix(
     """(k, the file's bytes) when the digest record proves the file holds this
     table's first k rows; otherwise why not."""
     try:
-        sha, recorded_names, recorded_months, recorded_values = _read_record(path)
+        sha, recorded_names, recorded_months, recorded_values, _ = _read_record(path)
     except FileNotFoundError:
         return "no digest"
     except (OSError, ValueError):

@@ -19,13 +19,14 @@ nullspace never meets it; such a month is solved by ``eigh`` as a cold start
 is. The emitted values agree with a per-month ``eigh`` fit of
 ``values[:t]`` to about 1e-10.
 
-Each month depends only on the running state ``(t, mean, scatter, vector)``
+Each month depends only on the running state ``(mean, scatter, vector)``
 left by the month before, so an index can stop and resume: the result
 carries an :class:`IndexState`, and a later call on a longer panel resumes
-from it bit for bit. A state resumes only a panel whose first ``t`` rows,
+from it bit for bit. A state resumes only a panel whose consumed rows,
 series, reference series, minimum window and state schema version hash to
 the state's SHA-256 key; a full build is a resume from the seed state of the
-first ``min_window_months`` rows.
+first ``min_window_months`` rows. ``build-indices`` keeps each index's state
+in its table's digest record, beside the values it shares with the table.
 """
 
 from __future__ import annotations
@@ -86,13 +87,12 @@ def _state_key(panel: Panel, reference_series: str, min_window_months: int, rows
 
 @dataclass(frozen=True)
 class IndexState:
-    """Where an expanding index stopped: after ``t`` panel rows, their running
-    mean and centred scatter, month t's signed eigenvector, and the index
-    values emitted through month t. ``key`` is the :func:`_state_key` of
-    the panel it was built from."""
+    """Where an expanding index stopped: its values so far and, after the
+    ``t = values.size + min_window_months - 1`` panel rows they consumed, their
+    running mean and centred scatter and month t's signed eigenvector. ``key``
+    is the :func:`_state_key` of the panel it was built from."""
 
     key: str
-    t: int
     mean: np.ndarray
     scatter: np.ndarray
     vector: np.ndarray
@@ -104,19 +104,14 @@ class IndexState:
         d = self.mean.size
         shaped = self.scatter.shape == (d, d) and self.vector.shape == (d,) and self.values.size
         arrays = (self.mean, self.scatter, self.vector, self.values)
-        if not (shaped and all(np.isfinite(a).all() for a in arrays)):
-            raise ValueError("index state arrays are misshapen or non-finite")
-        if type(self.key) is not str or type(self.t) is not int:
-            raise ValueError("index state key must be a str and t an int")
+        if not (type(self.key) is str and shaped and all(np.isfinite(a).all() for a in arrays)):
+            raise ValueError("index state key is not a str, or its arrays are misshapen or non-finite")
 
     def describes(self, panel: Panel, reference_series: str, min_window_months: int) -> bool:
         """Whether this state is the one a build of ``panel`` reaches after ``t`` rows."""
-        return (
-            self.t <= panel.n_months
-            and self.mean.size == panel.n_series
-            and self.values.size == self.t - min_window_months + 1
-            and self.key == _state_key(panel, reference_series, min_window_months, self.t)
-        )
+        t = self.values.size + min_window_months - 1
+        fits = t <= panel.n_months and self.mean.size == panel.n_series
+        return fits and self.key == _state_key(panel, reference_series, min_window_months, t)
 
 
 @dataclass(frozen=True)
@@ -297,19 +292,19 @@ def expanding_pca_index(
         raise ValueError(f"reference series {reference_series!r} not in panel") from None
     out = np.empty(n - min_window_months + 1)
     if resume is None:  # the seed state: no month emitted yet
-        rows, done, v = min_window_months, 0, None
-        mu = values[:rows].mean(axis=0)
-        centered = values[:rows] - mu
+        done, v = 0, None
+        mu = values[:min_window_months].mean(axis=0)
+        centered = values[:min_window_months] - mu
         scatter = centered.T @ centered
     elif resume.describes(panel, reference_series, min_window_months):
-        rows, done, v = resume.t, resume.values.size, resume.vector
+        done, v = resume.values.size, resume.vector
         mu, scatter = resume.mean, resume.scatter.copy()
         out[:done] = resume.values
     else:
         raise ValueError("index state does not describe this panel")
     for t in range(min_window_months + done, n + 1):
         x = values[t - 1]
-        if t > rows:
+        if t > min_window_months:  # the seed already holds the first window's rows
             delta = x - mu
             mu = mu + delta / t
             scatter += np.outer(delta, x - mu)
@@ -318,14 +313,8 @@ def expanding_pca_index(
         v, _ = _top_eigenpair(cov) if v is None else _warm_top_eigenvector(cov, v)
         v = v * _reference_sign(v, ref_col)
         out[t - min_window_months] = (x - mu) @ v
-    state = IndexState(
-        key=_state_key(panel, reference_series, min_window_months, n),
-        t=n,
-        mean=mu,
-        scatter=scatter,
-        vector=v,
-        values=out,
-    )
+    key = _state_key(panel, reference_series, min_window_months, n)
+    state = IndexState(key=key, mean=mu, scatter=scatter, vector=v, values=out)
     return CompositeIndex(
         kind=kind, months=panel.months[min_window_months - 1 :], values=out, state=state
     )

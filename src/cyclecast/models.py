@@ -187,8 +187,9 @@ class LinearModel:
         if len(shapes[0]) != 2 or shapes[0][0] != N_PHASES or shapes[1] != (N_PHASES,):
             raise ValueError(f"weights and bias of shapes {shapes} are not (4, d) and (4,)")
         finite = np.isfinite(self.weights).all() and np.isfinite(self.bias).all()
-        if not (finite and 0 < self.temperature < np.inf):
-            raise ValueError("weights, bias and temperature must be finite, temperature > 0")
+        real = isinstance(self.temperature, (int, float)) and not isinstance(self.temperature, bool)
+        if not (finite and real and 0 < self.temperature < np.inf):
+            raise ValueError("weights and bias must be finite, temperature a real number > 0")
 
     @property
     def n_features(self) -> int:
@@ -628,7 +629,7 @@ def _model_from_payload(payload: dict) -> TrainedModel | RbbcpModel:
         return LinearModel(
             weights=_array(payload["weights"]),
             bias=_array(payload["bias"]),
-            temperature=float(payload.get("temperature", 1.0)),
+            temperature=payload.get("temperature", 1.0),
         )
     if kind == "mlp":
         return MlpModel(

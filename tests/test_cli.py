@@ -32,7 +32,15 @@ from cyclecast.cli import (
     write_index_csv,
     write_panel,
 )
-from cyclecast.dataset import Category, MonthStamp, PhaseLabel, format_month_table, read_month_table
+from cyclecast.dataset import (
+    Category,
+    MonthStamp,
+    PhaseLabel,
+    format_month_table,
+    pack_record,
+    read_month_table,
+    unpack_record,
+)
 from cyclecast.errors import ConfigError
 from cyclecast.evaluation import report_from_json
 from cyclecast.features import build_feature_matrix
@@ -656,6 +664,8 @@ class TestDataErrors:
             ("mlr", lambda doc: doc["model"]["weights"][0].__setitem__(0, float("inf"))),
             ("svm", lambda doc: doc["model"].update(temperature=float("nan"))),
             ("svm", lambda doc: doc["model"].update(temperature=0.0)),
+            ("mlr", lambda doc: doc["model"].update(temperature="0.5")),
+            ("mlr", lambda doc: doc["model"].update(temperature=True)),
             ("mlp", lambda doc: [row.pop() for row in doc["model"]["weights"][1]]),
             ("mlp", lambda doc: doc["model"]["biases"][-1].pop()),
             ("mlp", lambda doc: [r.append(0.0) for r in doc["model"]["weights"][-1] + [doc["model"]["biases"][-1]]]),
@@ -672,7 +682,7 @@ class TestDataErrors:
             "empty scaler", "string window", "bool window", "float window", "window 1",
             "short scaler mean", "zero scaler std", "NaN scaler mean", "narrow weights",
             "short bias", "three weight rows", "infinite weight", "NaN temperature",
-            "zero temperature", "second MLP layer 50x49", "short last MLP bias",
+            "zero temperature", "string temperature", "bool temperature", "second MLP layer 50x49", "short last MLP bias",
             "five MLP outputs", "MLP bias missing", "NaN MLP weight",
             "trend window 1", "trend window 0", "float trend window", "bool trend window",
             "string zero_is_up", "int zero_is_up",
@@ -690,6 +700,16 @@ class TestDataErrors:
             assert run(config, *argv) == EXIT_DATA
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("data error:") and "model.json" in err[0]
+
+    def test_diverging_training_prints_one_data_error_line(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        doc = json.loads(config.read_text())
+        doc["train"] = {"learning_rate": 1e300, "epochs": 3, "hidden_layers": [5]}
+        config.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(config, "train", "--model", "mlp") == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: mlp training gave no valid model")
 
     def test_model_feature_names_must_match_panel(self, pipeline, capsys):
         tmp_path, config = pipeline
@@ -1004,7 +1024,7 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
-INDEX_ARTIFACTS = ("growth.csv", "inflation.csv", "loadings.json", "indices_state.rec")
+INDEX_ARTIFACTS = ("growth.csv", "inflation.csv", "loadings.json", "growth_digest.rec", "inflation_digest.rec")
 
 
 def rebuilt_indices(tmp_path: Path, config: Path) -> dict[str, bytes]:
@@ -1077,12 +1097,46 @@ class TestIndexResume:
     )
     def test_damaged_state_is_rebuilt(self, pipeline, capsys, damage):
         tmp_path, config = pipeline
-        path = tmp_path / "out" / "indices_state.rec"
+        path = tmp_path / "out" / "growth_digest.rec"
         path.write_bytes(damage(path.read_bytes()))
         capsys.readouterr()
         assert run(config, "build-indices") == EXIT_OK
-        assert index_paths(capsys.readouterr().out) == ["rebuilt: unreadable state"] * 2
+        assert index_paths(capsys.readouterr().out) == ["rebuilt: unreadable state", "resumed, 91 months reused"]
         out = tmp_path / "out"
+        assert {name: (out / name).read_bytes() for name in INDEX_ARTIFACTS} == rebuilt_indices(
+            tmp_path, config
+        )
+
+    def test_index_record_holds_each_array_once(self, pipeline):
+        tmp_path, _ = pipeline
+        index = read_index_csv(tmp_path / "out" / "growth.csv", IndexKind.GROWTH)
+        meta, arrays = unpack_record((tmp_path / "out" / "growth_digest.rec").read_bytes())
+        assert sorted(arrays) == ["state.mean", "state.scatter", "state.vector", "values"]
+        assert meta["state"].keys() == {"key"}
+        np.testing.assert_array_equal(arrays["values"][:, 0], index.values)
+        assert not (tmp_path / "out" / "indices_state.rec").exists()
+
+    def test_out_dir_with_a_separate_state_file_rebuilds_once(self, pipeline, capsys):
+        # an out dir of a version that kept the states in indices_state.rec
+        # and the index tables' records without them
+        tmp_path, config = pipeline
+        out = tmp_path / "out"
+        meta, arrays = {}, {}
+        for kind in IndexKind:
+            path = out / f"{kind.value}.csv"
+            state = cli._index_state(path)[0]
+            meta[kind.value] = {"key": state.key, "t": state.values.size + 59}
+            for name in ("mean", "scatter", "vector", "values"):
+                arrays[f"{kind.value}.{name}"] = getattr(state, name)
+            write_index_csv(read_index_csv(path, kind), path)  # a record without the state
+        old = pack_record(meta, arrays)
+        (out / "indices_state.rec").write_bytes(old)
+        capsys.readouterr()
+        assert run(config, "build-indices") == EXIT_OK
+        assert index_paths(capsys.readouterr().out) == ["rebuilt: no state"] * 2
+        assert run(config, "build-indices") == EXIT_OK
+        assert index_paths(capsys.readouterr().out) == ["resumed, 91 months reused"] * 2
+        assert (out / "indices_state.rec").read_bytes() == old
         assert {name: (out / name).read_bytes() for name in INDEX_ARTIFACTS} == rebuilt_indices(
             tmp_path, config
         )

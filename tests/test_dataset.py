@@ -24,6 +24,7 @@ from cyclecast.dataset import (
     pack_record,
     prefix_sha256,
     read_month_table,
+    read_table_state,
     split_rows,
     unpack_record,
     write_labels,
@@ -376,6 +377,29 @@ class TestWriteMonthTable:
         first = (tmp_path / "growth_digest.rec").read_bytes()
         assert write_month_table(path, ("value",), months, [0.1, np.nan, -2.0]) == "appended 0 rows"
         assert (tmp_path / "growth_digest.rec").read_bytes() == first
+
+    def test_state_is_stored_in_the_table_record(self, tmp_path):
+        path = tmp_path / "growth.csv"
+        months, rows = month_range(MonthStamp(1999, 11), 3), [0.1, 0.2, 0.3]
+        assert read_table_state(path) == "no state"
+        write_month_table(path, ("value",), months, rows)
+        assert read_table_state(path) == "no state"
+        state = ({"key": "k"}, {"mean": np.arange(2.0), "scatter": np.eye(2)})
+        assert write_month_table(path, ("value",), months, rows, state=state) == "appended 0 rows"
+        values, meta, arrays = read_table_state(path)
+        assert meta == {"key": "k"} and sorted(arrays) == ["mean", "scatter"]
+        np.testing.assert_array_equal(arrays["scatter"], np.eye(2))
+        assert values[:, 0].tolist() == rows
+        assert read_month_table(path)[2][:, 0].tolist() == rows
+        good_meta, good_arrays = unpack_record(digest_path(path).read_bytes())
+        for bad_meta, bad_arrays in (  # members write_month_table never writes
+            ({**good_meta, "state": 5}, good_arrays),
+            ({k: v for k, v in good_meta.items() if k != "state"}, good_arrays),
+            (good_meta, {**good_arrays, "other": np.zeros(1)}),
+        ):
+            digest_path(path).write_bytes(pack_record(bad_meta, bad_arrays))
+            assert read_table_state(path) == "unreadable state"
+            assert write_month_table(path, ("value",), months, rows) == "rewritten: unreadable digest"
 
     def test_gapped_months_are_refused(self, tmp_path):
         with pytest.raises(NonContiguousMonthsError):

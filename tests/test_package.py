@@ -29,3 +29,17 @@ def test_cli_import_leaves_the_http_stack_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_benchmark_hook_names_an_attribute_its_owner_defines(monkeypatch):
+    # perfbench/spans.py wraps these names only in traced runs, so a renamed one
+    # would otherwise go unnoticed by an untraced benchmark run
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, *_ in spans._targets()
+        if attr not in owner.__dict__
+    ]
+    assert not missing, f"names the benchmark tracer hooks are gone: {missing}"
