@@ -564,12 +564,17 @@ def _require_split(cfg: RunConfig) -> SplitSpec:
     return cfg.split
 
 
-def _fit_model(kind: str, X: np.ndarray, y: np.ndarray, tc: TrainConfig):
+def _fit_model(kind: str, X: np.ndarray, y: np.ndarray, tc: TrainConfig, validation=None):
+    trainer = {"mlr": train_mlr, "svm": train_svm, "mlp": train_mlp}[kind]
     try:  # a run that diverges overflows; the model's finiteness check reports it, not numpy
         with np.errstate(all="ignore"):
-            return {"mlr": train_mlr, "svm": train_svm, "mlp": train_mlp}[kind](X, y, tc)
+            return trainer(X, y, tc) if validation is None else trainer(X, y, tc, validation)
     except ValueError as exc:  # the model's own checks, e.g. weights that diverged
         raise DataError(f"{kind} training gave no valid model: {exc}") from None
+    except MemoryError as exc:  # numpy could not allocate the MLP's layers
+        if kind != "mlp":
+            raise
+        raise ConfigError(f"train.hidden_layers {list(tc.hidden_layers)}: {exc}") from None
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -595,6 +600,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
     sign_only = cfg.features["trend_sign_only"]
 
+    # A probe fits the train rows alone: to pick among several windows, and for
+    # the MLP to find the epoch where its validation NLL stops improving.
     candidates = cfg.train["window_candidates"] or (cfg.window,)
     best = None
     for window in candidates:
@@ -603,21 +610,31 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         rows = split_rows(months, split)
         if rows["train"].size == 0 or (len(candidates) > 1 and rows["validation"].size == 0):
             raise CycleCastError(f"window {window}: empty train or validation split")
-        scaler = FeatureScaler.fit(X[rows["train"]])
-        if len(candidates) > 1:
-            probe = _fit_model(cfg.model, scaler.apply(X[rows["train"]]), y[rows["train"]], tc)
-            val_acc = evaluation.topk_accuracy(
-                probe.predict_proba(scaler.apply(X[rows["validation"]])), y[rows["validation"]], 1
+        probe = validation = None
+        if len(candidates) > 1 or (cfg.model == "mlp" and rows["validation"].size):
+            scaler = FeatureScaler.fit(X[rows["train"]])
+            validation = scaler.apply(X[rows["validation"]]), y[rows["validation"]]
+            mlp_validation = validation if cfg.model == "mlp" else None
+            probe = _fit_model(
+                cfg.model, scaler.apply(X[rows["train"]]), y[rows["train"]], tc, mlp_validation
             )
+        if len(candidates) > 1:
+            val_acc = evaluation.topk_accuracy(probe.predict_proba(validation[0]), validation[1], 1)
             log_lines.append(f"window={window} validation_top1={val_acc:.6f}")
             if best is None or val_acc > best[0]:
-                best = (val_acc, window, fm, X, y, months, rows)
+                best = (val_acc, window, fm, X, y, months, rows, probe, validation)
         else:
-            best = (None, window, fm, X, y, months, rows)
-    _, window, fm, X, y, months, rows = best
+            best = (None, window, fm, X, y, months, rows, probe, validation)
+    _, window, fm, X, y, months, rows, probe, validation = best
     log_lines.append(f"selected window={window}")
 
-    # Final fit uses train and validation together.
+    # Final fit uses train and validation together; the MLP's runs for its probe's stop epoch.
+    if cfg.model == "mlp" and probe is None:
+        log_lines.append("mlp stop_epoch=none validation_nll=none")
+    elif cfg.model == "mlp":
+        val_nll = nll_loss(probe.predict_proba(validation[0]), validation[1])
+        log_lines.append(f"mlp stop_epoch={probe.stop_epoch} validation_nll={val_nll!r}")
+        tc = TrainConfig(seed=cfg.seed, **(settings | {"epochs": probe.stop_epoch}))
     fit_rows = np.concatenate([rows["train"], rows["validation"]])
     scaler = FeatureScaler.fit(X[fit_rows])
     model = _fit_model(cfg.model, scaler.apply(X[fit_rows]), y[fit_rows], tc)

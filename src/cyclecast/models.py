@@ -8,7 +8,8 @@ about ten steps to a gradient norm of 1e-8; temperature 1) and one-vs-rest
 linear SVMs (Pegasos-style projected subgradient on the hinge loss, with the
 temperature calibrated on a held-out fold). The third is a
 feed-forward network with four hidden layers of 50 ReLU units, dropout 0.2
-after the last hidden layer, trained with Adam.
+after the last hidden layer, trained with Adam; given validation rows, it stops
+once their loss has not improved for ``MLP_PATIENCE`` epochs.
 
 Training is deterministic given the seed; trained models are immutable.
 """
@@ -57,6 +58,8 @@ MLR_GRADIENT_TOL = 1e-8
 MLR_MAX_ITERATIONS = 100  # Newton steps; about ten reach the tolerance at paper scale
 # Relative size, against the loss, of a decrease that rounding can hide.
 _LOSS_ROUNDING = 64 * np.finfo(float).eps
+# Epochs without a lower validation NLL after which train_mlp stops (Prechelt 1998).
+MLP_PATIENCE = 50
 MODEL_SCHEMA = "cyclecast-model"
 # Version 2 dropped the MLP payload's training-only "dropout_rate" and
 # "rng_seed"; version 3 merged the "mlr" and "svm" payloads into one "linear"
@@ -113,7 +116,11 @@ def nll_loss(probs: np.ndarray, codes: np.ndarray) -> float:
 @dataclass(frozen=True)
 class TrainConfig:
     """Shared training knobs. Values the algorithms themselves do not dictate
-    (epochs, regularization) carry pragmatic defaults."""
+    (epochs, regularization) carry pragmatic defaults.
+
+    ``epochs`` is the SVM's Pegasos step count and the MLP's epoch cap: an MLP
+    trained with validation rows may stop earlier.
+    """
 
     learning_rate: float = 0.005
     epochs: int = 500
@@ -417,6 +424,9 @@ def train_svm(X: np.ndarray, y, cfg: TrainConfig = TrainConfig()) -> LinearModel
 class MlpModel:
     weights: tuple[np.ndarray, ...]  # layer k: (d_k, d_{k+1})
     biases: tuple[np.ndarray, ...]
+    # Set by train_mlp given validation rows: the epoch whose weights these are.
+    # A training diagnostic; model files do not hold it.
+    stop_epoch: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         # The widths d_0..d_k the weights name; layer k must be (d_k, d_{k+1}), its bias (d_{k+1},).
@@ -503,11 +513,23 @@ def _init_mlp(d: int, hidden: tuple[int, ...], rng: np.random.Generator):
     return weights, biases
 
 
-def train_mlp(X: np.ndarray, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
-    """Adam-trained feed-forward classifier, run for ``cfg.epochs`` full-batch epochs.
+def train_mlp(
+    X: np.ndarray,
+    y,
+    cfg: TrainConfig = TrainConfig(),
+    validation: tuple[np.ndarray, Sequence[int]] | None = None,
+) -> MlpModel:
+    """Adam-trained feed-forward classifier, run for up to ``cfg.epochs`` full-batch epochs.
 
     Dropout (inverted scaling) is applied after the last hidden layer during
     training only. Fully deterministic for a fixed seed.
+
+    Given ``validation = (X_val, y_val)``, every epoch ends by scoring the
+    validation NLL with dropout off. Training stops once ``MLP_PATIENCE``
+    epochs pass without a strictly lower, finite NLL, and returns the weights
+    of the best epoch, recorded as ``stop_epoch``. The check draws no random
+    numbers, so those weights bit-equal a run of ``stop_epoch`` epochs without
+    validation. A run whose validation NLL is never finite raises ValueError.
     """
     X = np.asarray(X, dtype=float)
     codes = _as_codes(y)
@@ -523,16 +545,17 @@ def train_mlp(X: np.ndarray, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
     adam_m = [np.zeros_like(p) for p in params]
     adam_v = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    step = 0
     mask_shape = (X.shape[0], cfg.hidden_layers[-1])
+    if validation is not None:
+        X_val, codes_val = np.asarray(validation[0], dtype=float), _as_codes(validation[1])
+    best_nll, best_epoch, best_params = np.inf, 0, params
 
-    for _ in range(cfg.epochs):
+    for step in range(1, cfg.epochs + 1):
         if cfg.dropout > 0.0:
             mask = (rng.random(mask_shape) >= cfg.dropout) / (1.0 - cfg.dropout)
         else:
             mask = None
         _, grad_w, grad_b = mlp_loss_and_grads(weights, biases, X, Y, cfg.l2, mask, sw)
-        step += 1
         for p, g, m, v in zip(params, grad_w + grad_b, adam_m, adam_v):
             m *= beta1
             m += (1 - beta1) * g
@@ -541,9 +564,20 @@ def train_mlp(X: np.ndarray, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
             m_hat = m / (1 - beta1**step)
             v_hat = v / (1 - beta2**step)
             p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        if validation is None:
+            continue
+        nll = nll_loss(softmax(mlp_forward(weights, biases, X_val)[0]), codes_val)
+        if nll < best_nll:  # false for ties and NaN
+            best_nll, best_epoch, best_params = nll, step, [p.copy() for p in params]
+        elif step - best_epoch >= MLP_PATIENCE:
+            break
+    if validation is not None and best_epoch == 0:
+        raise ValueError("the validation NLL was not finite in any epoch")
+    n_layers = len(weights)
     return MlpModel(
-        weights=tuple(w.copy() for w in weights),
-        biases=tuple(b.copy() for b in biases),
+        weights=tuple(p.copy() for p in best_params[:n_layers]),
+        biases=tuple(p.copy() for p in best_params[n_layers:]),
+        stop_epoch=best_epoch or None,
     )
 
 

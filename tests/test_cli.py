@@ -711,6 +711,17 @@ class TestDataErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error: mlp training gave no valid model")
 
+    def test_unallocatable_mlp_width_is_a_config_error(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        doc = json.loads(config.read_text())
+        # A weight matrix of 10**12 columns asks for terabytes, which fails at once.
+        doc["train"] = {"epochs": 3, "hidden_layers": [10**12]}
+        config.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(config, "train", "--model", "mlp") == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: train.hidden_layers")
+
     def test_model_feature_names_must_match_panel(self, pipeline, capsys):
         tmp_path, config = pipeline
         assert run(config, "train") == EXIT_OK
@@ -808,6 +819,58 @@ class TestPipeline:
         match = re.search(r"^temperature=(\S+) at_bound=(lower|upper|none)$", log, re.MULTILINE)
         doc = json.loads((tmp_path / "out" / "model.json").read_text())
         assert match and float(match[1]) == doc["model"]["temperature"]
+
+    @staticmethod
+    def record_mlp_fits(monkeypatch) -> list:
+        """Wrap ``cli.train_mlp``; each call appends (rows, epochs, validated, stop_epoch)."""
+        fits = []
+
+        def recording(X, y, cfg, validation=None):
+            model = models.train_mlp(X, y, cfg, validation)
+            fits.append((X.shape[0], cfg.epochs, validation is not None, model.stop_epoch))
+            return model
+
+        monkeypatch.setattr(cli, "train_mlp", recording)
+        return fits
+
+    def test_mlp_refits_for_the_probe_stop_epoch(self, pipeline, monkeypatch):
+        tmp_path, config = pipeline
+        fits = self.record_mlp_fits(monkeypatch)
+        train_model(config, "mlp")
+        log = (tmp_path / "out" / "training_log.txt").read_text()
+        lines = re.findall(r"^mlp stop_epoch=(\d+) validation_nll=(\S+)$", log, re.MULTILINE)
+        assert len(lines) == 1 and repr(float(lines[0][1])) == lines[0][1]
+        (probe_rows, cap, validated, stop), (rows, epochs, refit_validated, _) = fits
+        assert validated and not refit_validated and cap == 30
+        assert int(lines[0][0]) == stop == epochs and rows > probe_rows
+        assert re.search(rf"^final_fit rows={rows} ", log, re.MULTILINE)
+
+    def test_mlp_without_validation_rows_trains_every_epoch(self, pipeline, monkeypatch):
+        tmp_path, config = pipeline
+        doc = json.loads(config.read_text())
+        # The labels end in 1982-06, so no row targets the validation month.
+        doc["split"] = {"train_end": "1982-06", "validation_end": "1982-07", "test_end": "1982-08"}
+        config.write_text(json.dumps(doc))
+        fits = self.record_mlp_fits(monkeypatch)
+        train_model(config, "mlp")
+        log = (tmp_path / "out" / "training_log.txt").read_text()
+        assert re.search(r"^mlp stop_epoch=none validation_nll=none$", log, re.MULTILINE)
+        assert [fit[1:] for fit in fits] == [(30, False, None)]
+
+    def test_mlp_window_selection_uses_the_selected_probe(self, pipeline, monkeypatch):
+        tmp_path, config = pipeline
+        doc = json.loads(config.read_text())
+        doc["train"] = {"epochs": 300, "window_candidates": [3, 6]}
+        config.write_text(json.dumps(doc))
+        fits = self.record_mlp_fits(monkeypatch)
+        assert run(config, "train", "--model", "mlp") == EXIT_OK
+        log = (tmp_path / "out" / "training_log.txt").read_text()
+        window = int(re.search(r"^selected window=(\d+)$", log, re.MULTILINE)[1])
+        probes, final = fits[:2], fits[2]
+        assert [fit[2] for fit in fits] == [True, True, False]
+        assert probes[0][3] != probes[1][3]  # so the log shows which probe supplied it
+        stop = probes[[3, 6].index(window)][3]
+        assert final[1] == stop and f"mlp stop_epoch={stop} " in log
 
     def test_window_selection_on_validation(self, pipeline):
         tmp_path, config = pipeline

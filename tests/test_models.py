@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -19,6 +20,7 @@ from cyclecast.errors import (
 )
 from cyclecast.features import FeatureScaler
 from cyclecast.models import (
+    MLP_PATIENCE,
     MODEL_SCHEMA_VERSION,
     LinearModel,
     ModelArtifact,
@@ -424,6 +426,81 @@ class TestMlp:
                         - mlp_loss_and_grads(Wm, biases, X, Y, 0.01, mask)[0]
                     ) / (2 * h)
                 assert rel_err(gws[k], num) < 1e-4
+
+
+def four_class_noise(n, seed):
+    """Four overlapping classes along the first of three features."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(1, 5, n)
+    X = rng.normal(0.0, 1.0, (n, 3))
+    X[:, 0] += 0.8 * y
+    return X, y
+
+
+def same_weights(a, b):
+    return all(np.array_equal(u, v) for u, v in zip(a.weights + a.biases, b.weights + b.biases))
+
+
+class TestMlpEarlyStop:
+    def count_epochs(self, monkeypatch):
+        calls = []
+        real = models.mlp_loss_and_grads
+        monkeypatch.setattr(models, "mlp_loss_and_grads", lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    def test_rising_validation_nll_stops_after_the_patience(self, monkeypatch):
+        X, y = two_blobs(seed=3, n=20)
+        X_val, y_val = two_blobs(seed=4, n=10)
+        epochs = self.count_epochs(monkeypatch)
+        # Labelled against the training rows, so every epoch raises the NLL.
+        model = train_mlp(X, y, TrainConfig(seed=1), validation=(X_val, 3 - y_val))
+        assert model.stop_epoch == 1
+        assert len(epochs) == model.stop_epoch + MLP_PATIENCE
+
+    def test_weights_equal_a_plain_run_of_the_stop_epoch(self, monkeypatch):
+        X, y = four_class_noise(60, seed=1)
+        cfg = TrainConfig(seed=2, hidden_layers=(8, 8))
+        epochs = self.count_epochs(monkeypatch)
+        model = train_mlp(X, y, cfg, validation=four_class_noise(40, seed=2))
+        assert 1 < model.stop_epoch < cfg.epochs - MLP_PATIENCE
+        assert len(epochs) == model.stop_epoch + MLP_PATIENCE
+        # The per-epoch check draws no random numbers: the run is a prefix of the plain one.
+        plain = train_mlp(X, y, dataclasses.replace(cfg, epochs=model.stop_epoch))
+        assert plain.stop_epoch is None
+        assert same_weights(model, plain)
+
+    def test_improving_validation_nll_runs_to_the_cap(self, monkeypatch):
+        X, y = two_blobs(seed=3, n=20)
+        cfg = TrainConfig(epochs=30, seed=1)
+        epochs = self.count_epochs(monkeypatch)
+        model = train_mlp(X, y, cfg, validation=(X, y))
+        assert model.stop_epoch == cfg.epochs and len(epochs) == cfg.epochs
+        assert same_weights(model, train_mlp(X, y, cfg))
+
+    def test_no_validation_runs_every_epoch(self, monkeypatch):
+        X, y = two_blobs(seed=3, n=20)
+        X_val, y_val = two_blobs(seed=4, n=10)
+        epochs = self.count_epochs(monkeypatch)
+        model = train_mlp(X, y, TrainConfig(epochs=120, seed=1))
+        assert model.stop_epoch is None and len(epochs) == 120
+        stopped = train_mlp(X, y, TrainConfig(epochs=120, seed=1), validation=(X_val, 3 - y_val))
+        assert stopped.stop_epoch == 1 and not same_weights(model, stopped)
+
+    def test_never_finite_validation_nll_is_an_error(self):
+        X, y = two_blobs(seed=3, n=20)
+        with pytest.raises(ValueError, match="not finite"):
+            with np.errstate(all="ignore"):
+                train_mlp(X, y, TrainConfig(epochs=60, learning_rate=1e300), validation=(X, y))
+
+    def test_stop_epoch_is_neither_saved_nor_compared(self, tmp_path):
+        X, y = two_blobs(seed=3, n=20)
+        model = train_mlp(X, y, TrainConfig(epochs=30, seed=1), validation=(X, y))
+        assert dataclasses.replace(model, stop_epoch=None) == model
+        save_model(model, tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert set(doc["model"]) == {"kind", "weights", "biases"}
+        loaded = load_model(tmp_path / "m.json").model
+        assert loaded.stop_epoch is None and same_weights(model, loaded)
 
 
 class TestPredictionSurface:
