@@ -571,7 +571,7 @@ def _fit_model(kind: str, X: np.ndarray, y: np.ndarray, tc: TrainConfig, validat
             return trainer(X, y, tc) if validation is None else trainer(X, y, tc, validation)
     except ValueError as exc:  # the model's own checks, e.g. weights that diverged
         raise DataError(f"{kind} training gave no valid model: {exc}") from None
-    except MemoryError as exc:  # numpy could not allocate the MLP's layers
+    except MemoryError as exc:  # numpy could not allocate, or describe, the MLP's layers
         if kind != "mlp":
             raise
         raise ConfigError(f"train.hidden_layers {list(tc.hidden_layers)}: {exc}") from None

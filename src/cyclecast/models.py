@@ -504,11 +504,17 @@ def mlp_loss_and_grads(
 
 
 def _init_mlp(d: int, hidden: tuple[int, ...], rng: np.random.Generator):
+    """He-initialised weights and zero biases. A layer shape numpy refuses
+    before allocating (too many bytes for its size type, or too long a
+    dimension) raises MemoryError, as a layer it cannot allocate does."""
     sizes = [d, *hidden, N_PHASES]
     weights = []
     biases = []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
-        weights.append(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in))
+        try:
+            weights.append(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in))
+        except ValueError as exc:  # numpy's shape check, before any allocation
+            raise MemoryError(str(exc)) from None
         biases.append(np.zeros(fan_out))
     return weights, biases
 

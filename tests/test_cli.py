@@ -722,6 +722,19 @@ class TestDataErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: train.hidden_layers")
 
+    # numpy refuses these widths before allocating anything: 10**18 columns
+    # need more bytes than a 64-bit size holds, 10**30 is too long a dimension
+    @pytest.mark.parametrize("width", [10**18, 10**30])
+    def test_mlp_width_numpy_cannot_describe_is_a_config_error(self, pipeline, capsys, width):
+        tmp_path, config = pipeline
+        doc = json.loads(config.read_text())
+        doc["train"] = {"epochs": 3, "hidden_layers": [width]}
+        config.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(config, "train", "--model", "mlp") == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: train.hidden_layers [{width}]: ")
+
     def test_model_feature_names_must_match_panel(self, pipeline, capsys):
         tmp_path, config = pipeline
         assert run(config, "train") == EXIT_OK

@@ -266,6 +266,10 @@ class TestIncrementalIndex:
         np.testing.assert_array_equal(longer.values[: len(shorter)], shorter.values)
 
 
+# the fewest series that take the warm power steps rather than the batched eigh
+WARM_D = indices.EIGH_BATCH_MAX_SERIES + 1
+
+
 def eigh_index(values, min_window, ref_col=0):
     """The per-month definition through LAPACK: the top eigenvector of each
     ``values[:t]`` covariance, signed by the reference column."""
@@ -344,13 +348,13 @@ class TestWarmSolver:
         np.testing.assert_array_equal(warm, power)
         assert warm_value == float(power @ cov @ power)
 
-    def test_failed_certificate_falls_back_to_power_iteration(self, monkeypatch):
-        # the months the power steps miss are solved by eigh
-        X = weak_panel_values(seed=2, n=100, d=5)
-        panel = make_panel({f"s{j}": X[:, j] for j in range(5)})
+    def test_missed_power_steps_fall_back_to_eigh(self, monkeypatch):
+        # above the crossover, the months the power steps miss are solved by eigh
+        X = weak_panel_values(seed=2, n=100, d=WARM_D)
         calls = counted_eigh(monkeypatch)
-        got = expanding_pca_index(panel, "growth", 40).values
+        got = expanding_pca_index(panel_of(X), "growth", 40).values
         assert len(calls) >= 1 + 10  # the cold first month and the warm months that missed
+        assert set(calls) == {WARM_D}  # one matrix per call
         assert np.abs(got - eigh_index(X, 40)).max() <= 1e-9
 
     def test_start_near_the_second_eigenvector(self):
@@ -382,10 +386,10 @@ class TestWarmSolver:
         # counts power steps (matrix-vector products) and eigh calls per warm
         # month: the d // 3 budget plus one eigh; eigengap-bound power
         # iteration would take hundreds
-        d = 10
-        X = weak_panel_values(seed=2, n=300, d=d)
+        d = WARM_D
+        X = window_with_ratio(np.random.default_rng(2), d, 0.95, n=300)
         top2 = np.linalg.eigvalsh(np.cov(X, rowvar=False))[-2:]
-        assert top2[0] / top2[1] > 0.9
+        assert top2[0] / top2[1] == pytest.approx(0.95, rel=1e-9)
         ops, per_month = [], []
         power, eigh, warm = indices._power_iterate, np.linalg.eigh, indices._warm_top_eigenvector
 
@@ -430,6 +434,57 @@ class TestWarmSolver:
         assert np.abs(got - eigh_index(X, 60)).max() <= 1e-9
 
 
+def errors_of_both_solvers(monkeypatch, build) -> list[tuple[type, str]]:
+    """The exception type and message ``build()`` raises on the batched path,
+    then on the warm path forced by a crossover of 0."""
+    raised = []
+    for crossover in (indices.EIGH_BATCH_MAX_SERIES, 0):
+        monkeypatch.setattr(indices, "EIGH_BATCH_MAX_SERIES", crossover)
+        with pytest.raises(DataError) as info:
+            build()
+        raised.append((type(info.value), str(info.value)))
+    return raised
+
+
+class TestBatchedSolver:
+    @pytest.mark.parametrize("d", [1, 5, indices.EIGH_BATCH_MAX_SERIES])
+    def test_one_eigh_call_and_no_warm_steps(self, monkeypatch, d):
+        X = weak_panel_values(seed=d, n=90, d=d)
+        calls = counted_eigh(monkeypatch)
+        monkeypatch.setattr(indices, "_warm_top_eigenvector", None)  # never reached
+        got = expanding_pca_index(panel_of(X), "growth", 40).values
+        assert calls == [90 - 40 + 1]  # one stack of every month's covariance
+        assert np.abs(got - eigh_index(X, 40)).max() <= 1e-9
+
+    def test_month_without_variance_after_a_cut(self, monkeypatch):
+        # a state that holds no variance, resumed on rows equal to its mean:
+        # the months after the cut have trace 0
+        X = weak_panel_values(seed=3, n=70, d=4)
+        state = expanding_pca_index(panel_of(X, 65), "growth", 60).state
+        X[65:] = state.mean
+        flat = replace(state, scatter=np.zeros((4, 4)))
+        build = lambda: expanding_pca_index(panel_of(X), "growth", 60, resume=flat)
+        raised = errors_of_both_solvers(monkeypatch, build)
+        assert raised == [(DegenerateCovarianceError, "panel carries no variance")] * 2
+
+    def test_zero_reference_loading(self, monkeypatch):
+        X = weak_panel_values(seed=4, n=70, d=4)
+        X[:, 0] = 1.0  # the reference series carries no variance
+        build = lambda: expanding_pca_index(panel_of(X), "growth", 60)
+        raised = errors_of_both_solvers(monkeypatch, build)
+        assert raised == [(ZeroReferenceLoadingError, "reference column 0 has a zero loading")] * 2
+
+    def test_eigh_failure_is_a_data_error(self, monkeypatch):
+        def not_converged(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", not_converged)
+        build = lambda: expanding_pca_index(panel_of(weak_panel_values(seed=5, n=70, d=4)), "growth", 60)
+        raised = errors_of_both_solvers(monkeypatch, build)
+        expected = "eigh did not converge: Eigenvalues did not converge"
+        assert raised == [(DegenerateCovarianceError, expected)] * 2
+
+
 def panel_of(X, rows=None):
     return make_panel({f"s{j}": X[:rows, j] for j in range(X.shape[1])})
 
@@ -448,7 +503,7 @@ class TestResume:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        d=st.integers(1, 12),
+        d=st.integers(1, 12) | st.integers(WARM_D, WARM_D + 11),  # both solvers
         gap=st.sampled_from(["separated", "weak"]),
         extra=st.integers(0, 15),
     )
