@@ -640,6 +640,9 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = _fit_model(cfg.model, scaler.apply(X[fit_rows]), y[fit_rows], tc)
     final_loss = nll_loss(model.predict_proba(scaler.apply(X[fit_rows])), y[fit_rows])
     log_lines.append(f"final_fit rows={fit_rows.size} loss={final_loss:.6f}")
+    if cfg.model in ("mlr", "svm"):
+        steps, norms = zip(*model.newton_fits)
+        log_lines.append(f"newton_steps={','.join(map(str, steps))} gradient_norm={max(norms)!r}")
     if cfg.model == "svm":
         at_bound = model.temperature_at_bound or "none"
         log_lines.append(f"temperature={model.temperature!r} at_bound={at_bound}")

@@ -94,12 +94,12 @@ class SingleClassError(DataError):
     """Training labels contain fewer than two distinct classes."""
 
 
-class MlrConvergenceError(DataError):
-    """Newton training of the multinomial logistic regression stopped short."""
+class NewtonConvergenceError(DataError):
+    """Newton training of a linear model (MLR or one SVM fit) stopped short."""
 
-    def __init__(self, steps: int, grad_norm: float, reason: str):
+    def __init__(self, model: str, steps: int, grad_norm: float, reason: str):
         super().__init__(
-            f"MLR training stopped after {steps} Newton steps: {reason} "
+            f"{model} training stopped after {steps} Newton steps: {reason} "
             f"(gradient norm {grad_norm:.3e})"
         )
         self.steps = steps

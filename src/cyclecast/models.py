@@ -2,14 +2,13 @@
 
 Three trainable models, all emitting a probability vector over the four
 phases. Two of them share one model type, :class:`LinearModel`, a softmax over
-linear scores divided by a temperature: multinomial logistic regression
-(Newton's method on the exact Hessian with an Armijo backtracking line search,
-about ten steps to a gradient norm of 1e-8; temperature 1) and one-vs-rest
-linear SVMs (Pegasos-style projected subgradient on the hinge loss, with the
-temperature calibrated on a held-out fold). The third is a
-feed-forward network with four hidden layers of 50 ReLU units, dropout 0.2
-after the last hidden layer, trained with Adam; given validation rows, it stops
-once their loss has not improved for ``MLP_PATIENCE`` epochs.
+linear scores divided by a temperature, and one training loop, damped Newton to
+a gradient norm of 1e-8: multinomial logistic regression (about ten steps;
+temperature 1) and one-vs-rest linear SVMs on the squared hinge (finite Newton,
+six to eight steps per fit; temperature calibrated on a held-out fold). The
+third is a feed-forward network with four hidden layers of 50 ReLU units,
+dropout 0.2 after the last hidden layer, trained with Adam; given validation
+rows, it stops once their loss has not improved for ``MLP_PATIENCE`` epochs.
 
 Training is deterministic given the seed; trained models are immutable.
 """
@@ -29,7 +28,7 @@ from .errors import (
     CorruptFileError,
     DegenerateInputError,
     DimensionMismatchError,
-    MlrConvergenceError,
+    NewtonConvergenceError,
     SingleClassError,
     VersionMismatchError,
 )
@@ -54,8 +53,8 @@ __all__ = [
 ]
 
 N_PHASES = 4
-MLR_GRADIENT_TOL = 1e-8
-MLR_MAX_ITERATIONS = 100  # Newton steps; about ten reach the tolerance at paper scale
+NEWTON_GRADIENT_TOL = 1e-8
+NEWTON_MAX_STEPS = 100  # at paper scale MLR takes about ten, each SVM fit seven or eight
 # Relative size, against the loss, of a decrease that rounding can hide.
 _LOSS_ROUNDING = 64 * np.finfo(float).eps
 # Epochs without a lower validation NLL after which train_mlp stops (Prechelt 1998).
@@ -116,10 +115,8 @@ def nll_loss(probs: np.ndarray, codes: np.ndarray) -> float:
 @dataclass(frozen=True)
 class TrainConfig:
     """Shared training knobs. Values the algorithms themselves do not dictate
-    (epochs, regularization) carry pragmatic defaults.
-
-    ``epochs`` is the SVM's Pegasos step count and the MLP's epoch cap: an MLP
-    trained with validation rows may stop earlier.
+    (epochs, regularization) carry pragmatic defaults. ``epochs`` is the MLP's
+    epoch cap, which a run with validation rows may stop short of.
     """
 
     learning_rate: float = 0.005
@@ -188,6 +185,8 @@ class LinearModel:
     # Set by train_svm: "lower" or "upper" when the fitted temperature is an
     # end of its search grid. A training diagnostic; model files do not hold it.
     temperature_at_bound: str | None = field(default=None, compare=False)
+    # Set by train_mlr and train_svm: (Newton steps, gradient norm) per fit. Not in model files.
+    newton_fits: tuple[tuple[int, float], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         shapes = np.shape(self.weights), np.shape(self.bias)
@@ -264,28 +263,54 @@ def mlr_hessian(
     return H
 
 
+def _newton(loss_and_grad, hessian, theta: np.ndarray, model: str, max_steps: int | None = None):
+    """Damped Newton with an Armijo backtracking line search: ``loss_and_grad(theta)``
+    gives the loss and flat gradient, ``hessian(theta)`` the matrix each step solves.
+    Stops below ``NEWTON_GRADIENT_TOL``; returns (theta, steps, gradient norm).
+
+    Raises :class:`NewtonConvergenceError` naming ``model`` on a singular system,
+    on a line search that finds no descent step above the loss's rounding
+    level, or after ``NEWTON_MAX_STEPS`` steps; an explicit ``max_steps`` truncates.
+    """
+    limit = NEWTON_MAX_STEPS if max_steps is None else max_steps
+    loss, grad = loss_and_grad(theta)
+    steps = 0
+    while (grad_norm := float(np.linalg.norm(grad))) >= NEWTON_GRADIENT_TOL:
+        if steps == limit:
+            if max_steps is not None:
+                break
+            raise NewtonConvergenceError(model, steps, grad_norm, "step budget spent")
+        try:
+            direction = np.linalg.solve(hessian(theta), grad)
+        except np.linalg.LinAlgError:  # l2 = 0 with collinear features, or too few active SVM rows
+            raise NewtonConvergenceError(model, steps, grad_norm, "singular Newton system") from None
+        slope = float(grad @ direction)  # the loss falls at this rate along -direction
+        step = 1.0
+        while slope > 0 and step > 1e-18:
+            cand = theta - step * direction.reshape(theta.shape)
+            cand_loss, cand_grad = loss_and_grad(cand)
+            # Strict, so that a step rounding leaves at the same loss is no progress.
+            if cand_loss < loss - 1e-4 * step * slope:
+                theta, loss, grad = cand, cand_loss, cand_grad
+                break
+            step *= 0.5
+        else:
+            if abs(slope) <= _LOSS_ROUNDING * max(abs(loss), 1.0):
+                break  # the predicted decrease is below the loss's rounding
+            raise NewtonConvergenceError(model, steps, grad_norm, "line search found no descent step")
+        steps += 1
+    return theta, steps, grad_norm
+
+
 def train_mlr(
-    X: np.ndarray,
-    y,
-    cfg: TrainConfig = TrainConfig(),
-    max_iterations: int | None = None,
+    X: np.ndarray, y, cfg: TrainConfig = TrainConfig(), max_iterations: int | None = None
 ) -> LinearModel:
-    """Damped Newton's method with an Armijo backtracking line search.
+    """:func:`_newton` on the weighted softmax cross-entropy plus (l2/2)*||W||^2.
 
-    Each step solves the Newton system of the weighted softmax cross-entropy
-    plus (l2/2)*||W||^2 and backtracks from the full step until the loss
-    decreases enough, so the training loss never increases. Adding one
-    constant to every bias leaves the loss unchanged; a rank-one term along
-    that direction makes the system nonsingular without moving the solution,
-    and the biases keep summing to zero, as they do from the zero start.
-    Training stops once the gradient norm falls below 1e-8.
-
-    Raises :class:`MlrConvergenceError` when the Newton system is singular
-    (``l2 = 0`` with collinear features), when no step lowers the loss
-    although the predicted decrease is above the loss's rounding level, or
-    when the gradient is still above tolerance after ``MLR_MAX_ITERATIONS``
-    steps. An explicit ``max_iterations`` truncates the run instead,
-    returning the iterate reached.
+    Adding one constant to every bias leaves the loss unchanged; a rank-one
+    term along that direction makes the Newton system nonsingular without
+    moving the solution, and the biases keep summing to zero, as they do from
+    the zero start.
     """
     X = np.asarray(X, dtype=float)
     codes = _as_codes(y)
@@ -300,61 +325,39 @@ def train_mlr(
         loss, grad_w, grad_b = mlr_loss_and_grads(theta[:, :d], theta[:, d], X, Y, cfg.l2, sw)
         return loss, np.column_stack([grad_w, grad_b]).ravel()
 
-    limit = MLR_MAX_ITERATIONS if max_iterations is None else max_iterations
-    loss, grad = loss_and_grad(theta)
-    steps = 0
-    while (grad_norm := float(np.linalg.norm(grad))) >= MLR_GRADIENT_TOL:
-        if steps == limit:
-            if max_iterations is not None:
-                break
-            raise MlrConvergenceError(steps, grad_norm, "step budget spent")
-        H = mlr_hessian(theta[:, :d], theta[:, d], X, cfg.l2, sw)
-        try:
-            direction = np.linalg.solve(H + np.outer(bias_ones, bias_ones), grad)
-        except np.linalg.LinAlgError:  # l2 = 0 with a feature collinear with others
-            raise MlrConvergenceError(steps, grad_norm, "singular Newton system") from None
-        slope = float(grad @ direction)  # the loss falls at this rate along -direction
-        step = 1.0
-        while slope > 0 and step > 1e-18:
-            cand = theta - step * direction.reshape(theta.shape)
-            cand_loss, cand_grad = loss_and_grad(cand)
-            # Strict, so that a step rounding leaves at the same loss is no progress.
-            if cand_loss < loss - 1e-4 * step * slope:
-                theta, loss, grad = cand, cand_loss, cand_grad
-                break
-            step *= 0.5
-        else:
-            if abs(slope) <= _LOSS_ROUNDING * max(abs(loss), 1.0):
-                break  # the predicted decrease is below the loss's rounding
-            raise MlrConvergenceError(steps, grad_norm, "line search found no descent step")
-        steps += 1
-    return LinearModel(weights=theta[:, :d].copy(), bias=theta[:, d].copy())
+    def hessian(theta: np.ndarray) -> np.ndarray:
+        return mlr_hessian(theta[:, :d], theta[:, d], X, cfg.l2, sw) + np.outer(bias_ones, bias_ones)
+
+    theta, steps, grad_norm = _newton(loss_and_grad, hessian, theta, "mlr", max_iterations)
+    return LinearModel(theta[:, :d].copy(), theta[:, d].copy(), newton_fits=((steps, grad_norm),))
 
 
 # --- one-vs-rest linear SVM -------------------------------------------------
 
 
-def _fit_binary_svm(
-    X_aug: np.ndarray, targets: np.ndarray, sw: np.ndarray, l2: float, epochs: int
-) -> np.ndarray:
-    """Projected subgradient descent on the regularized hinge loss.
+def svm_loss_and_grad(w, X_aug, targets, sw, l2: float) -> tuple[float, np.ndarray]:
+    """Squared hinge (l2/2)*||w||^2 + sum_i sw_i * max(0, 1 - t_i w.x_i)^2 and its
+    gradient. The bias is the last entry of ``w``, regularized with the weights."""
+    slack = np.maximum(1.0 - targets * (X_aug @ w), 0.0)
+    loss = float(0.5 * l2 * (w @ w) + sw @ slack**2)
+    return loss, l2 * w - 2.0 * (sw * targets * slack) @ X_aug
 
-    Pegasos schedule eta_t = 1/(l2*(t+1)) with projection onto the
-    1/sqrt(l2) ball; the bias rides along as an augmented, weakly
-    regularized coordinate.
-    """
-    w = np.zeros(X_aug.shape[1])
-    radius = 1.0 / np.sqrt(l2)
-    for t in range(epochs):
-        eta = 1.0 / (l2 * (t + 1))
-        margins = targets * (X_aug @ w)
-        violating = margins < 1.0
-        grad = l2 * w - (sw * targets * violating) @ X_aug
-        w = w - eta * grad
-        norm = float(np.linalg.norm(w))
-        if norm > radius:
-            w *= radius / norm
-    return w
+
+def svm_hessian(w, X_aug, targets, sw, l2: float) -> np.ndarray:
+    """Generalized Hessian ``l2*I + 2 X_A' diag(sw_A) X_A`` of that loss (Keerthi &
+    DeCoste 2005). A holds the rows with margin t_i w.x_i < 1, strictly."""
+    active = targets * (X_aug @ w) < 1.0
+    X_active = X_aug[active]
+    return 2.0 * (sw[active, None] * X_active).T @ X_active + l2 * np.eye(X_aug.shape[1])
+
+
+def _fit_binary_svm(
+    X_aug: np.ndarray, targets: np.ndarray, sw: np.ndarray, l2: float
+) -> tuple[np.ndarray, int, float]:
+    """Finite Newton from zero; the squared hinge is piecewise quadratic."""
+    args = (X_aug, targets, sw, l2)
+    loss_and_grad, hessian = (lambda w: svm_loss_and_grad(w, *args)), (lambda w: svm_hessian(w, *args))
+    return _newton(loss_and_grad, hessian, np.zeros(X_aug.shape[1]), "svm")
 
 
 def _fit_temperature(margins: np.ndarray, codes: np.ndarray) -> tuple[float, str | None]:
@@ -384,37 +387,30 @@ def train_svm(X: np.ndarray, y, cfg: TrainConfig = TrainConfig()) -> LinearModel
     X = np.asarray(X, dtype=float)
     codes = _as_codes(y)
     _validate_training_input(X, codes)
-    l2 = cfg.l2 if cfg.l2 > 0 else 1e-3  # Pegasos schedule needs a strictly positive l2
     X_aug = np.column_stack([X, np.ones(X.shape[0])])
 
-    def fit_all(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def fit_all(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
         sw = _sample_weights(codes[rows])
-        weights = np.empty((N_PHASES, X.shape[1]))
-        bias = np.empty(N_PHASES)
-        for c in range(N_PHASES):
-            targets = np.where(codes[rows] == c + 1, 1.0, -1.0)
-            w = _fit_binary_svm(X_aug[rows], targets, sw, l2, cfg.epochs)
-            weights[c] = w[:-1]
-            bias[c] = w[-1]
-        return weights, bias
+        targets = np.where(codes[rows] == np.arange(1, N_PHASES + 1)[:, None], 1.0, -1.0)
+        fits = [_fit_binary_svm(X_aug[rows], t, sw, cfg.l2) for t in targets]
+        W = np.array([w for w, _, _ in fits])
+        return W[:, :-1].copy(), W[:, -1].copy(), tuple((steps, g) for _, steps, g in fits)
 
     n = X.shape[0]
     holdout = n - max(int(round(n * 0.2)), 1)
     if holdout >= 10 and n >= 20:
-        shadow_w, shadow_b = fit_all(np.arange(holdout))
+        shadow_w, shadow_b, _ = fit_all(np.arange(holdout))
         margins = X[holdout:] @ shadow_w.T + shadow_b
         fitted = _fit_temperature(margins, codes[holdout:])
     else:
         fitted = None
 
-    weights, bias = fit_all(np.arange(n))
+    weights, bias, newton_fits = fit_all(np.arange(n))
     if fitted is None:
         margins = X @ weights.T + bias
         fitted = _fit_temperature(margins, codes)
     temperature, at_bound = fitted
-    return LinearModel(
-        weights=weights, bias=bias, temperature=temperature, temperature_at_bound=at_bound
-    )
+    return LinearModel(weights, bias, temperature, at_bound, newton_fits)
 
 
 # --- multi-layer perceptron -------------------------------------------------

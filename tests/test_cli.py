@@ -833,6 +833,16 @@ class TestPipeline:
         doc = json.loads((tmp_path / "out" / "model.json").read_text())
         assert match and float(match[1]) == doc["model"]["temperature"]
 
+    @pytest.mark.parametrize("kind,fits", [("mlr", 1), ("svm", 4)])
+    def test_log_records_the_newton_steps_of_each_fit(self, pipeline, kind, fits):
+        tmp_path, config = pipeline
+        assert run(config, "train", "--model", kind) == EXIT_OK
+        log = (tmp_path / "out" / "training_log.txt").read_text()
+        match = re.search(r"^newton_steps=(\S+) gradient_norm=(\S+)$", log, re.MULTILINE)
+        steps = [int(s) for s in match[1].split(",")]
+        assert len(steps) == fits and min(steps) >= 1
+        assert repr(float(match[2])) == match[2] and float(match[2]) < models.NEWTON_GRADIENT_TOL
+
     @staticmethod
     def record_mlp_fits(monkeypatch) -> list:
         """Wrap ``cli.train_mlp``; each call appends (rows, epochs, validated, stop_epoch)."""

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cyclecast import models
 from cyclecast.cli import main as cli_main
@@ -14,7 +15,7 @@ from cyclecast.errors import (
     DataError,
     DegenerateInputError,
     DimensionMismatchError,
-    MlrConvergenceError,
+    NewtonConvergenceError,
     SingleClassError,
     VersionMismatchError,
 )
@@ -35,6 +36,8 @@ from cyclecast.models import (
     rank_phases,
     save_model,
     softmax,
+    svm_hessian,
+    svm_loss_and_grad,
     train_mlp,
     train_mlr,
     train_svm,
@@ -232,7 +235,7 @@ class TestMlrNewton:
         assert np.abs(model.weights - ref_w).max() < 1e-5
         assert np.abs(model.bias - ref_b).max() < 1e-5
         _, gw, gb = mlr_loss_and_grads(model.weights, model.bias, X, _one_hot(y), l2)
-        assert math.hypot(np.linalg.norm(gw), np.linalg.norm(gb)) < models.MLR_GRADIENT_TOL
+        assert math.hypot(np.linalg.norm(gw), np.linalg.norm(gb)) < models.NEWTON_GRADIENT_TOL
 
     def test_biases_sum_to_zero(self):
         X, y = four_blobs(seed=2)
@@ -251,25 +254,25 @@ class TestMlrNewton:
         X, y = four_blobs(seed=3)
         # A negative-definite "Hessian" makes every Newton direction point uphill.
         monkeypatch.setattr(models, "mlr_hessian", lambda W, *a, **k: -np.eye(4 * (W.shape[1] + 1)))
-        with pytest.raises(MlrConvergenceError, match=r"after 0 Newton steps.*gradient norm") as exc:
+        with pytest.raises(NewtonConvergenceError, match=r"after 0 Newton steps.*gradient norm") as exc:
             train_mlr(X, y, TrainConfig())
         assert isinstance(exc.value, DataError)
-        assert exc.value.steps == 0 and exc.value.grad_norm > models.MLR_GRADIENT_TOL
+        assert exc.value.steps == 0 and exc.value.grad_norm > models.NEWTON_GRADIENT_TOL
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rounding_floor_is_not_a_failure(self, monkeypatch, seed):
         # With no tolerance, training runs on until no step can lower the
         # loss in floating point; that ends the run, it does not raise.
         X, y = four_blobs(seed=seed)
-        monkeypatch.setattr(models, "MLR_GRADIENT_TOL", 0.0)
+        monkeypatch.setattr(models, "NEWTON_GRADIENT_TOL", 0.0)
         model = train_mlr(X, y, TrainConfig())
         _, gw, gb = mlr_loss_and_grads(model.weights, model.bias, X, _one_hot(y), TrainConfig().l2)
         assert math.hypot(np.linalg.norm(gw), np.linalg.norm(gb)) < 1e-8
 
     def test_step_budget_raises_but_explicit_cap_truncates(self, monkeypatch):
         X, y = four_blobs(seed=4)
-        monkeypatch.setattr(models, "MLR_MAX_ITERATIONS", 2)
-        with pytest.raises(MlrConvergenceError, match="after 2 Newton steps"):
+        monkeypatch.setattr(models, "NEWTON_MAX_STEPS", 2)
+        with pytest.raises(NewtonConvergenceError, match="after 2 Newton steps"):
             train_mlr(X, y, TrainConfig())
         truncated = train_mlr(X, y, TrainConfig(), max_iterations=2)
         assert np.abs(truncated.weights).max() > 0
@@ -277,7 +280,7 @@ class TestMlrNewton:
     def test_singular_system_raises(self):
         X, y = two_blobs(seed=1)
         X = np.column_stack([X, np.zeros(len(y))])
-        with pytest.raises(MlrConvergenceError, match="singular"):
+        with pytest.raises(NewtonConvergenceError, match="singular"):
             train_mlr(X, y, TrainConfig(l2=0.0))
 
     def test_few_newton_steps_on_criterion_8_data(self, tmp_path, monkeypatch):
@@ -296,7 +299,101 @@ class TestMlrNewton:
         assert 1 <= len(steps) <= 25
 
 
+def svm_gradient_descent_reference(X_aug, targets, sw, l2, steps=1_000):
+    """Long gradient descent with Armijo backtracking on the squared hinge, an
+    independent route to one one-vs-rest SVM optimum."""
+    w = np.zeros(X_aug.shape[1])
+    loss, grad = svm_loss_and_grad(w, X_aug, targets, sw, l2)
+    step = 1.0
+    for _ in range(steps):
+        g2 = float(grad @ grad)
+        while step > 1e-18:
+            cand = svm_loss_and_grad(w - step * grad, X_aug, targets, sw, l2)
+            if cand[0] <= loss - 1e-4 * step * g2:
+                w, (loss, grad) = w - step * grad, cand
+                step = min(step * 2.0, 1e3)
+                break
+            step *= 0.5
+        else:
+            break
+    return w
+
+
 class TestSvm:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        d=st.integers(1, 4),
+        l2=st.sampled_from([0.0, 1e-3, 0.1]),
+    )
+    def test_gradient_and_hessian_match_central_differences(self, seed, n, d, l2):
+        rng = np.random.default_rng(seed)
+        X_aug = np.column_stack([rng.standard_normal((n, d)), np.ones(n)])
+        targets = rng.choice([-1.0, 1.0], n)
+        sw = rng.uniform(0.5, 1.5, n)
+        sw /= sw.sum()
+        w = rng.standard_normal(d + 1) * 0.8
+        h = 1e-6
+        # Central differences are exact for a piecewise quadratic loss that no
+        # row crosses its margin within h of w.
+        assume(np.abs(targets * (X_aug @ w) - 1.0).min() > 1e-3)
+        loss, grad = svm_loss_and_grad(w, X_aug, targets, sw, l2)
+        H = svm_hessian(w, X_aug, targets, sw, l2)
+        np.testing.assert_allclose(H, H.T, atol=1e-15)
+        for _ in range(3):
+            v = rng.standard_normal(d + 1)
+            up = svm_loss_and_grad(w + h * v, X_aug, targets, sw, l2)
+            down = svm_loss_and_grad(w - h * v, X_aug, targets, sw, l2)
+            assert abs((up[0] - down[0]) / (2 * h) - grad @ v) < 1e-7 * max(1.0, abs(grad @ v))
+            assert rel_err(H @ v, (up[1] - down[1]) / (2 * h)) < 1e-7
+
+    def test_a_row_on_the_margin_is_not_active(self):
+        X_aug = np.array([[1.0, 1.0], [-1.0, 1.0], [0.5, 1.0]])
+        targets, sw, l2 = np.array([1.0, -1.0, 1.0]), np.full(3, 1 / 3), 1e-3
+        w = np.array([0.5, 0.5])  # row 0's margin is exactly 1
+        v = np.array([1.0, 0.0])  # moving along v takes row 0 off the margin
+        h = 1e-6
+        grad = svm_loss_and_grad(w, X_aug, targets, sw, l2)[1]
+        moved = svm_loss_and_grad(w + h * v, X_aug, targets, sw, l2)[1]
+        H = svm_hessian(w, X_aug, targets, sw, l2)
+        assert rel_err(H @ v, (moved - grad) / h) < 1e-7
+
+    @pytest.mark.parametrize("l2", [0.05, 1e-3])
+    def test_matches_long_gradient_descent(self, l2):
+        X, y = four_blobs(seed=1)
+        model = train_svm(X, y, TrainConfig(l2=l2))
+        X_aug = np.column_stack([X, np.ones(len(y))])
+        sw = np.full(len(y), 1.0 / len(y))
+        for c in range(4):
+            targets = np.where(y == c + 1, 1.0, -1.0)
+            ref = svm_gradient_descent_reference(X_aug, targets, sw, l2)
+            fitted = np.append(model.weights[c], model.bias[c])
+            assert np.abs(fitted - ref).max() < 1e-6
+            grad = svm_loss_and_grad(fitted, X_aug, targets, sw, l2)[1]
+            assert np.linalg.norm(grad) < models.NEWTON_GRADIENT_TOL
+        assert all(g < models.NEWTON_GRADIENT_TOL for _, g in model.newton_fits)
+
+    def test_epochs_do_not_reach_the_svm(self):
+        X, y = four_blobs(seed=2)
+        one, many = (train_svm(X, y, TrainConfig(epochs=e)) for e in (1, 500))
+        assert one.weights.tobytes() == many.weights.tobytes()
+        assert one.bias.tobytes() == many.bias.tobytes()
+        assert one.temperature == many.temperature
+
+    def test_unregularized_converges(self):
+        X, y = four_blobs(seed=3)
+        model = train_svm(X, y, TrainConfig(l2=0.0))
+        assert len(model.newton_fits) == 4
+        assert all(1 <= steps <= 10 for steps, _ in model.newton_fits)
+        assert all(g < models.NEWTON_GRADIENT_TOL for _, g in model.newton_fits)
+
+    def test_step_budget_raises_naming_the_svm(self, monkeypatch):
+        X, y = four_blobs(seed=4)
+        monkeypatch.setattr(models, "NEWTON_MAX_STEPS", 1)
+        with pytest.raises(NewtonConvergenceError, match=r"^svm training stopped after 1 Newton steps: step budget"):
+            train_svm(X, y, TrainConfig())
+
     def test_separable_one_dimensional(self):
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([1, 1, 2, 2])
