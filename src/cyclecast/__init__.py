@@ -38,7 +38,6 @@ from .models import (
     MlpModel,
     TrainConfig,
     load_model,
-    predict_proba,
     save_model,
     train_mlp,
     train_mlr,

@@ -15,7 +15,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
@@ -600,9 +600,11 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
     sign_only = cfg.features["trend_sign_only"]
 
-    # A probe fits the train rows alone: to pick among several windows, and for
-    # the MLP to find the epoch where its validation NLL stops improving.
+    # A probe fits the train rows alone: to pick among several windows, and on
+    # the validation rows to fit the SVM's temperature and to find the epoch
+    # where the MLP's validation NLL stops improving.
     candidates = cfg.train["window_candidates"] or (cfg.window,)
+    validates = cfg.model in ("svm", "mlp")
     best = None
     for window in candidates:
         fm = build_feature_matrix(panel, window, sign_only=sign_only)
@@ -611,12 +613,15 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         if rows["train"].size == 0 or (len(candidates) > 1 and rows["validation"].size == 0):
             raise CycleCastError(f"window {window}: empty train or validation split")
         probe = validation = None
-        if len(candidates) > 1 or (cfg.model == "mlp" and rows["validation"].size):
+        if len(candidates) > 1 or (validates and rows["validation"].size):
             scaler = FeatureScaler.fit(X[rows["train"]])
             validation = scaler.apply(X[rows["validation"]]), y[rows["validation"]]
-            mlp_validation = validation if cfg.model == "mlp" else None
             probe = _fit_model(
-                cfg.model, scaler.apply(X[rows["train"]]), y[rows["train"]], tc, mlp_validation
+                cfg.model,
+                scaler.apply(X[rows["train"]]),
+                y[rows["train"]],
+                tc,
+                validation if validates else None,
             )
         if len(candidates) > 1:
             val_acc = evaluation.topk_accuracy(probe.predict_proba(validation[0]), validation[1], 1)
@@ -628,7 +633,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     _, window, fm, X, y, months, rows, probe, validation = best
     log_lines.append(f"selected window={window}")
 
-    # Final fit uses train and validation together; the MLP's runs for its probe's stop epoch.
+    # Final fit uses train and validation together; the SVM's takes its probe's
+    # temperature, the MLP's runs for its probe's stop epoch.
     if cfg.model == "mlp" and probe is None:
         log_lines.append("mlp stop_epoch=none validation_nll=none")
     elif cfg.model == "mlp":
@@ -638,12 +644,18 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     fit_rows = np.concatenate([rows["train"], rows["validation"]])
     scaler = FeatureScaler.fit(X[fit_rows])
     model = _fit_model(cfg.model, scaler.apply(X[fit_rows]), y[fit_rows], tc)
+    if cfg.model == "svm" and probe is not None:
+        model = replace(
+            model, temperature=probe.temperature, temperature_at_bound=probe.temperature_at_bound
+        )
     final_loss = nll_loss(model.predict_proba(scaler.apply(X[fit_rows])), y[fit_rows])
     log_lines.append(f"final_fit rows={fit_rows.size} loss={final_loss:.6f}")
     if cfg.model in ("mlr", "svm"):
         steps, norms = zip(*model.newton_fits)
         log_lines.append(f"newton_steps={','.join(map(str, steps))} gradient_norm={max(norms)!r}")
-    if cfg.model == "svm":
+    if cfg.model == "svm" and probe is None:
+        log_lines.append("temperature=none at_bound=none")
+    elif cfg.model == "svm":
         at_bound = model.temperature_at_bound or "none"
         log_lines.append(f"temperature={model.temperature!r} at_bound={at_bound}")
     artifact = ModelArtifact(

@@ -106,10 +106,6 @@ class NewtonConvergenceError(DataError):
         self.grad_norm = grad_norm
 
 
-class DimensionMismatchError(DataError):
-    """Input dimension does not match the model."""
-
-
 class BadKError(DataError):
     """k outside 1..4 for a top-k query."""
 

@@ -1,14 +1,17 @@
-"""Four-phase classifiers behind one prediction surface.
+"""Four-phase classifiers.
 
-Three trainable models, all emitting a probability vector over the four
-phases. Two of them share one model type, :class:`LinearModel`, a softmax over
-linear scores divided by a temperature, and one training loop, damped Newton to
-a gradient norm of 1e-8: multinomial logistic regression (about ten steps;
-temperature 1) and one-vs-rest linear SVMs on the squared hinge (finite Newton,
-six to eight steps per fit; temperature calibrated on a held-out fold). The
-third is a feed-forward network with four hidden layers of 50 ReLU units,
-dropout 0.2 after the last hidden layer, trained with Adam; given validation
-rows, it stops once their loss has not improved for ``MLP_PATIENCE`` epochs.
+Three trainable models, each with a ``predict_proba(X)`` that gives one
+probability vector over the four phases per row. Two of them share one model
+type, :class:`LinearModel`, a softmax over linear scores divided by a
+temperature, and one training loop, damped Newton to a gradient norm of 1e-8:
+multinomial logistic regression (about ten steps; temperature 1) and
+one-vs-rest linear SVMs on the squared hinge (finite Newton, six to eight
+steps per fit). The third is a feed-forward network with four hidden layers of
+50 ReLU units, dropout 0.2 after the last hidden layer, trained with Adam.
+
+The SVM and the MLP take the same optional validation rows: the SVM fits its
+temperature on their margins (1.0 without them), and the MLP stops once their
+loss has not improved for ``MLP_PATIENCE`` epochs.
 
 Training is deterministic given the seed; trained models are immutable.
 """
@@ -24,10 +27,8 @@ import numpy as np
 
 from .dataset import PhaseLabel, Region, write_atomic
 from .errors import (
-    BadKError,
     CorruptFileError,
     DegenerateInputError,
-    DimensionMismatchError,
     NewtonConvergenceError,
     SingleClassError,
     VersionMismatchError,
@@ -36,7 +37,6 @@ from .features import FeatureScaler
 from .rbbcp import RbbcpModel
 
 __all__ = [
-    "PhaseDistribution",
     "TrainConfig",
     "LinearModel",
     "MlpModel",
@@ -44,7 +44,6 @@ __all__ = [
     "train_mlr",
     "train_svm",
     "train_mlp",
-    "predict_proba",
     "rank_phases",
     "softmax",
     "nll_loss",
@@ -65,32 +64,6 @@ MODEL_SCHEMA = "cyclecast-model"
 # payload without "l2". Older files still load: the loader ignores those keys
 # and reads "mlr"/"svm" payloads as linear models.
 MODEL_SCHEMA_VERSION = 3
-
-
-@dataclass(frozen=True)
-class PhaseDistribution:
-    """Probability vector over the four phases, indexed by phase code."""
-
-    p: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        arr = np.asarray(self.p)
-        if arr.shape != (N_PHASES,):
-            raise ValueError("distribution must have exactly 4 entries")
-        if np.any(arr < -1e-12) or abs(float(arr.sum()) - 1.0) > 1e-9:
-            raise ValueError("probabilities must be non-negative and sum to 1")
-
-    def __getitem__(self, phase: PhaseLabel) -> float:
-        return self.p[int(phase) - 1]
-
-    def top_k(self, k: int) -> list[tuple[PhaseLabel, float]]:
-        if not 1 <= k <= N_PHASES:
-            raise BadKError(f"k must be in 1..4, got {k}")
-        order = rank_phases(self.p)
-        return [(phase, self.p[int(phase) - 1]) for phase in order[:k]]
-
-    def argmax(self) -> PhaseLabel:
-        return self.top_k(1)[0][0]
 
 
 def rank_phases(p: Sequence[float]) -> list[PhaseLabel]:
@@ -268,9 +241,12 @@ def _newton(loss_and_grad, hessian, theta: np.ndarray, model: str, max_steps: in
     gives the loss and flat gradient, ``hessian(theta)`` the matrix each step solves.
     Stops below ``NEWTON_GRADIENT_TOL``; returns (theta, steps, gradient norm).
 
-    Raises :class:`NewtonConvergenceError` naming ``model`` on a singular system,
-    on a line search that finds no descent step above the loss's rounding
-    level, or after ``NEWTON_MAX_STEPS`` steps; an explicit ``max_steps`` truncates.
+    A singular system takes the minimum-norm solution: the Hessian is positive
+    semidefinite and the gradient lies in its range, so that is still a Newton step.
+
+    Raises :class:`NewtonConvergenceError` naming ``model`` on a line search
+    that finds no descent step above the loss's rounding level, or after
+    ``NEWTON_MAX_STEPS`` steps; an explicit ``max_steps`` truncates.
     """
     limit = NEWTON_MAX_STEPS if max_steps is None else max_steps
     loss, grad = loss_and_grad(theta)
@@ -280,10 +256,11 @@ def _newton(loss_and_grad, hessian, theta: np.ndarray, model: str, max_steps: in
             if max_steps is not None:
                 break
             raise NewtonConvergenceError(model, steps, grad_norm, "step budget spent")
+        H = hessian(theta)
         try:
-            direction = np.linalg.solve(hessian(theta), grad)
+            direction = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:  # l2 = 0 with collinear features, or too few active SVM rows
-            raise NewtonConvergenceError(model, steps, grad_norm, "singular Newton system") from None
+            direction = np.linalg.lstsq(H, grad, rcond=None)[0]
         slope = float(grad @ direction)  # the loss falls at this rate along -direction
         step = 1.0
         while slope > 0 and step > 1e-18:
@@ -376,41 +353,32 @@ def _fit_temperature(margins: np.ndarray, codes: np.ndarray) -> tuple[float, str
     return best_t, at_bound
 
 
-def train_svm(X: np.ndarray, y, cfg: TrainConfig = TrainConfig()) -> LinearModel:
-    """Four one-vs-rest linear SVMs plus a calibrated softmax temperature.
+def train_svm(
+    X: np.ndarray,
+    y,
+    cfg: TrainConfig = TrainConfig(),
+    validation: tuple[np.ndarray, Sequence[int]] | None = None,
+) -> LinearModel:
+    """Four one-vs-rest linear SVMs plus a softmax temperature.
 
-    The temperature is fitted on a trailing held-out fold (20%) against a
-    shadow model trained on the leading rows, then the final weights are
-    refitted on the full sample. With fewer than 20 rows the calibration
-    falls back to in-sample margins.
+    Given ``validation = (X_val, y_val)``, the temperature is the one that
+    minimizes the validation NLL of the softmax over their margins
+    (Guo et al. 2017); without validation rows it is 1.0.
     """
     X = np.asarray(X, dtype=float)
     codes = _as_codes(y)
     _validate_training_input(X, codes)
     X_aug = np.column_stack([X, np.ones(X.shape[0])])
-
-    def fit_all(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-        sw = _sample_weights(codes[rows])
-        targets = np.where(codes[rows] == np.arange(1, N_PHASES + 1)[:, None], 1.0, -1.0)
-        fits = [_fit_binary_svm(X_aug[rows], t, sw, cfg.l2) for t in targets]
-        W = np.array([w for w, _, _ in fits])
-        return W[:, :-1].copy(), W[:, -1].copy(), tuple((steps, g) for _, steps, g in fits)
-
-    n = X.shape[0]
-    holdout = n - max(int(round(n * 0.2)), 1)
-    if holdout >= 10 and n >= 20:
-        shadow_w, shadow_b, _ = fit_all(np.arange(holdout))
-        margins = X[holdout:] @ shadow_w.T + shadow_b
-        fitted = _fit_temperature(margins, codes[holdout:])
-    else:
-        fitted = None
-
-    weights, bias, newton_fits = fit_all(np.arange(n))
-    if fitted is None:
-        margins = X @ weights.T + bias
-        fitted = _fit_temperature(margins, codes)
-    temperature, at_bound = fitted
-    return LinearModel(weights, bias, temperature, at_bound, newton_fits)
+    sw = _sample_weights(codes)
+    targets = np.where(codes == np.arange(1, N_PHASES + 1)[:, None], 1.0, -1.0)
+    fits = [_fit_binary_svm(X_aug, t, sw, cfg.l2) for t in targets]
+    W = np.array([w for w, _, _ in fits])
+    weights, bias = W[:, :-1].copy(), W[:, -1].copy()
+    temperature, at_bound = 1.0, None
+    if validation is not None:
+        X_val, codes_val = np.asarray(validation[0], dtype=float), _as_codes(validation[1])
+        temperature, at_bound = _fit_temperature(X_val @ weights.T + bias, codes_val)
+    return LinearModel(weights, bias, temperature, at_bound, tuple((s, g) for _, s, g in fits))
 
 
 # --- multi-layer perceptron -------------------------------------------------
@@ -583,20 +551,7 @@ def train_mlp(
     )
 
 
-# --- shared prediction surface ----------------------------------------------
-
 TrainedModel = LinearModel | MlpModel
-
-
-def predict_proba(model: TrainedModel, x: Sequence[float] | np.ndarray) -> PhaseDistribution:
-    """Distribution over phases for one feature row."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != model.n_features:
-        raise DimensionMismatchError(
-            f"expected a feature row of length {model.n_features}, got shape {x.shape}"
-        )
-    p = model.predict_proba(x[None, :])[0]
-    return PhaseDistribution(p=tuple(float(v) for v in p))
 
 
 # --- persistence -------------------------------------------------------------

@@ -895,6 +895,51 @@ class TestPipeline:
         stop = probes[[3, 6].index(window)][3]
         assert final[1] == stop and f"mlp stop_epoch={stop} " in log
 
+    @staticmethod
+    def record_svm_fits(monkeypatch) -> list:
+        """Wrap ``cli.train_svm``; each call appends (rows, validated, temperature, at_bound)."""
+        fits = []
+
+        def recording(X, y, cfg, validation=None):
+            model = models.train_svm(X, y, cfg, validation)
+            fits.append((X.shape[0], validation is not None, model.temperature, model.temperature_at_bound))
+            return model
+
+        monkeypatch.setattr(cli, "train_svm", recording)
+        return fits
+
+    def test_svm_without_validation_rows_keeps_unit_temperature(self, pipeline, monkeypatch):
+        tmp_path, config = pipeline
+        doc = json.loads(config.read_text())
+        # The labels end in 1982-06, so no row targets the validation month.
+        doc["split"] = {"train_end": "1982-06", "validation_end": "1982-07", "test_end": "1982-08"}
+        config.write_text(json.dumps(doc))
+        fits = self.record_svm_fits(monkeypatch)
+        train_model(config, "svm")
+        log = (tmp_path / "out" / "training_log.txt").read_text()
+        assert re.search(r"^temperature=none at_bound=none$", log, re.MULTILINE)
+        assert [fit[1:] for fit in fits] == [(False, 1.0, None)]
+        assert json.loads((tmp_path / "out" / "model.json").read_text())["model"]["temperature"] == 1.0
+
+    def test_svm_window_selection_uses_the_selected_probe(self, tmp_path, monkeypatch):
+        # Noisy enough that each window's validation rows give an interior temperature.
+        synth = json.loads(write_config(tmp_path).read_text())["synth"] | {"noise_sigma": 0.5}
+        config = write_config(tmp_path, synth=synth, train={"window_candidates": [3, 6]})
+        for command in ("synth", "preprocess", "build-indices", "features"):
+            assert run(config, command) == EXIT_OK
+        fits = self.record_svm_fits(monkeypatch)
+        assert run(config, "train", "--model", "svm") == EXIT_OK
+        log = (tmp_path / "out" / "training_log.txt").read_text()
+        window = int(re.search(r"^selected window=(\d+)$", log, re.MULTILINE)[1])
+        probes, final = fits[:2], fits[2]
+        assert [fit[1] for fit in fits] == [True, True, False]
+        assert probes[0][2] != probes[1][2]  # so the saved file shows which probe supplied it
+        probe = probes[[3, 6].index(window)]
+        assert final[2:] == (1.0, None) and final[0] > probe[0]
+        saved = json.loads((tmp_path / "out" / "model.json").read_text())["model"]["temperature"]
+        assert saved == probe[2]
+        assert f"\ntemperature={probe[2]!r} at_bound={probe[3] or 'none'}\n" in log
+
     def test_window_selection_on_validation(self, pipeline):
         tmp_path, config = pipeline
         new_config = json.loads(Path(config).read_text())

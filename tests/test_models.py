@@ -10,11 +10,9 @@ from cyclecast import models
 from cyclecast.cli import main as cli_main
 from cyclecast.dataset import PhaseLabel, Region
 from cyclecast.errors import (
-    BadKError,
     CorruptFileError,
     DataError,
     DegenerateInputError,
-    DimensionMismatchError,
     NewtonConvergenceError,
     SingleClassError,
     VersionMismatchError,
@@ -32,7 +30,6 @@ from cyclecast.models import (
     mlr_hessian,
     mlr_loss_and_grads,
     nll_loss,
-    predict_proba,
     rank_phases,
     save_model,
     softmax,
@@ -118,8 +115,8 @@ class TestMlr:
 
     def test_zero_weight_model_is_uniform(self):
         model = LinearModel(weights=np.zeros((4, 3)), bias=np.zeros(4))
-        dist = predict_proba(model, [0.5, -1.0, 2.0])
-        assert dist.p == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=1e-12)
+        x = np.array([0.5, -1.0, 2.0])
+        assert model.predict_proba(x[None, :])[0] == pytest.approx(np.full(4, 0.25), abs=1e-12)
 
     def test_unit_temperature_is_plain_softmax(self, rng):
         W = rng.standard_normal((4, 5)) * 3.0
@@ -277,11 +274,20 @@ class TestMlrNewton:
         truncated = train_mlr(X, y, TrainConfig(), max_iterations=2)
         assert np.abs(truncated.weights).max() > 0
 
-    def test_singular_system_raises(self):
+    def test_singular_system_takes_the_minimum_norm_step(self):
         X, y = two_blobs(seed=1)
-        X = np.column_stack([X, np.zeros(len(y))])
-        with pytest.raises(NewtonConvergenceError, match="singular"):
-            train_mlr(X, y, TrainConfig(l2=0.0))
+        # An all-zero column leaves the unregularized Hessian singular from the first step.
+        zero_column = np.column_stack([X, np.zeros(len(y))])
+        model = train_mlr(zero_column, y, TrainConfig(l2=0.0))
+        ((steps, grad_norm),) = model.newton_fits
+        assert steps <= 25 and grad_norm < models.NEWTON_GRADIENT_TOL
+        assert np.abs(model.weights[:, 2]).max() < 1e-10
+        assert train_accuracy(model, zero_column, y) == 1.0
+        duplicated = train_mlr(np.column_stack([X, X[:, 0]]), y, TrainConfig(l2=0.0))
+        ((steps, grad_norm),) = duplicated.newton_fits
+        assert steps <= 25 and grad_norm < models.NEWTON_GRADIENT_TOL
+        # Minimum-norm steps from zero split the weight evenly between the copies.
+        assert np.abs(duplicated.weights[:, 0] - duplicated.weights[:, 2]).max() < 1e-6
 
     def test_few_newton_steps_on_criterion_8_data(self, tmp_path, monkeypatch):
         config = _e2e_config(tmp_path)
@@ -374,6 +380,20 @@ class TestSvm:
             assert np.linalg.norm(grad) < models.NEWTON_GRADIENT_TOL
         assert all(g < models.NEWTON_GRADIENT_TOL for _, g in model.newton_fits)
 
+    def test_temperature_is_fitted_on_the_validation_rows(self):
+        X, y = four_blobs(seed=1)
+        X_val, y_val = four_blobs(seed=2)
+        model = train_svm(X, y, TrainConfig(), (X_val, y_val))
+        margins = X_val @ model.weights.T + model.bias
+        fitted = models._fit_temperature(margins, y_val)
+        assert (model.temperature, model.temperature_at_bound) == fitted
+        assert fitted[0] != 1.0
+        plain = train_svm(X, y, TrainConfig())
+        assert (plain.temperature, plain.temperature_at_bound) == (1.0, None)
+        # The validation rows reach the temperature only.
+        assert plain.weights.tobytes() == model.weights.tobytes()
+        assert plain.bias.tobytes() == model.bias.tobytes()
+
     def test_epochs_do_not_reach_the_svm(self):
         X, y = four_blobs(seed=2)
         one, many = (train_svm(X, y, TrainConfig(epochs=e)) for e in (1, 500))
@@ -388,6 +408,16 @@ class TestSvm:
         assert all(1 <= steps <= 10 for steps, _ in model.newton_fits)
         assert all(g < models.NEWTON_GRADIENT_TOL for _, g in model.newton_fits)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unregularized_separable_converges(self, seed):
+        # On seed 0 the leading 48 rows leave too few active rows for a
+        # nonsingular Newton system; the minimum-norm step carries on.
+        X, y = two_blobs(seed=seed)
+        model = train_svm(X[:48], y[:48], TrainConfig(l2=0.0), (X[48:], y[48:]))
+        assert all(1 <= steps <= 10 for steps, _ in model.newton_fits)
+        assert all(g < models.NEWTON_GRADIENT_TOL for _, g in model.newton_fits)
+        assert train_accuracy(model, X, y) == 1.0
+
     def test_step_budget_raises_naming_the_svm(self, monkeypatch):
         X, y = four_blobs(seed=4)
         monkeypatch.setattr(models, "NEWTON_MAX_STEPS", 1)
@@ -397,7 +427,7 @@ class TestSvm:
     def test_separable_one_dimensional(self):
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([1, 1, 2, 2])
-        model = train_svm(X, y, TrainConfig(epochs=2000))
+        model = train_svm(X, y, TrainConfig())
         assert train_accuracy(model, X, y) == 1.0
         # brute force over candidate thresholds: the induced boundary must sit
         # strictly between the classes
@@ -411,14 +441,14 @@ class TestSvm:
         model = LinearModel(
             weights=np.ones((4, 2)), bias=np.zeros(4), temperature=0.7
         )
-        dist = predict_proba(model, [0.3, -0.4])
-        assert dist.p == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=1e-12)
+        x = np.array([0.3, -0.4])
+        assert model.predict_proba(x[None, :])[0] == pytest.approx(np.full(4, 0.25), abs=1e-12)
 
     def test_conflicting_duplicates_bounded(self):
         X = np.tile([[1.0, 0.5]], (10, 1))
         X += np.random.default_rng(0).standard_normal(X.shape) * 1e-9
         y = np.array([1] * 5 + [2] * 5)
-        model = train_svm(X, y, TrainConfig(epochs=200))
+        model = train_svm(X, y, TrainConfig())
         assert train_accuracy(model, X, y) <= 0.5 + 1e-12
 
     def test_temperature_positive(self):
@@ -429,7 +459,7 @@ class TestSvm:
         rng = np.random.default_rng(5)
         y = np.tile([1, 4], 30)  # both classes in the trailing hold-out
         X = np.where(y[:, None] == 1, -3.0, 3.0) + rng.normal(0.0, 0.3, (60, 2))
-        model = train_svm(X, y, TrainConfig(epochs=500))
+        model = train_svm(X[:48], y[:48], TrainConfig(), (X[48:], y[48:]))
         assert (model.temperature, model.temperature_at_bound) == (0.01, "lower")
         path = tmp_path / "model.json"
         save_model(ModelArtifact(model=model, region=Region.US, window=4), path)
@@ -452,7 +482,7 @@ class TestSvm:
             [rng.normal([-2, 0], 0.4, (30, 2)), rng.normal([2, 0], 0.4, (30, 2))]
         )
         y = np.array([1] * 30 + [4] * 30)
-        model = train_svm(X, y, TrainConfig(epochs=1000))
+        model = train_svm(X[:48], y[:48], TrainConfig(), (X[48:], y[48:]))
         assert model.temperature > 0
         assert train_accuracy(model, X, y) == 1.0
 
@@ -601,29 +631,20 @@ class TestMlpEarlyStop:
 
 
 class TestPredictionSurface:
-    def test_dimension_mismatch(self):
-        model = LinearModel(weights=np.zeros((4, 3)), bias=np.zeros(4))
-        with pytest.raises(DimensionMismatchError):
-            predict_proba(model, [1.0, 2.0])
-
     def test_topk_sorting(self):
         model = LinearModel(
             weights=np.zeros((4, 1)),
             bias=np.log(np.array([0.1, 0.6, 0.2, 0.1])),
         )
-        top = predict_proba(model, [0.0]).top_k(2)
-        assert [p for p, _ in top] == [PhaseLabel.EXPANSION, PhaseLabel.SLOWDOWN]
-        assert top[0][1] == pytest.approx(0.6, abs=1e-12)
-
-    def test_uniform_tie_breaks_to_lowest_code(self):
-        model = LinearModel(weights=np.zeros((4, 1)), bias=np.zeros(4))
-        top = predict_proba(model, [0.0]).top_k(1)
-        assert top[0][0] is PhaseLabel.RECOVERY
-
-    def test_bad_k(self):
-        model = LinearModel(weights=np.zeros((4, 1)), bias=np.zeros(4))
-        with pytest.raises(BadKError):
-            predict_proba(model, [0.0]).top_k(5)
+        p = model.predict_proba(np.zeros((1, 1)))[0]
+        # Descending probability; the tie between phases 1 and 4 goes to the lower code.
+        assert rank_phases(p) == [
+            PhaseLabel.EXPANSION,
+            PhaseLabel.SLOWDOWN,
+            PhaseLabel.RECOVERY,
+            PhaseLabel.RECESSION,
+        ]
+        assert p[int(PhaseLabel.EXPANSION) - 1] == pytest.approx(0.6, abs=1e-12)
 
     def test_rank_phases_tie_rule(self):
         assert rank_phases([0.25, 0.25, 0.25, 0.25]) == [
