@@ -31,7 +31,7 @@ from .evaluation import (
     render_report,
     topk_accuracy,
 )
-from .features import FeatureMatrix, build_feature_matrix, forecast_alignment, ols_slope
+from .features import FeatureMatrix, build_feature_matrix, forecast_alignment, window_slopes
 from .indices import CompositeIndex, IndexKind, expanding_pca_index, pca_first_component
 from .models import (
     LinearModel,

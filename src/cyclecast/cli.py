@@ -664,7 +664,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         window=window,
         feature_names=fm.feature_names,
         scaler=scaler,
-        extra={"kind": cfg.model},
+        extra={"kind": cfg.model, "trend_sign_only": sign_only},
     )
     save_model(artifact, model_path)
     _write_atomic(cfg.out_dir / "training_log.txt", "\n".join(log_lines) + "\n")
@@ -690,6 +690,13 @@ def _scorer(cfg: RunConfig, artifact: ModelArtifact) -> tuple[np.ndarray, Callab
     if artifact.window is None:
         raise DataError("model file records no feature window")
     sign_only = cfg.features["trend_sign_only"]
+    # A model file from before train recorded the setting is scored as the config says.
+    trained = artifact.extra.get("trend_sign_only", sign_only)
+    if trained != sign_only:
+        raise DataError(
+            f"model.json was trained with features.trend_sign_only {json.dumps(trained)}, "
+            f"the config sets {json.dumps(sign_only)}; rerun train"
+        )
     fm = build_feature_matrix(panel, artifact.window, sign_only=sign_only)
     if fm.feature_names != artifact.feature_names:
         raise DataError(

@@ -29,7 +29,7 @@ __all__ = [
     "FeatureMatrix",
     "FeatureScaler",
     "DEFAULT_EXCLUDED_CATEGORIES",
-    "ols_slope",
+    "window_slopes",
     "build_feature_matrix",
     "forecast_alignment",
 ]
@@ -75,24 +75,24 @@ class FeatureScaler:
         return (np.asarray(X, dtype=float) - self.mean) / self.std
 
 
-def ols_slope(values: Sequence[float] | np.ndarray) -> float:
-    """Slope of the least-squares line through (0, y0), (1, y1), ..."""
+def window_slopes(values: Sequence[float] | np.ndarray, window: int) -> np.ndarray:
+    """Least-squares slope of every trailing ``window`` of ``values`` against
+    the abscissae 0..window-1: entry i fits values[i:i+window].
+
+    Each window is centred on its own mean and summed row by row, never in a
+    BLAS product, so a window gets the same bits alone as inside a longer
+    array, and a constant window gives exactly 0.0.
+    """
     y = np.asarray(values, dtype=float)
-    n = y.size
-    if n < 2:
-        raise TooShortError(f"slope needs >= 2 values, got {n}")
-    x = np.arange(n, dtype=float)
-    xc = x - x.mean()
-    return float(xc @ (y - y.mean()) / (xc @ xc))
-
-
-def _window_slopes(column: np.ndarray, window: int) -> np.ndarray:
-    """Slopes of every trailing window, vectorized via the closed form."""
-    n = column.size
+    if window < 2 or y.size < window:
+        raise TooShortError(f"slope needs a window >= 2 within the {y.size} values, got {window}")
+    if y.size == window:  # rbbcp's one window a call: a strided view would cost more than the fit
+        windows = y[None, :]
+    else:
+        windows = np.lib.stride_tricks.sliding_window_view(y, window)
     xc = np.arange(window, dtype=float) - (window - 1) / 2.0
-    sxx = float(xc @ xc)
-    strides = np.lib.stride_tricks.sliding_window_view(column, window)
-    return (strides @ xc) / sxx  # centering y cancels against centered x
+    centred = windows - windows.mean(axis=-1, keepdims=True)
+    return (centred * xc).sum(axis=-1) / (xc * xc).sum()
 
 
 def build_feature_matrix(
@@ -132,7 +132,7 @@ def build_feature_matrix(
 
     slopes_all = np.column_stack(
         [
-            _window_slopes(np.nan_to_num(filtered.values[:, j], nan=0.0), window)
+            window_slopes(np.nan_to_num(filtered.values[:, j], nan=0.0), window)
             for j in range(filtered.n_series)
         ]
     )

@@ -61,10 +61,9 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import MonthStamp, check_contiguous, month_row, prefix_sha256, set_arrays
+from .dataset import check_contiguous, month_row, prefix_sha256, set_arrays
 from .errors import (
     DegenerateCovarianceError,
-    InsufficientHistoryError,
     PanelTooShortError,
     ZeroReferenceLoadingError,
 )
@@ -160,19 +159,6 @@ class CompositeIndex:
 
     def value_at(self, month: int) -> float:
         return float(self.values[month_row(self.months, month)])
-
-    def window_ending_at(self, month: int, window: int) -> np.ndarray:
-        """The last ``window`` values ending at the ordinal ``month`` (inclusive)."""
-        try:
-            pos = month_row(self.months, month)
-        except KeyError as exc:
-            raise InsufficientHistoryError(f"index has no value at {exc.args[0]}") from None
-        if pos + 1 < window:
-            raise InsufficientHistoryError(
-                f"index has only {pos + 1} values through {MonthStamp.from_ordinal(month)}, "
-                f"window {window} requested"
-            )
-        return self.values[pos + 1 - window : pos + 1]
 
 
 def _power_iterate(cov: np.ndarray, v: np.ndarray, steps: int) -> tuple[np.ndarray, float | None]:

@@ -575,6 +575,8 @@ class ModelArtifact:
     def __post_init__(self):
         if self.window is not None and (type(self.window) is not int or self.window < 2):
             raise ValueError(f"window {self.window!r} is not null or an int >= 2")
+        if type(self.extra) is not dict:
+            raise ValueError(f"extra {self.extra!r} is not an object")
         shapes = set() if isinstance(self.model, RbbcpModel) else {(self.model.n_features,)}
         if self.feature_names is not None:
             shapes.add((len(self.feature_names),))

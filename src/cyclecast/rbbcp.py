@@ -19,14 +19,14 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import PhaseLabel
-from .features import ols_slope
+from .dataset import MonthStamp, PhaseLabel, month_row
+from .errors import InsufficientHistoryError
+from .features import window_slopes
 from .indices import CompositeIndex
 
 __all__ = [
     "TrendDirection",
     "RbbcpModel",
-    "trend_direction",
     "rbbcp_predict",
     "rbbcp_predict_proba",
 ]
@@ -43,23 +43,6 @@ _RULE_TABLE = {
     (TrendDirection.UP, TrendDirection.DOWN): PhaseLabel.SLOWDOWN,
     (TrendDirection.UP, TrendDirection.UP): PhaseLabel.EXPANSION,
 }
-
-
-def trend_direction(
-    index: CompositeIndex,
-    month: int,
-    window: int,
-    zero_is_up: bool = False,
-) -> TrendDirection:
-    """Direction of the index over its last ``window`` values ending at the ordinal ``month``."""
-    if window < 2:
-        raise ValueError("trend window must be >= 2")
-    slope = ols_slope(index.window_ending_at(month, window))
-    if slope > 0.0:
-        return TrendDirection.UP
-    if slope == 0.0 and zero_is_up:
-        return TrendDirection.UP
-    return TrendDirection.DOWN
 
 
 def rbbcp_predict(inflation: TrendDirection, growth: TrendDirection) -> PhaseLabel:
@@ -96,6 +79,21 @@ class RbbcpModel:
         self, inflation_index: CompositeIndex, growth_index: CompositeIndex, month: int
     ) -> np.ndarray:
         return rbbcp_predict_proba(
-            trend_direction(inflation_index, month, self.trend_window, self.zero_is_up),
-            trend_direction(growth_index, month, self.trend_window, self.zero_is_up),
+            self._direction(inflation_index, month), self._direction(growth_index, month)
         )
+
+    def _direction(self, index: CompositeIndex, month: int) -> TrendDirection:
+        """Sign of the index's slope over the trend window ending at the ordinal ``month``."""
+        name = f"{index.kind.value} index"
+        try:
+            end = month_row(index.months, month) + 1
+        except KeyError as exc:
+            raise InsufficientHistoryError(f"{name} has no value at {exc.args[0]}") from None
+        if end < self.trend_window:
+            raise InsufficientHistoryError(
+                f"{name} has only {end} values through {MonthStamp.from_ordinal(month)}, "
+                f"trend window {self.trend_window} requested"
+            )
+        slope = window_slopes(index.values[end - self.trend_window : end], self.trend_window)[0]
+        up = slope > 0.0 or (slope == 0.0 and self.zero_is_up)
+        return TrendDirection.UP if up else TrendDirection.DOWN

@@ -677,6 +677,7 @@ class TestDataErrors:
             ("rbbcp", lambda doc: doc["model"].update(trend_window=True)),
             ("rbbcp", lambda doc: doc["model"].update(zero_is_up="no")),
             ("rbbcp", lambda doc: doc["model"].update(zero_is_up=0)),
+            ("mlr", lambda doc: doc.update(extra=[])),
         ],
         ids=[
             "empty scaler", "string window", "bool window", "float window", "window 1",
@@ -685,7 +686,7 @@ class TestDataErrors:
             "zero temperature", "string temperature", "bool temperature", "second MLP layer 50x49", "short last MLP bias",
             "five MLP outputs", "MLP bias missing", "NaN MLP weight",
             "trend window 1", "trend window 0", "float trend window", "bool trend window",
-            "string zero_is_up", "int zero_is_up",
+            "string zero_is_up", "int zero_is_up", "extra not an object",
         ],
     )
     def test_bad_model_values_are_data_error(self, pipeline, capsys, model, damage):
@@ -746,6 +747,24 @@ class TestDataErrors:
         assert run(config, "evaluate") == EXIT_DATA
         assert "renamed" in capsys.readouterr().err
         assert run(config, "predict", "--month", "1981-06") == EXIT_DATA
+
+
+    def test_flipped_trend_sign_only_is_a_data_error(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        assert run(config, "train") == EXIT_OK
+        model_path = tmp_path / "out" / "model.json"
+        doc = json.loads(model_path.read_text())
+        assert doc["extra"]["trend_sign_only"] is False
+        config.write_text(json.dumps(json.loads(config.read_text()) | {"features": {"trend_sign_only": True}}))
+        for argv in (["evaluate"], ["predict", "--month", "1981-06"]):
+            capsys.readouterr()
+            assert run(config, *argv) == EXIT_DATA
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("data error: model.json") and "rerun train" in err[0]
+        # A model file from before train recorded the setting is scored as the config says.
+        del doc["extra"]["trend_sign_only"]
+        model_path.write_text(json.dumps(doc))
+        assert run(config, "evaluate") == EXIT_OK
 
 
 class TestPipeline:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclecast.dataset import Category, LabeledDataset, MonthStamp, PhaseLabel, month_row
 from cyclecast.errors import (
@@ -13,35 +14,73 @@ from cyclecast.features import (
     FeatureScaler,
     build_feature_matrix,
     forecast_alignment,
-    ols_slope,
+    window_slopes,
 )
 
-from conftest import make_panel, month_range
+from cyclecast.indices import CompositeIndex, IndexKind
+from cyclecast.preprocess import align_panel
+from cyclecast.rbbcp import RbbcpModel, TrendDirection, rbbcp_predict_proba
+
+from conftest import make_panel, make_std, month_range
+
+UP, DOWN = TrendDirection.UP, TrendDirection.DOWN
 
 
 class TestOlsSlope:
+    """``window_slopes``, the one least-squares slope kernel."""
+
     def test_exact_linear(self):
-        assert ols_slope([2, 4, 6, 8]) == pytest.approx(2.0, abs=1e-12)
+        assert window_slopes([2, 4, 6, 8], 4) == pytest.approx([2.0], abs=1e-12)
+        np.testing.assert_allclose(window_slopes(np.arange(10.0) * -3 + 1, 4), -3.0, atol=1e-12)
 
     def test_constant(self):
-        assert ols_slope([5, 5, 5, 5, 5]) == 0.0
+        np.testing.assert_array_equal(window_slopes([5, 5, 5, 5, 5], 3), 0.0)
 
     def test_hand_computed(self):
-        assert ols_slope([1, 2, 2, 3]) == pytest.approx(0.6, abs=1e-12)
+        assert window_slopes([1, 2, 2, 3], 4) == pytest.approx([0.6], abs=1e-12)
+        assert window_slopes([7, 1, 2, 2, 3], 4)[1] == pytest.approx(0.6, abs=1e-12)
 
     def test_too_short(self):
         with pytest.raises(TooShortError):
-            ols_slope([1.0])
+            window_slopes([1.0], 2)
+        with pytest.raises(TooShortError):
+            window_slopes([1.0, 2.0, 3.0], 1)
 
     def test_affine_equivariance(self, rng):
         for _ in range(20):
             y = rng.standard_normal(rng.integers(2, 30))
+            w = int(rng.integers(2, y.size + 1))
             a, b = rng.uniform(-5, 5), rng.uniform(-5, 5)
-            assert ols_slope(a * y + b) == pytest.approx(a * ols_slope(y), abs=1e-9)
+            np.testing.assert_allclose(
+                window_slopes(a * y + b, w), a * window_slopes(y, w), atol=1e-9
+            )
 
     def test_reverse_negates(self, rng):
         y = rng.standard_normal(17)
-        assert ols_slope(y[::-1]) == pytest.approx(-ols_slope(y), abs=1e-12)
+        np.testing.assert_allclose(window_slopes(y[::-1], 5), -window_slopes(y, 5)[::-1], atol=1e-12)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.1, 0.3, -0.7, 1.7]),
+            min_size=2,
+            max_size=60,
+        ),
+        st.integers(2, 60),
+        st.data(),
+    )
+    def test_window_alone_matches_column(self, column, window, data):
+        """A window's slope has the same bits alone as inside the column, and a
+        constant window's slope is exactly 0.0."""
+        col = np.array(column)
+        window = min(window, col.size)
+        slopes = window_slopes(col, window)
+        assert slopes.shape == (col.size - window + 1,)
+        for i in range(slopes.size):
+            alone = window_slopes(col[i : i + window], window)
+            assert alone.shape == (1,) and alone[0] == slopes[i]
+        c = data.draw(st.floats(-1e300, 1e300, allow_nan=False) | st.sampled_from(column))
+        np.testing.assert_array_equal(window_slopes(np.full(col.size + 3, c), window), 0.0)
 
 
 class TestBuildFeatureMatrix:
@@ -50,7 +89,7 @@ class TestBuildFeatureMatrix:
         fm = build_feature_matrix(panel, 12)
         assert fm.values.shape == (1, 2)
         assert fm.months.tolist() == [panel.months[-1]]
-        assert fm.values[0, 0] == pytest.approx(ols_slope(panel.values[:, 0]), abs=1e-12)
+        assert fm.values[0, 0] == window_slopes(panel.values[:, 0], 12)[0]
 
     def test_commodity_and_stock_excluded_by_default(self, rng):
         panel = make_panel(
@@ -110,6 +149,29 @@ class TestBuildFeatureMatrix:
         panel = make_panel({"a": rng.standard_normal(15)})
         fm = build_feature_matrix(panel, 5, sign_only=True)
         assert set(np.unique(fm.values)) <= {-1.0, 0.0, 1.0}
+
+    def test_forward_filled_tail_is_flat(self, rng):
+        """A series that stops early is forward-filled flat to the panel's end:
+        its slope there is exactly 0.0 in the features, 0 in sign-only mode,
+        and the rule-based predictor reads the same flat window as Down."""
+        start = MonthStamp(2000, 1)
+        ended = make_std(np.append(rng.standard_normal(11), 0.3), "ended", start)
+        full = make_std(rng.standard_normal(20), "full", start)
+        panel = align_panel([ended, full], start.ordinal, start.ordinal + 19)
+        fm = build_feature_matrix(panel, 5)
+        flat = fm.months >= start.add_months(15).ordinal  # windows over months 11..19 only
+        assert flat.sum() == 5
+        np.testing.assert_array_equal(fm.values[flat, 0], 0.0)
+        signs = build_feature_matrix(panel, 5, sign_only=True).values
+        np.testing.assert_array_equal(signs[flat, 0], 0.0)
+
+        index = CompositeIndex(IndexKind.GROWTH, panel.months, panel.values[:, 0])
+        down, up = rbbcp_predict_proba(DOWN, DOWN), rbbcp_predict_proba(UP, UP)
+        for m in panel.months[-5:]:
+            dist = RbbcpModel(trend_window=5).predict_proba_at(index, index, m)
+            np.testing.assert_array_equal(dist, down)
+            dist = RbbcpModel(trend_window=5, zero_is_up=True).predict_proba_at(index, index, m)
+            np.testing.assert_array_equal(dist, up)
 
     def test_window_validation(self, rng):
         panel = make_panel({"a": rng.standard_normal(15)})

@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from cyclecast import indices
 from cyclecast.cli import _index_state, write_index_csv
-from cyclecast.dataset import MonthStamp
 from cyclecast.errors import (
     DataError,
     DegenerateCovarianceError,
-    InsufficientHistoryError,
     PanelTooShortError,
     ZeroReferenceLoadingError,
 )
@@ -205,16 +203,6 @@ class TestExpandingIndex:
     def test_reference_series_must_exist(self, rng):
         with pytest.raises(ValueError):
             expanding_pca_index(random_panel(rng, 60), "growth", 60, reference_series="nope")
-
-    def test_window_ending_at(self, rng):
-        panel = random_panel(rng, 70)
-        index = expanding_pca_index(panel, "growth", 60)
-        w = index.window_ending_at(index.months[-1], 5)
-        np.testing.assert_array_equal(w, index.values[-5:])
-        with pytest.raises(InsufficientHistoryError):
-            index.window_ending_at(index.months[2], 5)
-        with pytest.raises(InsufficientHistoryError):
-            index.window_ending_at(MonthStamp(1900, 1).ordinal, 2)
 
 
 def cold_index(values, min_window, ref_col=0):

@@ -9,7 +9,6 @@ from cyclecast.rbbcp import (
     TrendDirection,
     rbbcp_predict,
     rbbcp_predict_proba,
-    trend_direction,
 )
 
 from conftest import month_range
@@ -34,32 +33,45 @@ class TestTruthTable:
         assert rbbcp_predict(UP, UP) is PhaseLabel.EXPANSION
 
 
+def direction(values, window=3, zero_is_up=False, month=None):
+    """The trend direction ``RbbcpModel`` reads from an index of ``values``,
+    over the window ending at ``month`` (default: the last)."""
+    idx = index_of(values)
+    month = idx.months[-1] if month is None else month
+    dist = RbbcpModel(window, zero_is_up).predict_proba_at(idx, idx, month)
+    (same,) = [d for d in (UP, DOWN) if np.array_equal(dist, rbbcp_predict_proba(d, d))]
+    return same
+
+
 class TestTrendDirection:
     def test_rising(self):
-        idx = index_of([1, 2, 3])
-        assert trend_direction(idx, idx.months[-1], 3) is UP
+        assert direction([1, 2, 3]) is UP
 
     def test_falling(self):
-        idx = index_of([3, 2, 1])
-        assert trend_direction(idx, idx.months[-1], 3) is DOWN
+        assert direction([3, 2, 1]) is DOWN
 
     def test_flat_is_down_by_default(self):
-        idx = index_of([2, 2, 2])
-        assert trend_direction(idx, idx.months[-1], 3) is DOWN
+        assert direction([2, 2, 2]) is DOWN
+        assert direction([0.3] * 4) is DOWN
 
     def test_flat_with_zero_is_up_override(self):
-        idx = index_of([2, 2, 2])
-        assert trend_direction(idx, idx.months[-1], 3, zero_is_up=True) is UP
+        assert direction([2, 2, 2], zero_is_up=True) is UP
+        assert direction([0.3] * 4, zero_is_up=True) is UP
 
     def test_insufficient_history(self):
-        idx = index_of([1, 2])
         with pytest.raises(InsufficientHistoryError):
-            trend_direction(idx, idx.months[-1], 3)
+            direction([1, 2])
+        with pytest.raises(InsufficientHistoryError):
+            direction([1, 2, 3, 4], month=MonthStamp(2010, 2).ordinal)
+
+    def test_month_missing_from_index(self):
+        for month in (MonthStamp(2009, 12), MonthStamp(2010, 4), MonthStamp(1900, 1)):
+            with pytest.raises(InsufficientHistoryError, match="has no value at"):
+                direction([1, 2, 3], month=month.ordinal)
 
     def test_window_validation(self):
-        idx = index_of([1, 2, 3])
         with pytest.raises(ValueError):
-            trend_direction(idx, idx.months[-1], 1)
+            direction([1, 2, 3], window=1)
 
 
 class TestPredictProba:

@@ -3,7 +3,7 @@ import pytest
 
 from cyclecast.dataset import Category, MonthStamp, PhaseLabel
 from cyclecast.errors import BadSpecError
-from cyclecast.features import ols_slope
+from cyclecast.features import window_slopes
 from cyclecast.rbbcp import TrendDirection, rbbcp_predict
 from cyclecast.synthgen import DEFAULT_DRIFTS, RegimeSpec, generate, generate_paths
 
@@ -84,22 +84,15 @@ class TestGenerate:
         n = 300
         phases, growth, inflation = generate_paths(spec, n)
         window = 3
+        growth_slopes, inflation_slopes = window_slopes(growth, window), window_slopes(inflation, window)
         checked = 0
         for t in range(window - 1, n - 1):
             # only months whose whole window and target sit inside one phase
             span = phases[t - window + 1 : t + 2]
             if len(set(span)) != 1:
                 continue
-            g_dir = (
-                TrendDirection.UP
-                if ols_slope(growth[t - window + 1 : t + 1]) > 0
-                else TrendDirection.DOWN
-            )
-            i_dir = (
-                TrendDirection.UP
-                if ols_slope(inflation[t - window + 1 : t + 1]) > 0
-                else TrendDirection.DOWN
-            )
+            g_dir = TrendDirection.UP if growth_slopes[t - window + 1] > 0 else TrendDirection.DOWN
+            i_dir = TrendDirection.UP if inflation_slopes[t - window + 1] > 0 else TrendDirection.DOWN
             assert rbbcp_predict(i_dir, g_dir) is phases[t + 1]
             checked += 1
         assert checked > 150
