@@ -787,11 +787,8 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     suffix = {"text": "txt", "json": "json", "csv": "csv"}[fmt]
     rendered = evaluation.render_report(report, fmt)
     _write_atomic(cfg.out_dir / f"report.{suffix}", rendered)
-    preds = [int(p) for p in evaluation.argmax_predictions(dists)]
-    _write_atomic(
-        cfg.out_dir / "phases.svg",
-        _phase_step_svg(months, [int(t) for t in truth], preds),
-    )
+    preds = evaluation.argmax_predictions(dists)
+    _write_atomic(cfg.out_dir / "phases.svg", _phase_step_svg(months, truth, preds))
     sys.stdout.write(evaluation.render_report(report, "text"))
     print(f"wrote report.{suffix} and phases.svg under {cfg.out_dir}")
     return EXIT_OK
@@ -807,26 +804,20 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     dist = score([args.month.ordinal])[0]
     target = args.month.next()
-    ranked = rank_phases(dist)
+    names = [phase.name.lower() for phase in PhaseLabel]
+    top2 = rank_phases(dist)[:2] - 1
     if args.format == "json":
         doc = {
             "month": str(target),
-            "distribution": {
-                phase.name.lower(): float(dist[int(phase) - 1]) for phase in PhaseLabel
-            },
-            "top2": [
-                {"phase": p.name.lower(), "probability": float(dist[int(p) - 1])}
-                for p in ranked[:2]
-            ],
+            "distribution": dict(zip(names, dist.tolist())),
+            "top2": [{"phase": names[i], "probability": float(dist[i])} for i in top2],
         }
         print(json.dumps(doc, sort_keys=True))
     else:
-        print(f"phase distribution for {target}:")
-        for phase in PhaseLabel:
-            print(f"  {phase.name.lower():<10} {100.0 * dist[int(phase) - 1]:6.2f}%")
-        print("top-2:")
-        for p in ranked[:2]:
-            print(f"  {p.name.lower():<10} {100.0 * dist[int(p) - 1]:6.2f}%")
+        for heading, rows in ((f"phase distribution for {target}:", range(len(names))), ("top-2:", top2)):
+            print(heading)
+            for i in rows:
+                print(f"  {names[i]:<10} {100.0 * dist[i]:6.2f}%")
     return EXIT_OK
 
 

@@ -37,6 +37,7 @@ from .errors import (
 __all__ = [
     "MonthStamp",
     "PhaseLabel",
+    "phase_codes",
     "Region",
     "Category",
     "Transform",
@@ -113,6 +114,27 @@ class PhaseLabel(IntEnum):
     EXPANSION = 2
     SLOWDOWN = 3
     RECESSION = 4
+
+
+def _is_code(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 1 <= value <= 4
+
+
+def phase_codes(values) -> np.ndarray:
+    """``values`` as an int array of phase codes: the one check of labels,
+    training targets, predictions and truth. A value that is not an integer in
+    1..4 (0, 5, 2.5, NaN, text, a bool array) raises :class:`InvalidPhaseCodeError`
+    naming the first one.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iuf":
+        ok = (arr >= 1) & (arr <= 4) & (np.floor(arr) == arr)
+    else:  # bools, text or mixed objects: only true ints are codes
+        ok = np.vectorize(_is_code, otypes=[bool])(arr)
+    if not ok.all():
+        bad = arr[~ok].tolist()[0]
+        raise InvalidPhaseCodeError(int(bad) if isinstance(bad, float) and bad.is_integer() else bad)
+    return arr.astype(int)
 
 
 class Region(Enum):
@@ -691,11 +713,8 @@ def load_labels(path: str | Path, region: Region | None = None) -> LabeledDatase
     gap in the month sequence.
     """
     _, months, rows = read_month_table(path, ("phase",), cell=int)
-    codes = [int(code) for code in rows[:, 0].tolist()]
-    for code in codes:
-        if code not in (1, 2, 3, 4):
-            raise InvalidPhaseCodeError(code)
-    return LabeledDataset(months=months, labels=tuple(map(PhaseLabel, codes)), region=region)
+    labels = tuple(map(PhaseLabel, phase_codes(rows[:, 0]).tolist()))
+    return LabeledDataset(months=months, labels=labels, region=region)
 
 
 def write_labels(ds: LabeledDataset, path: str | Path) -> None:

@@ -2,9 +2,13 @@
 F-scores, confusion matrices, and the two-label downswing/upswing collapse.
 
 Confusion matrices are oriented rows = predicted phase, columns = true label.
-Top-k correctness means the true label appears among the k most probable
-phases (ties broken toward the lower phase code); the alternative
-summed-probability-mass reading is available as a diagnostic.
+Each sample's phases are ranked by :func:`cyclecast.models.rank_phases`
+(most probable first, ties to the lower code): the prediction is the first,
+and top-k correctness means the true label is among the first k. The summed
+probability mass of the first k is a diagnostic. Every measure works on whole
+arrays (the distributions are one (n, 4) matrix, ranked in one call) and reads
+phase codes through :func:`cyclecast.dataset.phase_codes`, so a code outside
+1..4 raises :class:`~cyclecast.errors.InvalidPhaseCodeError`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PhaseLabel
+from .dataset import PhaseLabel, phase_codes
 from .errors import BadKError, EmptyInputError, LengthMismatchError
 from .models import rank_phases
 
@@ -37,15 +41,12 @@ __all__ = [
 N_PHASES = 4
 REPORT_SCHEMA_VERSION = 1
 
-_UPSWING = {PhaseLabel.EXPANSION, PhaseLabel.RECOVERY}
-
-
-def _codes(labels) -> np.ndarray:
-    return np.asarray([int(v) for v in labels], dtype=int)
+_UPSWING = np.array([PhaseLabel.RECOVERY, PhaseLabel.EXPANSION])
+_PHASES = np.array(list(PhaseLabel), dtype=object)  # PhaseLabel by code - 1
 
 
 def _check_pair(preds, truth) -> tuple[np.ndarray, np.ndarray]:
-    p, t = _codes(preds), _codes(truth)
+    p, t = phase_codes(preds), phase_codes(truth)
     if p.size != t.size:
         raise LengthMismatchError(f"{p.size} predictions vs {t.size} labels")
     return p, t
@@ -106,48 +107,49 @@ def accuracy(preds, truth) -> float:
     return float((p == t).mean())
 
 
+def _top(distributions, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distributions as an (n, 4) matrix (n = 0 for an empty input) and the
+    codes of each row's k most probable phases, an (n, k) matrix."""
+    if not 1 <= k <= N_PHASES:
+        raise BadKError(f"k must be in 1..4, got {k}")
+    dist = np.asarray(distributions, dtype=float)
+    dist = dist.reshape(len(dist), N_PHASES)
+    return dist, rank_phases(dist)[:, :k]
+
+
+def _hit_rate(top: np.ndarray, truth) -> float:
+    """Share of rows of ``top`` (ranked phase codes) that hold their true code."""
+    t = phase_codes(truth)
+    if len(top) != t.size:
+        raise LengthMismatchError(f"{len(top)} distributions vs {t.size} labels")
+    if t.size == 0:
+        raise EmptyInputError("top-k accuracy of an empty sample is undefined")
+    return float((top == t[:, None]).any(axis=1).mean())
+
+
 def argmax_predictions(distributions) -> list[PhaseLabel]:
     """Most probable phase per row, ties toward the lower code."""
-    return [rank_phases(row)[0] for row in np.asarray(distributions, dtype=float)]
+    return _PHASES[_top(distributions, 1)[1][:, 0] - 1].tolist()
 
 
 def topk_accuracy(distributions, truth, k: int) -> float:
     """Share of samples whose true phase ranks among the k most probable."""
-    if not 1 <= k <= N_PHASES:
-        raise BadKError(f"k must be in 1..4, got {k}")
-    dist = np.asarray(distributions, dtype=float)
-    t = _codes(truth)
-    if dist.shape[0] != t.size:
-        raise LengthMismatchError(f"{dist.shape[0]} distributions vs {t.size} labels")
-    if t.size == 0:
-        raise EmptyInputError("top-k accuracy of an empty sample is undefined")
-    hits = 0
-    for row, true_code in zip(dist, t):
-        top = [int(phase) for phase in rank_phases(row)[:k]]
-        hits += true_code in top
-    return hits / t.size
+    return _hit_rate(_top(distributions, k)[1], truth)
 
 
 def topk_mass(distributions, k: int) -> float:
     """Diagnostic: mean probability mass carried by the k most probable phases."""
-    if not 1 <= k <= N_PHASES:
-        raise BadKError(f"k must be in 1..4, got {k}")
-    dist = np.asarray(distributions, dtype=float)
-    if dist.shape[0] == 0:
+    dist, top = _top(distributions, k)
+    if len(dist) == 0:
         raise EmptyInputError("top-k mass of an empty sample is undefined")
-    total = 0.0
-    for row in dist:
-        total += sum(row[int(phase) - 1] for phase in rank_phases(row)[:k])
-    return total / dist.shape[0]
+    return float(np.take_along_axis(dist, top - 1, axis=1).sum(axis=1).mean())
 
 
 def confusion_matrix(preds, truth) -> ConfusionMatrix:
     """Counts indexed [predicted][true]."""
     p, t = _check_pair(preds, truth)
-    counts = np.zeros((N_PHASES, N_PHASES), dtype=int)
-    for pi, ti in zip(p, t):
-        counts[pi - 1, ti - 1] += 1
-    return ConfusionMatrix.from_array(counts)
+    cells = (p - 1) * N_PHASES + (t - 1)
+    return ConfusionMatrix.from_array(np.bincount(cells, minlength=N_PHASES**2).reshape(N_PHASES, N_PHASES))
 
 
 def f_scores(cm: ConfusionMatrix) -> FScores:
@@ -160,17 +162,14 @@ def f_scores(cm: ConfusionMatrix) -> FScores:
     total = arr.sum()
     if total == 0:
         raise EmptyInputError("confusion matrix has no samples")
-    diag = np.diag(arr)
-    row_sums = arr.sum(axis=1)
     col_sums = arr.sum(axis=0)
-    per_class = []
-    for c in range(N_PHASES):
-        # 2PR/(P+R) with P = d/row, R = d/col simplifies to 2d/(row+col).
-        denom = row_sums[c] + col_sums[c]
-        per_class.append(0.0 if denom == 0 else float(2.0 * diag[c] / denom))
+    # 2PR/(P+R) with P = d/row, R = d/col simplifies to 2d/(row+col).
+    denom = arr.sum(axis=1) + col_sums
+    per_class = np.divide(2.0 * np.diag(arr), denom, out=np.zeros(N_PHASES), where=denom > 0)
     macro = float(np.mean(per_class))
-    weighted = float(sum(f * s for f, s in zip(per_class, col_sums)) / total)
-    return FScores(per_class=tuple(per_class), macro=macro, weighted=weighted)
+    # Summed left to right in phase order: report.json's bytes depend on this order.
+    weighted = float(sum((per_class * col_sums).tolist()) / total)
+    return FScores(per_class=tuple(per_class.tolist()), macro=macro, weighted=weighted)
 
 
 def collapse_two_label(preds, truth) -> float:
@@ -178,16 +177,13 @@ def collapse_two_label(preds, truth) -> float:
     p, t = _check_pair(preds, truth)
     if p.size == 0:
         raise EmptyInputError("two-label accuracy of an empty sample is undefined")
-    up = np.asarray([int(ph) for ph in _UPSWING])
-    p_up = np.isin(p, up)
-    t_up = np.isin(t, up)
-    return float((p_up == t_up).mean())
+    return float((np.isin(p, _UPSWING) == np.isin(t, _UPSWING)).mean())
 
 
 def build_report(distributions, truth) -> EvaluationReport:
     """Full protocol over per-sample phase distributions and true labels."""
-    dist = np.asarray(distributions, dtype=float)
-    preds = argmax_predictions(dist)
+    top2 = _top(distributions, 2)[1]
+    preds = top2[:, 0]
     cm = confusion_matrix(preds, truth)
     scores = f_scores(cm)
     return EvaluationReport(
@@ -195,14 +191,29 @@ def build_report(distributions, truth) -> EvaluationReport:
         per_class_f=scores.per_class,
         macro_f=scores.macro,
         weighted_f=scores.weighted,
-        top1=topk_accuracy(dist, truth, 1),
-        top2=topk_accuracy(dist, truth, 2),
+        top1=_hit_rate(top2[:, :1], truth),
+        top2=_hit_rate(top2, truth),
         two_label_accuracy=collapse_two_label(preds, truth),
     )
 
 
 def _pct(value: float) -> str:
     return f"{100.0 * value:.2f}%"
+
+
+_NAMES = [phase.name.lower() for phase in PhaseLabel]
+
+
+def _metrics(report: EvaluationReport) -> list[tuple[str, str, float]]:
+    """(csv key, text label, value) of each scalar metric, in rendering order."""
+    return [
+        *((f"f_{name}", f"F {name}", f) for name, f in zip(_NAMES, report.per_class_f)),
+        ("macro", "F macro", report.macro_f),
+        ("weighted", "F weighted", report.weighted_f),
+        ("top1", "Top-1", report.top1),
+        ("top2", "Top-2", report.top2),
+        ("two_label", "Two-label", report.two_label_accuracy),
+    ]
 
 
 def render_report(report: EvaluationReport, format: str = "text") -> str:
@@ -220,35 +231,18 @@ def render_report(report: EvaluationReport, format: str = "text") -> str:
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if format == "csv":
-        lines = ["metric,value"]
-        for phase in PhaseLabel:
-            lines.append(f"f_{phase.name.lower()},{_pct(report.per_class_f[int(phase) - 1])}")
-        lines.append(f"macro,{_pct(report.macro_f)}")
-        lines.append(f"weighted,{_pct(report.weighted_f)}")
-        lines.append(f"top1,{_pct(report.top1)}")
-        lines.append(f"top2,{_pct(report.top2)}")
-        lines.append(f"two_label,{_pct(report.two_label_accuracy)}")
-        return "\n".join(lines) + "\n"
-    if format == "text":
-        names = [p.name.lower() for p in PhaseLabel]
-        width = max(len(n) for n in names) + 2
+        lines = ["metric,value", *(f"{key},{_pct(value)}" for key, _, value in _metrics(report))]
+    elif format == "text":
+        width = max(map(len, _NAMES)) + 2
         lines = ["Confusion matrix (rows = predicted, columns = true)"]
-        lines.append(" " * width + "".join(f"{n:>11}" for n in names))
-        for phase in PhaseLabel:
-            row = report.confusion.counts[int(phase) - 1]
-            lines.append(f"{phase.name.lower():<{width}}" + "".join(f"{v:>11d}" for v in row))
+        lines.append(" " * width + "".join(f"{name:>11}" for name in _NAMES))
+        for name, row in zip(_NAMES, report.confusion.counts):
+            lines.append(f"{name:<{width}}" + "".join(f"{v:>11d}" for v in row))
         lines.append("")
-        for phase in PhaseLabel:
-            lines.append(
-                f"F {phase.name.lower():<10} {_pct(report.per_class_f[int(phase) - 1])}"
-            )
-        lines.append(f"F macro      {_pct(report.macro_f)}")
-        lines.append(f"F weighted   {_pct(report.weighted_f)}")
-        lines.append(f"Top-1        {_pct(report.top1)}")
-        lines.append(f"Top-2        {_pct(report.top2)}")
-        lines.append(f"Two-label    {_pct(report.two_label_accuracy)}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {format!r}")
+        lines += [f"{label:<12} {_pct(value)}" for _, label, value in _metrics(report)]
+    else:
+        raise ValueError(f"unknown report format {format!r}")
+    return "\n".join(lines) + "\n"
 
 
 def report_from_json(text: str) -> EvaluationReport:

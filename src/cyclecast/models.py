@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import PhaseLabel, Region, write_atomic
+from .dataset import Region, phase_codes, write_atomic
 from .errors import (
     CorruptFileError,
     DegenerateInputError,
@@ -66,9 +66,13 @@ MODEL_SCHEMA = "cyclecast-model"
 MODEL_SCHEMA_VERSION = 3
 
 
-def rank_phases(p: Sequence[float]) -> list[PhaseLabel]:
-    """Phases by descending probability; ties break toward the lower code."""
-    return sorted(PhaseLabel, key=lambda phase: (-p[int(phase) - 1], int(phase)))
+def rank_phases(p) -> np.ndarray:
+    """Phase codes by descending probability, for a (4,) row or each row of an
+    (n, 4) matrix. Ties, 0.0 against -0.0 among them, go to the lower code:
+    the stable sort keeps equal probabilities in code order. Evaluation and
+    ``predict`` rank through this one function.
+    """
+    return np.argsort(-np.asarray(p, dtype=float), axis=-1, kind="stable") + 1
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -80,7 +84,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def nll_loss(probs: np.ndarray, codes: np.ndarray) -> float:
     """Mean negative log-likelihood of the true phase codes (1-based)."""
-    idx = np.asarray(codes, dtype=int) - 1
+    idx = phase_codes(codes) - 1
     picked = probs[np.arange(len(idx)), idx]
     return float(-np.log(np.clip(picked, 1e-300, None)).mean())
 
@@ -112,13 +116,6 @@ class TrainConfig:
             raise ValueError("hidden_layers must name at least one positive width")
 
 
-def _as_codes(y) -> np.ndarray:
-    codes = np.asarray([int(v) for v in y], dtype=int)
-    if codes.size and (codes.min() < 1 or codes.max() > N_PHASES):
-        raise ValueError("phase codes must be in 1..4")
-    return codes
-
-
 def _sample_weights(codes: np.ndarray) -> np.ndarray:
     return np.full(codes.size, 1.0 / codes.size)
 
@@ -135,9 +132,7 @@ def _validate_training_input(X: np.ndarray, codes: np.ndarray) -> None:
 
 
 def _one_hot(codes: np.ndarray) -> np.ndarray:
-    Y = np.zeros((codes.size, N_PHASES))
-    Y[np.arange(codes.size), codes - 1] = 1.0
-    return Y
+    return np.eye(N_PHASES)[codes - 1]
 
 
 # --- linear models ------------------------------------------------------------
@@ -290,7 +285,7 @@ def train_mlr(
     the zero start.
     """
     X = np.asarray(X, dtype=float)
-    codes = _as_codes(y)
+    codes = phase_codes(y)
     _validate_training_input(X, codes)
     Y = _one_hot(codes)
     sw = _sample_weights(codes)
@@ -366,7 +361,7 @@ def train_svm(
     (Guo et al. 2017); without validation rows it is 1.0.
     """
     X = np.asarray(X, dtype=float)
-    codes = _as_codes(y)
+    codes = phase_codes(y)
     _validate_training_input(X, codes)
     X_aug = np.column_stack([X, np.ones(X.shape[0])])
     sw = _sample_weights(codes)
@@ -376,7 +371,7 @@ def train_svm(
     weights, bias = W[:, :-1].copy(), W[:, -1].copy()
     temperature, at_bound = 1.0, None
     if validation is not None:
-        X_val, codes_val = np.asarray(validation[0], dtype=float), _as_codes(validation[1])
+        X_val, codes_val = np.asarray(validation[0], dtype=float), phase_codes(validation[1])
         temperature, at_bound = _fit_temperature(X_val @ weights.T + bias, codes_val)
     return LinearModel(weights, bias, temperature, at_bound, tuple((s, g) for _, s, g in fits))
 
@@ -502,7 +497,7 @@ def train_mlp(
     validation. A run whose validation NLL is never finite raises ValueError.
     """
     X = np.asarray(X, dtype=float)
-    codes = _as_codes(y)
+    codes = phase_codes(y)
     _validate_training_input(X, codes)
     Y = _one_hot(codes)
     # Divided by their own sum, which is not bit-identical to 1/n for most n;
@@ -517,7 +512,7 @@ def train_mlp(
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     mask_shape = (X.shape[0], cfg.hidden_layers[-1])
     if validation is not None:
-        X_val, codes_val = np.asarray(validation[0], dtype=float), _as_codes(validation[1])
+        X_val, codes_val = np.asarray(validation[0], dtype=float), phase_codes(validation[1])
     best_nll, best_epoch, best_params = np.inf, 0, params
 
     for step in range(1, cfg.epochs + 1):
@@ -586,7 +581,9 @@ class ModelArtifact:
                 raise ValueError("scaler mean and std must be finite, std > 0")
             shapes |= {mean.shape, std.shape}
         if len(shapes) > 1:
-            raise ValueError(f"feature names, scaler and model input differ in width: {sorted(shapes)}")
+            raise ValueError(
+                f"feature names, scaler and model input differ in width: {min(shapes)} vs {max(shapes)}"
+            )
 
 
 def _array(nested) -> np.ndarray:

@@ -54,10 +54,7 @@ def rbbcp_predict_proba(
     inflation: TrendDirection, growth: TrendDirection
 ) -> np.ndarray:
     """One-hot distribution over phases, so the rule plugs into top-k scoring."""
-    phase = rbbcp_predict(inflation, growth)
-    p = np.zeros(4)
-    p[int(phase) - 1] = 1.0
-    return p
+    return np.eye(4)[int(rbbcp_predict(inflation, growth)) - 1]
 
 
 @dataclass(frozen=True)

@@ -508,6 +508,19 @@ class TestDataErrors:
         assert err.startswith("data error:") and err.count("\n") == 1
         assert "line 5:" in err and "labels.csv is not UTF-8" in err
 
+    @pytest.mark.parametrize("code", ["0", "5"])
+    def test_phase_code_outside_1_to_4_exits_3(self, pipeline, capsys, code):
+        tmp_path, config = pipeline
+        train_model(config, "rbbcp")
+        path = tmp_path / "data" / "labels.csv"
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + code
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(config, "evaluate") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: phase code {code} is not in 1..4\n"
+
     def test_directory_in_place_of_a_series_file(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert run(config, "synth") == EXIT_OK

@@ -20,6 +20,7 @@ from cyclecast.dataset import (
     finite_cell_or_nan,
     format_month_table,
     load_labels,
+    phase_codes,
     load_series_csv,
     pack_record,
     prefix_sha256,
@@ -118,6 +119,50 @@ class TestLoadLabels:
         p.write_bytes(b"year,month,phase\r\n1981,1,1\r\n1981,2,4\r\n")
         ds = load_labels(p)
         assert ds.labels == (PhaseLabel.RECOVERY, PhaseLabel.RECESSION)
+
+
+class TestPhaseCodes:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1, 2, 3, 4],
+            list(PhaseLabel),
+            np.array([4, 1], dtype=np.uint8),
+            [2.0, 3.0],
+            np.array([1, 2], dtype=object),
+        ],
+    )
+    def test_codes_read_as_an_int_array(self, values):
+        codes = phase_codes(values)
+        assert codes.dtype.kind == "i" and codes.tolist() == [int(v) for v in values]
+
+    def test_empty_and_matrix_shapes_are_kept(self):
+        assert phase_codes([]).shape == (0,) and phase_codes([]).dtype.kind == "i"
+        assert phase_codes([[1, 2], [3, 4]]).tolist() == [[1, 2], [3, 4]]
+
+    @pytest.mark.parametrize(
+        "values, bad",
+        [
+            ([1, 0], 0),
+            ([5], 5),
+            ([-1, 2], -1),
+            ([2.5], 2.5),
+            ([1.0, math.inf], math.inf),
+            (np.array([2.0, 7.0]), 7),
+            (np.array([True, False]), True),
+            (["2"], "2"),
+            ([3, None], None),
+        ],
+    )
+    def test_first_bad_value_is_named(self, values, bad):
+        with pytest.raises(InvalidPhaseCodeError) as exc:
+            phase_codes(values)
+        assert exc.value.value == bad and str(exc.value) == f"phase code {bad!r} is not in 1..4"
+
+    def test_nan_is_not_a_code(self):
+        with pytest.raises(InvalidPhaseCodeError) as exc:
+            phase_codes([1.0, math.nan])
+        assert math.isnan(exc.value.value)
 
 
 class TestWriteLabels:

@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cyclecast.dataset import PhaseLabel
-from cyclecast.errors import BadKError, EmptyInputError, LengthMismatchError
+from cyclecast.errors import BadKError, EmptyInputError, InvalidPhaseCodeError, LengthMismatchError
 from cyclecast.evaluation import (
     ConfusionMatrix,
+    EvaluationReport,
     accuracy,
     argmax_predictions,
     build_report,
@@ -161,6 +162,37 @@ class TestCollapse:
             assert collapse_two_label(p, t) >= accuracy(p, t)
 
 
+class TestPhaseCodes:
+    """A code outside 1..4 is a data error wherever it enters, never a count."""
+
+    def test_zero_is_not_counted_as_a_recession(self):
+        with pytest.raises(InvalidPhaseCodeError) as exc:
+            confusion_matrix([0], [1])
+        assert exc.value.value == 0
+
+    def test_five_is_not_an_index_error(self):
+        with pytest.raises(InvalidPhaseCodeError) as exc:
+            confusion_matrix([5], [1])
+        assert exc.value.value == 5
+
+    def test_matching_bad_codes_are_not_accurate(self):
+        with pytest.raises(InvalidPhaseCodeError):
+            accuracy([0, 9], [0, 9])
+
+    @pytest.mark.parametrize("bad", [0, 5, -1, 2.5, float("nan"), "2"])
+    def test_every_measure_checks_truth(self, bad):
+        dist = [[0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1]]
+        truth = [1, bad]
+        for measure in (
+            lambda: accuracy([1, 2], truth),
+            lambda: collapse_two_label([1, 2], truth),
+            lambda: topk_accuracy(dist, truth, 2),
+            lambda: build_report(dist, truth),
+        ):
+            with pytest.raises(InvalidPhaseCodeError):
+                measure()
+
+
 class TestReports:
     def make_report(self, rng, n=60):
         dist = random_distributions(rng, n)
@@ -174,6 +206,37 @@ class TestReports:
         text = render_report(report, "text")
         assert "75.00%" in text
         assert "rows = predicted" in text
+
+    def test_rendered_bytes(self):
+        dist = [[0.9, 0.05, 0.03, 0.02]] * 3 + [[0.05, 0.9, 0.03, 0.02], [0, 0, 0.5, 0.5], [0.1, 0.2, 0.3, 0.4]]
+        report = build_report(dist, [1, 1, 2, 3, 3, 4])
+        assert render_report(report, "text") == (
+            "Confusion matrix (rows = predicted, columns = true)\n"
+            "              recovery  expansion   slowdown  recession\n"
+            "recovery             2          1          0          0\n"
+            "expansion            0          0          1          0\n"
+            "slowdown             0          0          1          0\n"
+            "recession            0          0          0          1\n"
+            "\n"
+            "F recovery   80.00%\n"
+            "F expansion  0.00%\n"
+            "F slowdown   66.67%\n"
+            "F recession  100.00%\n"
+            "F macro      61.67%\n"
+            "F weighted   65.56%\n"
+            "Top-1        66.67%\n"
+            "Top-2        83.33%\n"
+            "Two-label    83.33%\n"
+        )
+        assert render_report(report, "csv") == (
+            "metric,value\nf_recovery,80.00%\nf_expansion,0.00%\nf_slowdown,66.67%\nf_recession,100.00%\n"
+            "macro,61.67%\nweighted,65.56%\ntop1,66.67%\ntop2,83.33%\ntwo_label,83.33%\n"
+        )
+        assert render_report(report, "json") == (
+            '{"confusion":[[2,1,0,0],[0,0,1,0],[0,0,1,0],[0,0,0,1]],"macro_f":0.6166666666666667,'
+            '"per_class_f":[0.8,0.0,0.6666666666666666,1.0],"schema_version":1,"top1":0.6666666666666666,'
+            '"top2":0.8333333333333334,"two_label_accuracy":0.8333333333333334,"weighted_f":0.6555555555555556}\n'
+        )
 
     def test_json_round_trip(self, rng):
         report = self.make_report(rng)
@@ -220,6 +283,41 @@ def scored_samples(draw):
 LAWS = settings(derandomize=True, max_examples=25, deadline=None)
 
 
+def reference_ranking(row) -> list[PhaseLabel]:
+    return sorted(PhaseLabel, key=lambda phase: (-row[int(phase) - 1], int(phase)))
+
+
+def reference_report(distributions, truth) -> EvaluationReport:
+    """The protocol row by row: each row ranked by ``sorted``, every count a loop."""
+    ranked = [reference_ranking(row) for row in np.asarray(distributions, dtype=float)]
+    t = [int(v) for v in truth]
+    preds = [int(r[0]) for r in ranked]
+    counts = np.zeros((4, 4), dtype=int)
+    for p, true_code in zip(preds, t):
+        counts[p - 1, true_code - 1] += 1
+    arr = counts.astype(float)
+    total = arr.sum()
+    diag, row_sums, col_sums = np.diag(arr), arr.sum(axis=1), arr.sum(axis=0)
+    per_class = []
+    for c in range(4):
+        denom = row_sums[c] + col_sums[c]
+        per_class.append(0.0 if denom == 0 else float(2.0 * diag[c] / denom))
+
+    def top(k):
+        return sum(true_code in [int(phase) for phase in r[:k]] for r, true_code in zip(ranked, t)) / len(t)
+
+    upswing = {1, 2}
+    return EvaluationReport(
+        confusion=ConfusionMatrix.from_array(counts),
+        per_class_f=tuple(per_class),
+        macro_f=float(np.mean(per_class)),
+        weighted_f=float(sum(f * s for f, s in zip(per_class, col_sums)) / total),
+        top1=top(1),
+        top2=top(2),
+        two_label_accuracy=sum((p in upswing) == (c in upswing) for p, c in zip(preds, t)) / len(t),
+    )
+
+
 class TestEvaluationLaws:
     @LAWS
     @given(sample=scored_samples())
@@ -254,6 +352,20 @@ class TestEvaluationLaws:
     @given(n=st.integers(1, 10), level=st.floats(0.0, 1.0))
     def test_uniform_row_ranks_recovery_first(self, n, level):
         assert argmax_predictions(np.full((n, 4), level)) == [PhaseLabel.RECOVERY] * n
+
+    @LAWS
+    @given(sample=scored_samples())
+    def test_report_matches_the_row_by_row_reference(self, sample):
+        dist, truth = sample
+        expected = [reference_ranking(row)[0] for row in dist]
+        preds = argmax_predictions(dist)
+        assert preds == expected and all(type(p) is PhaseLabel for p in preds)
+        assert render_report(build_report(dist, truth), "json") == render_report(
+            reference_report(dist, truth), "json"
+        )
+        for k in (1, 2, 3, 4):
+            mass = np.mean([sum(row[int(ph) - 1] for ph in reference_ranking(row)[:k]) for row in dist])
+            assert topk_mass(dist, k) == pytest.approx(mass, rel=1e-12, abs=1e-15)
 
     @LAWS
     @given(sample=scored_samples())

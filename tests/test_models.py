@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cyclecast import models
 from cyclecast.cli import main as cli_main
@@ -13,6 +14,7 @@ from cyclecast.errors import (
     CorruptFileError,
     DataError,
     DegenerateInputError,
+    InvalidPhaseCodeError,
     NewtonConvergenceError,
     SingleClassError,
     VersionMismatchError,
@@ -112,6 +114,15 @@ class TestMlr:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
             train_mlr(np.random.default_rng(0).standard_normal((8, 2)), [2] * 8, TrainConfig())
+
+    @pytest.mark.parametrize("train", [train_mlr, train_svm, train_mlp])
+    def test_fractional_label_is_not_truncated(self, train):
+        X, y = two_blobs(seed=2, n=10)
+        y = y.astype(float)
+        y[3] = 2.5
+        with pytest.raises(InvalidPhaseCodeError) as exc:
+            train(X, y, TrainConfig(epochs=5))
+        assert exc.value.value == 2.5
 
     def test_zero_weight_model_is_uniform(self):
         model = LinearModel(weights=np.zeros((4, 3)), bias=np.zeros(4))
@@ -630,6 +641,15 @@ class TestMlpEarlyStop:
         assert loaded.stop_epoch is None and same_weights(model, loaded)
 
 
+def ranked_by_sort(row) -> list[int]:
+    """The tie rule spelled out: descending probability, then ascending code."""
+    return sorted((1, 2, 3, 4), key=lambda code: (-row[code - 1], code))
+
+
+# Probabilities that tie often: repeated values, zeros of both signs, subnormals.
+TIE_PRONE = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
 class TestPredictionSurface:
     def test_topk_sorting(self):
         model = LinearModel(
@@ -638,7 +658,7 @@ class TestPredictionSurface:
         )
         p = model.predict_proba(np.zeros((1, 1)))[0]
         # Descending probability; the tie between phases 1 and 4 goes to the lower code.
-        assert rank_phases(p) == [
+        assert rank_phases(p).tolist() == [
             PhaseLabel.EXPANSION,
             PhaseLabel.SLOWDOWN,
             PhaseLabel.RECOVERY,
@@ -647,12 +667,23 @@ class TestPredictionSurface:
         assert p[int(PhaseLabel.EXPANSION) - 1] == pytest.approx(0.6, abs=1e-12)
 
     def test_rank_phases_tie_rule(self):
-        assert rank_phases([0.25, 0.25, 0.25, 0.25]) == [
+        assert rank_phases([0.25, 0.25, 0.25, 0.25]).tolist() == [
             PhaseLabel.RECOVERY,
             PhaseLabel.EXPANSION,
             PhaseLabel.SLOWDOWN,
             PhaseLabel.RECESSION,
         ]
+        assert rank_phases([0.0, -0.0, 0.0, -0.0]).tolist() == [1, 2, 3, 4]
+        assert rank_phases([[-0.0, 0.0, 0.5, 0.5]]).tolist() == [[3, 4, 1, 2]]
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(P=hnp.arrays(float, st.tuples(st.integers(0, 12), st.just(4)), elements=TIE_PRONE))
+    def test_batch_matches_the_sorted_rule_and_each_row_alone(self, P):
+        ranked = rank_phases(P)
+        assert ranked.shape == P.shape and ranked.dtype.kind == "i"
+        for row, codes in zip(P, ranked):
+            assert codes.tolist() == ranked_by_sort(row)
+            assert rank_phases(row).tolist() == codes.tolist()
 
 
 class TestPersistence:
@@ -788,3 +819,7 @@ class TestNllLoss:
     def test_uniform_is_log4(self):
         probs = np.full((3, 4), 0.25)
         assert nll_loss(probs, np.array([1, 2, 3])) == pytest.approx(math.log(4), abs=1e-12)
+
+    def test_code_zero_does_not_read_the_last_column(self):
+        with pytest.raises(InvalidPhaseCodeError):
+            nll_loss(np.array([[0.1, 0.1, 0.1, 0.7]]), np.array([0]))
