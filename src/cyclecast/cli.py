@@ -705,10 +705,7 @@ def _scorer(cfg: RunConfig, artifact: ModelArtifact) -> tuple[np.ndarray, Callab
 
     def score(ms: np.ndarray) -> np.ndarray:
         rows = fm.values[np.searchsorted(fm.months, ms)]
-        rows = rows if scaler is None else scaler.apply(rows)
-        # One row per call: BLAS sums a one-row product in another order than
-        # a batch, and a forecast must not depend on what was scored with it.
-        return np.vstack([model.predict_proba(row[None, :]) for row in rows])
+        return model.predict_proba(rows if scaler is None else scaler.apply(rows))
 
     return fm.months, score
 

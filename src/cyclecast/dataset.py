@@ -117,22 +117,25 @@ class PhaseLabel(IntEnum):
 
 
 def _is_code(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 1 <= value <= 4
+    numeric = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    return numeric and value in (1, 2, 3, 4)
 
 
 def phase_codes(values) -> np.ndarray:
     """``values`` as an int array of phase codes: the one check of labels,
     training targets, predictions and truth. A value that is not an integer in
-    1..4 (0, 5, 2.5, NaN, text, a bool array) raises :class:`InvalidPhaseCodeError`
-    naming the first one.
+    1..4 (0, 5, 2.5, NaN, text, a bool) raises :class:`InvalidPhaseCodeError`
+    naming the first one. A numeric array is checked as a whole.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind in "iuf":
-        ok = (arr >= 1) & (arr <= 4) & (np.floor(arr) == arr)
-    else:  # bools, text or mixed objects: only true ints are codes
-        ok = np.vectorize(_is_code, otypes=[bool])(arr)
+    if isinstance(values, np.ndarray) and arr.dtype.kind in "iuf":
+        named, ok = arr, (arr >= 1) & (arr <= 4) & (np.floor(arr) == arr)
+    else:  # one by one: np.asarray reads the True in [1, True] as 1
+        named = np.asarray(values, dtype=object)
+        ok = np.vectorize(_is_code, otypes=[bool])(named)
     if not ok.all():
-        bad = arr[~ok].tolist()[0]
+        bad = named[~ok][0]
+        bad = bad.item() if isinstance(bad, np.generic) else bad
         raise InvalidPhaseCodeError(int(bad) if isinstance(bad, float) and bad.is_integer() else bad)
     return arr.astype(int)
 
@@ -297,9 +300,9 @@ def read_month_table(
     ``cell`` names the cell format: :func:`finite_cell` (finite floats, the
     default), :func:`finite_cell_or_nan` (the same, but an empty cell is NaN;
     the panel) or ``int``. ``months`` is an int64 ordinal array and ``rows`` a
-    months-by-columns float array. Blank lines are skipped; every other defect,
-    bytes that are not UTF-8 among them, raises :class:`MalformedRowError`
-    naming the file and the line.
+    months-by-columns array, int64 for ``int`` and float64 otherwise. Blank
+    lines are skipped; every other defect, bytes that are not UTF-8 among them,
+    raises :class:`MalformedRowError` naming the file and the line.
 
     A table :func:`write_month_table` wrote is not parsed again: when its
     digest record (:func:`digest_path`) holds the SHA-256 of the file's bytes,
@@ -350,7 +353,7 @@ def read_month_table(
             number = numbers[bad[0]]
         raise MalformedRowError(number, f"{path}: {_row_fault(lines[number - 2], width, cell)}")
     months = table["year"] * 12 + table["month"] - 1
-    return names, months, table["cells"].astype(float)
+    return names, months, table["cells"].copy()
 
 
 def _utf8(path: Path, data: bytes) -> str:

@@ -11,7 +11,7 @@ the phase task.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,27 +95,17 @@ def window_slopes(values: Sequence[float] | np.ndarray, window: int) -> np.ndarr
     return (centred * xc).sum(axis=-1) / (xc * xc).sum()
 
 
-def build_feature_matrix(
-    panel: Panel,
-    window: int,
-    include: Iterable[Category] | None = None,
-    sign_only: bool = False,
-) -> FeatureMatrix:
+def build_feature_matrix(panel: Panel, window: int, sign_only: bool = False) -> FeatureMatrix:
     """Per-series trailing-window slopes for every month with full history.
 
-    ``include`` selects categories to keep (default: everything except
-    commodities and stock indices). Rows are dropped while any included
-    column still lacks a complete window, so the matrix never contains NaN.
-    ``sign_only`` replaces each slope with its sign, the stricter
-    direction-only reading of the trend features.
+    Every category but :data:`DEFAULT_EXCLUDED_CATEGORIES` is kept. Rows are
+    dropped while any kept column still lacks a complete window, so the
+    matrix never contains NaN. ``sign_only`` replaces each slope with its
+    sign, the stricter direction-only reading of the trend features.
     """
     if window < 2:
         raise ValueError("window must be >= 2")
-    if include is None:
-        keep = [c for c in Category if c not in DEFAULT_EXCLUDED_CATEGORIES]
-    else:
-        keep = list(include)
-    filtered = panel.select_categories(keep)
+    filtered = panel.select_categories([c for c in Category if c not in DEFAULT_EXCLUDED_CATEGORIES])
     if filtered.n_series == 0:
         raise EmptyAfterFilterError("category filter removed every series")
     if filtered.n_months < window:

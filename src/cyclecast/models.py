@@ -13,13 +13,16 @@ The SVM and the MLP take the same optional validation rows: the SVM fits its
 temperature on their margins (1.0 without them), and the MLP stops once their
 loss has not improved for ``MLP_PATIENCE`` epochs.
 
-Training is deterministic given the seed; trained models are immutable.
+Training is deterministic given the seed; trained models are immutable. A
+trained model scores any number of rows in one ``predict_proba`` call, and a
+row gets the same bits alone as in any batch: scoring runs one vector-matrix
+product per row, where ``X @ W`` sums a batch in another order than one row.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -135,6 +138,11 @@ def _one_hot(codes: np.ndarray) -> np.ndarray:
     return np.eye(N_PHASES)[codes - 1]
 
 
+def _stacked_rows(X) -> np.ndarray:
+    """X as an (n, 1, d) stack: a product with it runs, row by row, the call a one-row batch runs."""
+    return np.ascontiguousarray(X, dtype=float)[:, None, :]
+
+
 # --- linear models ------------------------------------------------------------
 
 
@@ -170,7 +178,7 @@ class LinearModel:
         return self.weights.shape[1]
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.weights.T + self.bias
+        return (_stacked_rows(X) @ self.weights.T)[:, 0] + self.bias
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(self.decision_scores(X) / self.temperature)
@@ -368,12 +376,11 @@ def train_svm(
     targets = np.where(codes == np.arange(1, N_PHASES + 1)[:, None], 1.0, -1.0)
     fits = [_fit_binary_svm(X_aug, t, sw, cfg.l2) for t in targets]
     W = np.array([w for w, _, _ in fits])
-    weights, bias = W[:, :-1].copy(), W[:, -1].copy()
-    temperature, at_bound = 1.0, None
+    model = LinearModel(W[:, :-1].copy(), W[:, -1].copy(), newton_fits=tuple((s, g) for _, s, g in fits))
     if validation is not None:
-        X_val, codes_val = np.asarray(validation[0], dtype=float), phase_codes(validation[1])
-        temperature, at_bound = _fit_temperature(X_val @ weights.T + bias, codes_val)
-    return LinearModel(weights, bias, temperature, at_bound, tuple((s, g) for _, s, g in fits))
+        t, at_bound = _fit_temperature(model.decision_scores(validation[0]), phase_codes(validation[1]))
+        model = replace(model, temperature=t, temperature_at_bound=at_bound)
+    return model
 
 
 # --- multi-layer perceptron -------------------------------------------------
@@ -401,8 +408,7 @@ class MlpModel:
         return self.weights[0].shape[0]
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        logits, _ = mlp_forward(self.weights, self.biases, np.asarray(X, dtype=float))
-        return logits
+        return mlp_forward(self.weights, self.biases, _stacked_rows(X))[0][:, 0]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Inference path: dropout disabled, so outputs are deterministic."""

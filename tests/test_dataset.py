@@ -91,6 +91,15 @@ class TestLoadLabels:
             load_labels(p)
         assert exc.value.value == 5
 
+    def test_code_beyond_2_to_the_53_is_named_exactly(self, tmp_path):
+        # Read as a float, 2**53 + 1 was rounded to 2**53 before the check named it.
+        p = tmp_path / "labels.csv"
+        write_csv(p, ["1981,1,1", "1981,2,9007199254740993"])
+        assert read_month_table(p, ("phase",), cell=int)[2].dtype == np.int64
+        with pytest.raises(InvalidPhaseCodeError) as exc:
+            load_labels(p)
+        assert str(exc.value) == "phase code 9007199254740993 is not in 1..4"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_labels(tmp_path / "nope.csv")
@@ -152,6 +161,9 @@ class TestPhaseCodes:
             (np.array([True, False]), True),
             (["2"], "2"),
             ([3, None], None),
+            ([1, True], True),
+            ((2.0, np.False_), False),
+            ([[1, 2], [True, 3]], True),
         ],
     )
     def test_first_bad_value_is_named(self, values, bad):
@@ -163,6 +175,12 @@ class TestPhaseCodes:
         with pytest.raises(InvalidPhaseCodeError) as exc:
             phase_codes([1.0, math.nan])
         assert math.isnan(exc.value.value)
+
+    def test_numeric_array_is_checked_without_a_per_element_call(self, monkeypatch):
+        monkeypatch.setattr(np, "vectorize", None)
+        assert phase_codes(np.array([1, 4, 2])).tolist() == [1, 4, 2]
+        with pytest.raises(InvalidPhaseCodeError):
+            phase_codes(np.array([1.0, 0.0]))
 
 
 class TestWriteLabels:
@@ -700,7 +718,7 @@ def reference_read(path, cell):
                 cells.extend(map(cell, row[2:]))
             except ValueError:
                 raise MalformedRowError(reader.line_num, "bad cell") from None
-    rows = np.asarray(cells, dtype=float).reshape(len(months), len(header) - 2)
+    rows = np.asarray(cells, dtype=np.int64 if cell is int else float).reshape(len(months), len(header) - 2)
     return tuple(header[2:]), np.asarray(months, dtype=np.int64), rows
 
 
@@ -767,7 +785,7 @@ class TestReaderMatchesReference:
         assert names == want_names
         assert months.dtype == np.int64
         np.testing.assert_array_equal(months, want_months)
-        assert rows.shape == want_rows.shape
+        assert rows.shape == want_rows.shape and rows.dtype == want_rows.dtype
         np.testing.assert_array_equal(np.isnan(rows), np.isnan(want_rows))
         finite = ~np.isnan(want_rows)
         assert rows[finite].tobytes() == want_rows[finite].tobytes()

@@ -114,13 +114,6 @@ class TestBuildFeatureMatrix:
         with pytest.raises(EmptyAfterFilterError):
             build_feature_matrix(panel, 6)
 
-    def test_explicit_include_overrides(self, rng):
-        panel = make_panel(
-            {"oil": rng.standard_normal(20)}, categories={"oil": Category.COMMODITY}
-        )
-        fm = build_feature_matrix(panel, 6, include=[Category.COMMODITY])
-        assert fm.feature_names == ("oil",)
-
     def test_panel_too_short(self, rng):
         panel = make_panel({"a": rng.standard_normal(5)})
         with pytest.raises(PanelTooShortError):

@@ -24,6 +24,7 @@ from cyclecast.models import (
     MLP_PATIENCE,
     MODEL_SCHEMA_VERSION,
     LinearModel,
+    MlpModel,
     ModelArtifact,
     TrainConfig,
     load_model,
@@ -133,9 +134,8 @@ class TestMlr:
         W = rng.standard_normal((4, 5)) * 3.0
         b = rng.standard_normal(4)
         X = rng.standard_normal((40, 5)) * 2.0
-        np.testing.assert_array_equal(
-            LinearModel(W, b).predict_proba(X), softmax(X @ W.T + b)
-        )
+        model = LinearModel(W, b)
+        np.testing.assert_array_equal(model.predict_proba(X), softmax(model.decision_scores(X)))
 
     def test_column_scaling_invariance(self):
         X, y = two_blobs(seed=5)
@@ -684,6 +684,28 @@ class TestPredictionSurface:
         for row, codes in zip(P, ranked):
             assert codes.tolist() == ranked_by_sort(row)
             assert rank_phases(row).tolist() == codes.tolist()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        d=st.integers(1, 210),
+        hidden=st.lists(st.integers(1, 64), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_gets_the_same_bits_alone_as_in_the_batch(self, n, d, hidden, seed):
+        # A month's forecast must not depend on the months scored with it.
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * 3.0
+        sizes = [d, *hidden, 4]
+        mlp = MlpModel(
+            tuple(rng.standard_normal(shape) / np.sqrt(shape[0]) for shape in zip(sizes, sizes[1:])),
+            tuple(rng.standard_normal(width) for width in sizes[1:]),
+        )
+        linear = LinearModel(rng.standard_normal((4, d)), rng.standard_normal(4), 0.7)
+        for model in (linear, mlp):
+            alone = [model.predict_proba(X[i : i + 1])[0].tobytes() for i in range(n)]
+            for batch in (X, np.asfortranarray(X)):
+                assert [row.tobytes() for row in model.predict_proba(batch)] == alone
 
 
 class TestPersistence:
