@@ -28,14 +28,17 @@ from .dataset import (
     PhaseLabel,
     RawSeries,
     Region,
+    SeriesParses,
     SplitSpec,
+    TableRecord,
     finite_cell_or_nan,
     load_labels,
     load_series_csv,
     next_month_labels,
     read_month_table,
-    read_table_state,
+    read_table_record,
     split_rows,
+    table_state,
     write_atomic as _write_atomic,
     write_labels,
     write_month_table,
@@ -47,7 +50,14 @@ from .errors import (
     InsufficientHistoryError,
     MalformedRowError,
 )
-from .features import FeatureMatrix, FeatureScaler, build_feature_matrix, forecast_alignment
+from .features import (
+    FeatureMatrix,
+    FeatureScaler,
+    build_feature_matrix,
+    feature_key,
+    feature_months,
+    forecast_alignment,
+)
 from .indices import (
     CompositeIndex,
     IndexKind,
@@ -67,7 +77,7 @@ from .models import (
     train_mlr,
     train_svm,
 )
-from .preprocess import ADF_CRITICAL, Panel, align_panel, standardize_series
+from .preprocess import ADF_CRITICAL, MAX_DIFFERENCE_ROUNDS, Panel, align_panel, standardize_series
 from .rbbcp import RbbcpModel
 from .synthgen import RegimeSpec, generate
 
@@ -297,7 +307,14 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    _write_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    """Write ``doc`` as sorted-key JSON, unless the file already holds exactly those bytes."""
+    data = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
+    try:
+        if path.read_bytes() == data:
+            return
+    except OSError:  # missing or unreadable: the write below says what is wrong
+        pass
+    _write_atomic(path, data)
 
 
 # --- panel and feature artifacts -------------------------------------------
@@ -357,9 +374,19 @@ def read_panel(csv_path: Path, meta_path: Path) -> Panel:
     )
 
 
-def write_features(fm: FeatureMatrix, csv_path: Path, meta_path: Path, sign_only: bool) -> str:
-    """Write the features and their sidecar; :func:`write_month_table`'s note on which path ran."""
-    note = write_month_table(csv_path, fm.feature_names, fm.months, fm.values, _write_atomic)
+def write_features(
+    fm: FeatureMatrix,
+    csv_path: Path,
+    meta_path: Path,
+    sign_only: bool,
+    key: str | None = None,
+    record: TableRecord | str | None = None,
+) -> str:
+    """Write the features and their sidecar, with the rows' :func:`feature_key`
+    in the table's record when given; :func:`write_month_table`'s note on
+    which path ran. ``record`` is the table's record as already read."""
+    state = None if key is None else ({"key": key}, {})
+    note = write_month_table(csv_path, fm.feature_names, fm.months, fm.values, _write_atomic, state, record)
     meta = {"window": fm.window, "sign_only": sign_only, "feature_names": list(fm.feature_names)}
     _write_json(meta_path, meta)
     return note
@@ -373,12 +400,13 @@ def read_features(csv_path: Path, meta_path: Path) -> FeatureMatrix:
     )
 
 
-def write_index_csv(index: CompositeIndex, path: Path) -> str:
+def write_index_csv(index: CompositeIndex, path: Path, record: TableRecord | str | None = None) -> str:
     """Write the index, with its state's key, mean, scatter and vector in the
-    table's record; :func:`write_month_table`'s note on which path ran."""
+    table's record; :func:`write_month_table`'s note on which path ran.
+    ``record`` is the table's record as already read."""
     s = index.state
     state = s and ({"key": s.key}, {"mean": s.mean, "scatter": s.scatter, "vector": s.vector})
-    return write_month_table(path, ("value",), index.months, index.values, _write_atomic, state)
+    return write_month_table(path, ("value",), index.months, index.values, _write_atomic, state, record)
 
 
 def read_index_csv(path: Path, kind: IndexKind) -> CompositeIndex:
@@ -386,9 +414,10 @@ def read_index_csv(path: Path, kind: IndexKind) -> CompositeIndex:
     return CompositeIndex(kind=kind, months=months, values=values[:, 0])
 
 
-def _index_state(path: Path) -> tuple[IndexState | None, str]:
-    """The state :func:`write_index_csv` stored with index table ``path``, or None and why not."""
-    found = read_table_state(path)
+def _index_state(record: TableRecord | str) -> tuple[IndexState | None, str]:
+    """The state :func:`write_index_csv` stored in an index table's record
+    (:func:`read_table_record`), or None and why not."""
+    found = table_state(record)
     if isinstance(found, str):
         return None, found
     values, meta, arrays = found
@@ -411,7 +440,7 @@ def _write_series_dir(cfg: RunConfig, series: Sequence[RawSeries]) -> None:
     _write_json(series_dir / "manifest.json", manifest)
 
 
-def _load_series_dir(cfg: RunConfig) -> list[RawSeries]:
+def _load_series_dir(cfg: RunConfig, parses: SeriesParses | None = None) -> list[RawSeries]:
     series_dir = cfg.data_dir / "series"
     if not series_dir.is_dir():
         raise FileNotFoundError(str(series_dir))
@@ -423,7 +452,7 @@ def _load_series_dir(cfg: RunConfig) -> list[RawSeries]:
         ],
     )
     out = [
-        load_series_csv(path, series_id=sid, region=region, category=category)
+        load_series_csv(path, series_id=sid, region=region, category=category, parses=parses)
         for path, sid, region, category in entries
     ]
     if not out:
@@ -481,7 +510,9 @@ def cmd_fetch(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_preprocess(cfg: RunConfig, args: argparse.Namespace) -> int:
-    series = _load_series_dir(cfg)
+    parses_path = cfg.out_dir / "series_parse.rec"
+    parses = SeriesParses.read(parses_path)
+    series = _load_series_dir(cfg, parses)
     pp = cfg.preprocess
     standardized = [
         standardize_series(
@@ -500,6 +531,16 @@ def cmd_preprocess(cfg: RunConfig, args: argparse.Namespace) -> int:
     end = max(int(s.months[-1]) for s in standardized)
     panel = align_panel(standardized, start, end)
     note = write_panel(panel, cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
+    _write_atomic(parses_path, parses.pack())  # after the panel: read by the next preprocess only
+    print(f"series files: {parses.resumed} resumed, {parses.parsed} parsed in full")
+    for s in standardized:
+        adf = s.provenance.adf
+        if adf is not None and not adf.is_stationary:
+            print(
+                f"warning: series {s.series_id!r} still has a unit root after {MAX_DIFFERENCE_ROUNDS}"
+                f" differencing rounds (ADF statistic {adf.statistic:.4f}, critical value"
+                f" {adf.critical_value:.4f}); its last difference is used"
+            )
     print(
         f"wrote panel: {panel.n_months} months x {panel.n_series} series -> {cfg.out_dir / 'panel.csv'}"
         f" ({note})"
@@ -522,12 +563,13 @@ def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
         reference = sub.series_ids[0] if reference is None else reference
         if reference not in sub.series_ids:
             raise ConfigError(f"indices.{ref_key} {reference!r} is not a {kind.value} series")
-        state, why = _index_state(cfg.out_dir / out_name)
+        record = read_table_record(cfg.out_dir / out_name)
+        state, why = _index_state(record)
         if state is not None and not state.describes(sub, reference, min_window):
             state, why = None, "key mismatch"
         how = f"resumed, {state.values.size} months reused" if state is not None else f"rebuilt: {why}"
         index = expanding_pca_index(sub, kind, min_window, reference_series=reference, resume=state)
-        note = write_index_csv(index, cfg.out_dir / out_name)
+        note = write_index_csv(index, cfg.out_dir / out_name, record)
         final = sign_normalize(
             pca_first_component(sub.values), sub.series_ids.index(reference)
         )
@@ -547,10 +589,14 @@ def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_features(cfg: RunConfig, args: argparse.Namespace) -> int:
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
     sign_only = cfg.features["trend_sign_only"]
-    fm = build_feature_matrix(panel, cfg.window, sign_only=sign_only)
-    note = write_features(
-        fm, cfg.out_dir / "features.csv", cfg.out_dir / "features_meta.json", sign_only
-    )
+    csv_path = cfg.out_dir / "features.csv"
+    # The rows the last run wrote are reused when the panel rows they came from are unchanged.
+    record = read_table_record(csv_path)
+    found = table_state(record)
+    reuse = None if isinstance(found, str) else (found[1].get("key"), found[0])
+    fm = build_feature_matrix(panel, cfg.window, sign_only=sign_only, reuse=reuse)
+    key = feature_key(panel, cfg.window, sign_only, fm.n_rows)
+    note = write_features(fm, csv_path, cfg.out_dir / "features_meta.json", sign_only, key, record)
     print(
         f"wrote {fm.n_rows} feature rows x {len(fm.feature_names)} series"
         f" -> {cfg.out_dir / 'features.csv'} ({note})"
@@ -697,17 +743,15 @@ def _scorer(cfg: RunConfig, artifact: ModelArtifact) -> tuple[np.ndarray, Callab
             f"model.json was trained with features.trend_sign_only {json.dumps(trained)}, "
             f"the config sets {json.dumps(sign_only)}; rerun train"
         )
-    fm = build_feature_matrix(panel, artifact.window, sign_only=sign_only)
-    if fm.feature_names != artifact.feature_names:
-        raise DataError(
-            f"model features {artifact.feature_names} differ from panel.csv's {fm.feature_names}"
-        )
+    names, months = feature_months(panel, artifact.window)
+    if names != artifact.feature_names:
+        raise DataError(f"model features {artifact.feature_names} differ from panel.csv's {names}")
 
-    def score(ms: np.ndarray) -> np.ndarray:
-        rows = fm.values[np.searchsorted(fm.months, ms)]
+    def score(ms: np.ndarray) -> np.ndarray:  # only the rows of the months scored are built
+        rows = build_feature_matrix(panel, artifact.window, sign_only=sign_only, months=ms).values
         return model.predict_proba(rows if scaler is None else scaler.apply(rows))
 
-    return fm.months, score
+    return months, score
 
 
 def _phase_step_svg(months: np.ndarray, truth: Sequence[int], preds: Sequence[int]) -> str:

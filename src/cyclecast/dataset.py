@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,10 +49,14 @@ __all__ = [
     "load_labels",
     "write_labels",
     "load_series_csv",
+    "SeriesParse",
+    "SeriesParses",
     "read_month_table",
     "format_month_table",
     "write_month_table",
-    "read_table_state",
+    "read_table_record",
+    "table_state",
+    "TableRecord",
     "write_atomic",
     "prefix_sha256",
     "pack_record",
@@ -325,15 +329,25 @@ def read_month_table(
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    expected = ",".join(("year", "month", *(columns or ("<columns...>",))))
-    gaps = cell is finite_cell_or_nan
-    recorded = None if cell is int else _recorded_rows(path, gaps)
+    recorded = None if cell is int else _recorded_rows(path, cell is finite_cell_or_nan)
     if recorded is not None:
         names, months, values = recorded
-        _header_names(path, ["year", "month", *names], columns, expected)
+        _header_names(path, ["year", "month", *names], columns, _expected_header(columns))
         return names, months, values
-    # universal newlines, as text-mode open() reads: \r\n and \r end a line too
-    lines = _utf8(path, path.read_bytes()).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return _parse_table(path, path.read_bytes(), columns, cell)
+
+
+def _expected_header(columns: Sequence[str] | None) -> str:
+    return ",".join(("year", "month", *(columns or ("<columns...>",))))
+
+
+def _parse_table(
+    path: Path, data: bytes, columns: Sequence[str] | None, cell: Callable[[str], float]
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """:func:`read_month_table`'s parse of ``data``, the bytes of table ``path``."""
+    expected = _expected_header(columns)
+    gaps = cell is finite_cell_or_nan
+    lines = _lines(_utf8(path, data))
     if lines == [""]:
         raise MalformedRowError(1, f"{path}: empty file, expected header {expected}")
     header = next(csv.reader([lines[0] + "\n" if len(lines) > 1 else lines[0]]), [])  # as readline() gives it
@@ -354,6 +368,12 @@ def read_month_table(
         raise MalformedRowError(number, f"{path}: {_row_fault(lines[number - 2], width, cell)}")
     months = table["year"] * 12 + table["month"] - 1
     return names, months, table["cells"].copy()
+
+
+def _lines(text: str) -> list[str]:
+    """``text`` split into lines with universal newlines, as text-mode open() reads:
+    ``\\r\\n`` and ``\\r`` end a line too."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _utf8(path: Path, data: bytes) -> str:
@@ -507,8 +527,11 @@ def pack_record(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
     blobs = {name: np.require(arrays[name], "<f8", "C") for name in sorted(arrays)}
     shapes = {name: blob.shape for name, blob in blobs.items()}
     header = json.dumps({"meta": meta, "shapes": shapes}, sort_keys=True).encode()
-    body = b"".join([len(header).to_bytes(4, "little"), header, *(blob.data for blob in blobs.values())])
-    return body + hashlib.sha256(body).digest()
+    parts = [len(header).to_bytes(4, "little"), header, *(blob.data for blob in blobs.values())]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return b"".join([*parts, digest.digest()])  # one copy of the arrays' bytes, not two
 
 
 def unpack_record(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
@@ -547,9 +570,18 @@ def digest_path(path: str | Path) -> Path:
     return path.with_name(f"{path.stem}_digest.rec")
 
 
-def _read_record(path: Path) -> tuple[str, list[str], np.ndarray, np.ndarray, tuple | None]:
-    """(file SHA-256, names, months, values, state) of the digest record beside
-    table ``path``; ``state`` is the (meta, arrays) stored with the table, or None.
+class TableRecord(NamedTuple):
+    """The digest record :func:`write_month_table` keeps beside a table, as read back."""
+
+    file_sha256: str
+    names: list[str]
+    months: np.ndarray
+    values: np.ndarray
+    state: tuple[dict, dict[str, np.ndarray]] | None  # the (meta, arrays) stored with the table
+
+
+def _read_record(path: Path) -> TableRecord:
+    """The digest record beside table ``path``.
 
     FileNotFoundError if there is none; ValueError if it is damaged or not a record.
     """
@@ -569,7 +601,19 @@ def _read_record(path: Path) -> tuple[str, list[str], np.ndarray, np.ndarray, tu
         raise ValueError(f"{digest_path(path).name}: not a table digest record")
     if state is not None:
         state = state, {name.removeprefix("state."): array for name, array in arrays.items()}
-    return sha, names, (first or 0) + np.arange(len(values), dtype=np.int64), values, state
+    return TableRecord(sha, names, (first or 0) + np.arange(len(values), dtype=np.int64), values, state)
+
+
+def read_table_record(path: str | Path) -> TableRecord | str:
+    """The digest record beside table ``path``, or why not: ``no digest`` or
+    ``unreadable digest``. Never raises; pass it on to :func:`table_state` and
+    :func:`write_month_table` so that the record is unpacked once."""
+    try:
+        return _read_record(Path(path))
+    except FileNotFoundError:
+        return "no digest"
+    except (OSError, ValueError):
+        return "unreadable digest"
 
 
 def _file_sha256(path: Path) -> str:
@@ -618,6 +662,7 @@ def write_month_table(
     values,
     write: Callable[[Path, str | bytes], None] = write_atomic,
     state: tuple[dict, dict[str, np.ndarray]] | None = None,
+    record: TableRecord | str | None = None,
 ) -> str:
     """Write a float table as :func:`format_month_table` text, reusing the file's verified prefix.
 
@@ -628,14 +673,15 @@ def write_month_table(
     (``first_month``, null for no rows), and whose array ``values`` holds the
     float64 rows; a ``state`` (meta, arrays) to resume the table's build from
     adds its meta as ``state`` and its arrays as ``state.<name>``
-    (:func:`read_table_state`). :func:`read_month_table` returns the record's
+    (:func:`table_state`). :func:`read_month_table` returns the record's
     rows instead of parsing a file whose bytes it matches. If the record on disk
     holds the first k rows of this table, bit for bit, under the same names,
     and still matches the file, the file's bytes are kept and only rows k
     onwards are formatted; otherwise k = 0 and every row is. The bytes
     written are those of :func:`format_month_table` either way. Both files
     go through ``write`` (:func:`write_atomic`, or the caller's own atomic
-    writer).
+    writer). ``record`` is the record on disk as :func:`read_table_record`
+    gave it, when the caller has already read it; None reads it here.
 
     Returns which path ran: ``appended N rows``, or ``rewritten:`` followed
     by ``no digest``, ``unreadable digest``, ``changed rows`` (other names,
@@ -647,15 +693,21 @@ def write_month_table(
     months = np.asarray(months, dtype=np.int64)
     check_contiguous(months, path.name)
     values = np.ascontiguousarray(values, dtype=np.float64).reshape(len(months), len(names))
-    kept = _verified_prefix(path, names, months, values)
+    if record is None:
+        record = read_table_record(path)
+    kept = _verified_prefix(path, names, months, values, record)
+    del record  # a large table's recorded rows need not outlive the check while its text is built
     if isinstance(kept, str):
-        k, data, head, note = 0, b"", _format_header(names), f"rewritten: {kept}"
+        k, data, digest, head, note = 0, b"", hashlib.sha256(), _format_header(names), f"rewritten: {kept}"
     else:
-        (k, data), head, note = kept, "", f"appended {len(months) - kept[0]} rows"
-    data += _format_rows(head, months[k:], values[k:]).encode("utf-8")  # b"" + x does not copy x
+        (k, data, digest), head, note = kept, "", f"appended {len(months) - kept[0]} rows"
+    text = _format_rows(head, months[k:], values[k:]).encode("utf-8")
+    digest.update(text)  # the kept bytes are hashed already
+    data += text  # b"" + x does not copy x
+    del text
     write(path, data)
     meta = {
-        "file_sha256": hashlib.sha256(data).hexdigest(),
+        "file_sha256": digest.hexdigest(),
         "names": list(names),
         "first_month": int(months[0]) if len(months) else None,  # the rest follow, contiguous
     }
@@ -668,30 +720,24 @@ def write_month_table(
     return note
 
 
-def read_table_state(path: str | Path) -> tuple[np.ndarray, dict, dict[str, np.ndarray]] | str:
-    """(values, state meta, state arrays) of the digest record beside table
-    ``path``, or why not: ``no state`` or ``unreadable state``. The record's
-    trailer proves them; the file's hash governs only :func:`read_month_table`."""
-    try:
-        _, _, _, values, state = _read_record(Path(path))
-    except FileNotFoundError:
-        return "no state"
-    except (OSError, ValueError):
-        return "unreadable state"
-    return "no state" if state is None else (values, *state)
+def table_state(record: TableRecord | str) -> tuple[np.ndarray, dict, dict[str, np.ndarray]] | str:
+    """(values, state meta, state arrays) of a table's digest record, as
+    :func:`read_table_record` gave it, or why not: ``no state`` or
+    ``unreadable state``. The record's trailer proves them; the file's hash
+    governs only :func:`read_month_table`."""
+    if isinstance(record, str):
+        return "no state" if record == "no digest" else "unreadable state"
+    return "no state" if record.state is None else (record.values, *record.state)
 
 
 def _verified_prefix(
-    path: Path, names: Sequence[str], months: np.ndarray, values: np.ndarray
-) -> tuple[int, bytes] | str:
-    """(k, the file's bytes) when the digest record proves the file holds this
-    table's first k rows; otherwise why not."""
-    try:
-        sha, recorded_names, recorded_months, recorded_values, _ = _read_record(path)
-    except FileNotFoundError:
-        return "no digest"
-    except (OSError, ValueError):
-        return "unreadable digest"
+    path: Path, names: Sequence[str], months: np.ndarray, values: np.ndarray, record: TableRecord | str
+) -> tuple[int, bytes, "hashlib._Hash"] | str:
+    """(k, the file's bytes, their SHA-256 object) when digest ``record`` proves
+    the file holds this table's first k rows; otherwise why not."""
+    if isinstance(record, str):
+        return record
+    sha, recorded_names, recorded_months, recorded_values, _ = record
     n = len(recorded_months)
     if (
         n > len(months)
@@ -704,9 +750,10 @@ def _verified_prefix(
         data = path.read_bytes()
     except OSError:
         return "edited file"
-    if hashlib.sha256(data).hexdigest() != sha:
+    digest = hashlib.sha256(data)
+    if digest.hexdigest() != sha:
         return "edited file"
-    return n, data
+    return n, data, digest
 
 
 def load_labels(path: str | Path, region: Region | None = None) -> LabeledDataset:
@@ -725,8 +772,158 @@ def write_labels(ds: LabeledDataset, path: str | Path) -> None:
     write_atomic(path, format_month_table(("phase",), ds.months, [int(label) for label in ds.labels]))
 
 
-def load_series_csv(path: str | Path, series_id: str, region: Region, category: Category) -> RawSeries:
-    """Read a ``year,month,value`` CSV into a :class:`RawSeries`."""
-    _, months, rows = read_month_table(path, ("value",))
-    return RawSeries(series_id, region, category, months=months, values=rows[:, 0])
+def load_series_csv(
+    path: str | Path,
+    series_id: str,
+    region: Region,
+    category: Category,
+    parses: "SeriesParses | None" = None,
+) -> RawSeries:
+    """Read a ``year,month,value`` CSV into a :class:`RawSeries`.
+
+    With ``parses``, a file that only grew since the parse ``parses`` holds of
+    it is parsed only past that parse (:class:`SeriesParses`). The series, or
+    the error raised, is the full parse's either way.
+    """
+    if parses is None:
+        _, months, rows = read_month_table(path, ("value",))
+        values = rows[:, 0]
+    else:
+        months, values = parses.load(Path(path))
+    return RawSeries(series_id, region, category, months=months, values=values)
+
+
+# Bumped whenever SeriesParses.pack changes what it stores.
+SERIES_PARSE_SCHEMA = 1
+_SERIES_ROW = np.dtype([("year", np.int64), ("month", np.int64), ("cells", np.float64, (1,))])
+
+
+@dataclass(frozen=True)
+class SeriesParse:
+    """The months and values parsed from the first ``length`` bytes of a series
+    file, which end at a line feed and hash to ``sha256`` (hex)."""
+
+    length: int
+    sha256: str
+    months: np.ndarray
+    values: np.ndarray
+
+
+class SeriesParses:
+    """The parses of series files one run keeps for the next to resume from.
+
+    :func:`load_series_csv` looks a file up in ``prior`` by its path. When the
+    file still starts with the bytes of that parse (same length, same
+    SHA-256), only the bytes after them are parsed, and the rows are the prior
+    rows followed by theirs. A parse a line at a time gives the same rows as
+    one pass over the whole file, because the prior bytes end at a line feed
+    and parsed with no quote left open. Anything else (no prior parse, a file
+    edited, truncated or prepended to, appended bytes that do not parse) takes
+    the full parse, with its usual result or error. Every file loaded puts its
+    new parse in ``kept``, unless its last byte is not a line feed; ``resumed``
+    and ``parsed`` count the files loaded each way. :meth:`pack` and
+    :meth:`read` store ``kept`` as a :func:`pack_record` and read it back.
+    """
+
+    def __init__(self, prior: dict[str, SeriesParse] | None = None):
+        self.prior = prior or {}
+        self.kept: dict[str, SeriesParse] = {}
+        self.resumed = 0
+        self.parsed = 0
+
+    def load(self, path: Path) -> tuple[np.ndarray, np.ndarray]:
+        """(months, values) of series file ``path``; see the class."""
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:  # as read_month_table names it
+            raise FileNotFoundError(str(path)) from None
+        # popped, so that its arrays are freed once the new ones are built
+        prior, rows = self.prior.pop(str(path), None), None
+        if prior is not None and prior.length <= len(data):
+            digest = hashlib.sha256(memoryview(data)[: prior.length])
+            tail = _series_rows(data[prior.length :]) if digest.hexdigest() == prior.sha256 else None
+            if tail is not None:
+                rows = np.concatenate([prior.months, tail[0]]), np.concatenate([prior.values, tail[1]])
+                digest.update(memoryview(data)[prior.length :])
+        if rows is None:
+            _, months, table = _parse_table(path, data, ("value",), finite_cell)
+            rows, digest = (months, table[:, 0]), hashlib.sha256(data)
+            self.parsed += 1
+        else:
+            self.resumed += 1
+        if data.endswith(b"\n"):
+            self.kept[str(path)] = SeriesParse(len(data), digest.hexdigest(), *rows)
+        return rows
+
+    def pack(self) -> bytes:
+        """``kept`` as a record: meta ``{"schema", "files": {path: {length, sha256,
+        first_month, rows}}}``, arrays ``values:<path>``, and ``months:<path>``
+        only for a file whose months are not contiguous from ``first_month``."""
+        files, arrays = {}, {}
+        for key, parse in self.kept.items():
+            n = len(parse.months)
+            first = int(parse.months[0]) if n else None
+            files[key] = {"length": parse.length, "sha256": parse.sha256, "first_month": first, "rows": n}
+            arrays[f"values:{key}"] = parse.values
+            if n and not np.array_equal(parse.months, first + np.arange(n)):
+                arrays[f"months:{key}"] = parse.months  # ordinals are exact in float64
+        return pack_record({"schema": SERIES_PARSE_SCHEMA, "files": files}, arrays)
+
+    @classmethod
+    def read(cls, path: str | Path) -> "SeriesParses":
+        """The parses :meth:`pack` stored at ``path`` as ``prior``; none when the
+        record is missing, damaged or not such a record. Never raises."""
+        try:
+            meta, arrays = unpack_record(Path(path).read_bytes())
+            return cls(_series_parses(meta, arrays))
+        except (OSError, ValueError):
+            return cls()
+
+
+def _series_parses(meta: dict, arrays: dict[str, np.ndarray]) -> dict[str, SeriesParse]:
+    """The parses of a :meth:`SeriesParses.pack` record; ValueError if it is not one."""
+    files = meta.get("files")
+    if meta != {"schema": SERIES_PARSE_SCHEMA, "files": files} or not isinstance(files, dict):
+        raise ValueError("not a series parse record")
+    parses = {}
+    for key, entry in files.items():
+        if not (isinstance(entry, dict) and entry.keys() == {"length", "sha256", "first_month", "rows"}):
+            raise ValueError(f"series parse record: bad entry for {key!r}")
+        length, sha, first, n = entry["length"], entry["sha256"], entry["first_month"], entry["rows"]
+        values, months = arrays.pop(f"values:{key}", None), arrays.pop(f"months:{key}", None)
+        if not (
+            type(length) is int
+            and length > 0
+            and type(sha) is str
+            and type(n) is int
+            and type(first) is (int if n else type(None))
+            and values is not None
+            and values.shape == (n,)
+            and (months is None or months.shape == (n,))
+        ):
+            raise ValueError(f"series parse record: bad entry for {key!r}")
+        if months is None:
+            months = (first or 0) + np.arange(n, dtype=np.int64)
+        else:
+            with np.errstate(invalid="ignore"):  # NaN or out of range: caught as unequal below
+                ordinals = months.astype(np.int64)
+            if not np.array_equal(ordinals, months):
+                raise ValueError(f"series parse record: months of {key!r} are not ordinals")
+            months = ordinals
+        parses[key] = SeriesParse(length, sha, months, values)
+    if arrays:
+        raise ValueError("series parse record: arrays without an entry")
+    return parses
+
+
+def _series_rows(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(months, values) of series body lines ``data``, or None if one of them is bad."""
+    try:
+        lines = _lines(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        return None
+    table = _parse_month_rows(lines, _SERIES_ROW, gaps=False)
+    if table is None or _bad_rows(table, gaps=False).size:
+        return None
+    return table["year"] * 12 + table["month"] - 1, table["cells"][:, 0]
 

@@ -61,6 +61,9 @@ class Provenance:
     zscore_mode: str = "full"
     nw_lag: int | None = None
     subsample_stride: int | None = None
+    # The last ADF test ensure_stationary ran (stationarity "auto" only); not
+    # stationary means it gave up after MAX_DIFFERENCE_ROUNDS.
+    adf: "AdfResult | None" = None
 
 
 @dataclass(frozen=True)
@@ -408,14 +411,18 @@ def standardize_series(
     ``"none"``, ``"diff"`` or ``"log_diff"``. Differencing a series that is
     linear up to rounding raises :class:`ZeroVarianceError`.
     """
+    adf = None
     if stationarity == "auto":
-        series, _ = ensure_stationary(series, alpha=adf_alpha, max_lag=adf_max_lag)
+        series, adf = ensure_stationary(series, alpha=adf_alpha, max_lag=adf_max_lag)
     elif stationarity in ("diff", "log_diff"):
         series = _difference_nonlinear(series, Transform(stationarity))
     elif stationarity != "none":
         raise ValueError(f"unknown stationarity mode {stationarity!r}")
     standardized = zscore(series, mode=zscore_mode, min_window=min_window)
-    return nw_rescale(standardized, lag=nw_lag, stride=subsample_stride)
+    standardized = nw_rescale(standardized, lag=nw_lag, stride=subsample_stride)
+    if adf is not None:
+        standardized = replace(standardized, provenance=replace(standardized.provenance, adf=adf))
+    return standardized
 
 
 def align_panel(

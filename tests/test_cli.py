@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclecast import cli, evaluation, models
+from cyclecast import cli, dataset, evaluation, features, models
 from cyclecast.cli import (
     CONFIG_SCHEMA,
     EXIT_CONFIG,
@@ -39,6 +39,7 @@ from cyclecast.dataset import (
     format_month_table,
     pack_record,
     read_month_table,
+    read_table_record,
     unpack_record,
 )
 from cyclecast.errors import ConfigError
@@ -1287,7 +1288,7 @@ class TestIndexResume:
         meta, arrays = {}, {}
         for kind in IndexKind:
             path = out / f"{kind.value}.csv"
-            state = cli._index_state(path)[0]
+            state = cli._index_state(read_table_record(path))[0]
             meta[kind.value] = {"key": state.key, "t": state.values.size + 59}
             for name in ("mean", "scatter", "vector", "values"):
                 arrays[f"{kind.value}.{name}"] = getattr(state, name)
@@ -1432,6 +1433,205 @@ class TestTableAppend:
         assert run(config, "features") == EXIT_OK
         assert table_notes(capsys.readouterr().out) == ["rewritten: edited file"]
         assert (out / "features.csv").read_bytes() == first
+
+
+def hold_back(tmp_path: Path, n: int) -> dict[Path, list[str]]:
+    """Cut the last ``n`` lines off every series file; return them per file."""
+    held = {}
+    for path in sorted((tmp_path / "data" / "series").glob("*.csv")):
+        lines = path.read_text().splitlines(keepends=True)
+        held[path], lines = lines[-n:], lines[:-n]
+        path.write_text("".join(lines))
+    return held
+
+
+def fresh_build(tmp_path: Path, config: Path, *predict: str) -> tuple[dict[str, bytes], str]:
+    """Every file preprocess -> build-indices -> features leave in an empty out
+    dir, and what ``predict`` prints from it."""
+    fresh = tmp_path / "fresh"
+    shutil.rmtree(fresh, ignore_errors=True)
+    doc = json.loads(config.read_text())
+    doc["paths"]["out_dir"] = str(fresh)
+    fresh_config = tmp_path / "fresh_config.json"
+    fresh_config.write_text(json.dumps(doc))
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        for command in ("preprocess", "build-indices", "features"):
+            assert run(fresh_config, command) == EXIT_OK
+        printed.seek(0)
+        printed.truncate()
+        assert run(fresh_config, *predict) == EXIT_OK
+    return {path.name: path.read_bytes() for path in sorted(fresh.iterdir())}, printed.getvalue()
+
+
+def damage_record(kind: str, path: Path) -> None:
+    blob = path.read_bytes()
+    if kind == "deleted":
+        path.unlink()
+    else:
+        path.write_bytes(
+            {
+                "truncated": blob[: len(blob) // 2],
+                "flipped bit": blob[:-40] + bytes([blob[-40] ^ 4]) + blob[-39:],
+                "empty": b"",
+                "not a record": b"not a record",
+            }[kind]
+        )
+
+
+RECORD_DAMAGE = ["truncated", "flipped bit", "empty", "not a record", "deleted"]
+
+
+class TestRefresh:
+    """Each month appended to the series files: preprocess parses only the new
+    bytes, features computes only the new rows, and every file equals a fresh
+    build's."""
+
+    def test_ten_appends_equal_fresh_builds(self, tmp_path, capsys):
+        # expanding z-scores with a whole-sample Newey-West weight: some
+        # appends rescale the panel's history, and those rebuild in full
+        config = write_config(tmp_path, preprocess={"stationarity": "none", "zscore_mode": "expanding"})
+        assert run(config, "synth") == EXIT_OK
+        held = hold_back(tmp_path, 10)
+        for command in ("preprocess", "build-indices", "features", "train"):
+            assert run(config, command) == EXIT_OK
+        model = tmp_path / "model.json"
+        shutil.copy(tmp_path / "out" / "model.json", model)
+        notes = []
+        for k in range(10):
+            for path, lines in held.items():
+                with path.open("a") as fh:
+                    fh.write(lines[k])
+            month = str(MonthStamp(1970, 1).add_months(140 + k))
+            predict = ("--format", "json", "predict", "--month", month, "--model-file", str(model))
+            capsys.readouterr()
+            for command in ("preprocess", "build-indices", "features"):
+                assert run(config, command) == EXIT_OK
+            notes.append(capsys.readouterr().out)
+            assert run(config, *predict) == EXIT_OK
+            printed = capsys.readouterr().out
+            files, fresh_printed = fresh_build(tmp_path, config, *predict)
+            out = tmp_path / "out"
+            assert {name: (out / name).read_bytes() for name in files} == files
+            assert printed == fresh_printed
+        assert all("series files: 8 resumed, 0 parsed in full\n" in note for note in notes)
+        features_notes = [re.search(r"features.csv \((.*)\)", note)[1] for note in notes]
+        assert "appended 1 rows" in features_notes
+        assert "rewritten: changed rows" in features_notes  # a rewrite update
+
+    @pytest.mark.parametrize("damage", RECORD_DAMAGE)
+    def test_damaged_series_record_parses_in_full(self, pipeline, capsys, damage):
+        tmp_path, config = pipeline
+        out = tmp_path / "out"
+        first = {name: (out / name).read_bytes() for name in ("panel.csv", "panel_meta.json", "series_parse.rec")}
+        damage_record(damage, out / "series_parse.rec")
+        capsys.readouterr()
+        assert run(config, "preprocess") == EXIT_OK
+        assert "series files: 0 resumed, 8 parsed in full\n" in capsys.readouterr().out
+        assert {name: (out / name).read_bytes() for name in first} == first
+        assert run(config, "preprocess") == EXIT_OK
+        assert "series files: 8 resumed, 0 parsed in full\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", [*RECORD_DAMAGE, "other key", "key not a string", "no key"])
+    def test_missing_or_stale_features_key_builds_in_full(self, pipeline, monkeypatch, damage):
+        tmp_path, config = pipeline
+        out = tmp_path / "out"
+        first = {name: (out / name).read_bytes() for name in ("features.csv", "features_digest.rec")}
+        record = out / "features_digest.rec"
+        meta, arrays = unpack_record(record.read_bytes())
+        if damage in RECORD_DAMAGE:
+            damage_record(damage, record)
+        else:
+            meta["state"] = {"other key": {"key": "0" * 64}, "key not a string": {"key": 5}, "no key": {}}[damage]
+            record.write_bytes(pack_record(meta, arrays))
+        windows = []
+        window_slopes = features.window_slopes
+
+        def spy(values, window, ends=None):
+            windows.append("all" if ends is None else len(ends))
+            return window_slopes(values, window, ends)
+
+        monkeypatch.setattr(features, "window_slopes", spy)
+        assert run(config, "features") == EXIT_OK
+        assert windows == ["all"] * 8  # each column's every window
+        assert {name: (out / name).read_bytes() for name in first} == first
+        windows.clear()
+        assert run(config, "features") == EXIT_OK
+        assert windows == [0]  # no row left to compute: no window gathered
+
+    def test_scorer_builds_only_the_rows_it_scores(self, pipeline, capsys, monkeypatch):
+        tmp_path, config = pipeline
+        assert run(config, "train") == EXIT_OK
+        capsys.readouterr()
+        assert run(config, "--format", "json", "predict", "--month", "1981-06") == EXIT_OK
+        printed = capsys.readouterr().out
+        built = []
+        build = cli.build_feature_matrix
+
+        def spy(*args, **kwargs):
+            fm = build(*args, **kwargs)
+            built.append(fm.n_rows)
+            return fm
+
+        monkeypatch.setattr(cli, "build_feature_matrix", spy)
+        assert run(config, "--format", "json", "predict", "--month", "1981-06") == EXIT_OK
+        assert built == [1] and capsys.readouterr().out == printed
+        built.clear()
+        assert run(config, "evaluate") == EXIT_OK
+        assert len(built) == 1 and 0 < built[0] < 100
+
+    def test_unchanged_sidecars_are_not_rewritten(self, pipeline, monkeypatch):
+        tmp_path, config = pipeline
+        written = []
+        write_atomic = cli._write_atomic
+
+        def spy(path, data):
+            written.append(Path(path).name)
+            write_atomic(path, data)
+
+        monkeypatch.setattr(cli, "_write_atomic", spy)
+        for command in ("preprocess", "build-indices", "features"):
+            assert run(config, command) == EXIT_OK
+        assert not {"panel_meta.json", "loadings.json", "features_meta.json"} & set(written)
+        assert run(config, "features", "--window", "5") == EXIT_OK
+        assert "features_meta.json" in written
+        assert json.loads((tmp_path / "out" / "features_meta.json").read_text())["window"] == 5
+
+    def test_build_indices_unpacks_each_record_once(self, pipeline, monkeypatch):
+        tmp_path, config = pipeline
+        unpacked = []
+        unpack = dataset.unpack_record
+
+        def spy(data):
+            unpacked.append(len(data))
+            return unpack(data)
+
+        monkeypatch.setattr(dataset, "unpack_record", spy)
+        assert run(config, "build-indices") == EXIT_OK
+        out = tmp_path / "out"
+        sizes = [(out / f"{name}_digest.rec").stat().st_size for name in ("panel", "growth", "inflation")]
+        assert sorted(unpacked) == sorted(sizes)
+
+    def test_series_that_keeps_a_unit_root_is_named(self, tmp_path, capsys):
+        config = write_config(tmp_path, preprocess={"stationarity": "auto", "zscore_mode": "full"})
+        series_dir = tmp_path / "data" / "series"
+        series_dir.mkdir(parents=True)
+        rng = np.random.default_rng(0)
+        columns = {
+            "growth_i3": np.cumsum(np.cumsum(np.cumsum(rng.standard_normal(200)))),
+            "inflation_noise": rng.standard_normal(200),
+        }
+        months = month_range(MonthStamp(1970, 1), 200)
+        for sid, values in columns.items():
+            (series_dir / f"{sid}.csv").write_text(format_month_table(("value",), months, values))
+        manifest = [{"id": sid, "file": f"{sid}.csv", "region": "us", "category": sid.split("_")[0]} for sid in columns]
+        (series_dir / "manifest.json").write_text(json.dumps({"series": manifest}))
+        assert run(config, "preprocess") == EXIT_OK
+        warnings = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(
+            "warning: series 'growth_i3' still has a unit root after 2 differencing rounds (ADF statistic -"
+        )
 
 
 class TestRecordedTables:

@@ -12,8 +12,10 @@ from hypothesis import assume, given, settings, strategies as st
 from cyclecast.dataset import (
     LabeledDataset,
     MonthStamp,
+    Category,
     PhaseLabel,
     Region,
+    SeriesParses,
     SplitSpec,
     digest_path,
     finite_cell,
@@ -25,13 +27,14 @@ from cyclecast.dataset import (
     pack_record,
     prefix_sha256,
     read_month_table,
-    read_table_state,
+    read_table_record,
     split_rows,
+    table_state,
     unpack_record,
     write_labels,
     write_month_table,
 )
-from cyclecast.errors import InvalidPhaseCodeError, MalformedRowError, NonContiguousMonthsError
+from cyclecast.errors import CycleCastError, InvalidPhaseCodeError, MalformedRowError, NonContiguousMonthsError
 
 from conftest import month_range
 
@@ -303,6 +306,161 @@ class TestSeriesCsv:
         assert f"line 4: {p}: " in str(exc.value)
 
 
+def series_lines(months, values) -> list[bytes]:
+    return [f"{m // 12},{m % 12 + 1},{v!r}\n".encode() for m, v in zip(months.tolist(), values.tolist())]
+
+
+def load_outcome(path, parses=None):
+    """The series load_series_csv reads from ``path`` as bytes, or the error it raises."""
+    try:
+        s = load_series_csv(path, "x", Region.US, Category.GROWTH, parses=parses)
+    except (CycleCastError, ValueError) as exc:
+        return type(exc), str(exc)
+    return s.months.dtype, s.months.tobytes(), s.values.tobytes()
+
+
+def resume_from(parses: SeriesParses, tmp_path) -> SeriesParses:
+    """``parses.kept`` through a record on disk, as the next run reads it."""
+    record = tmp_path / "series_parse.rec"
+    record.write_bytes(parses.pack())
+    return SeriesParses.read(record)
+
+
+BAD_LINES = [b"2099,13,1.0", b"2099,1,nan", b"2099,1,-inf", b"10000,1,1.0", b"2099,1", b"2099,1,1_0", b"\xff,1,1"]
+JUNK = (
+    st.sampled_from(BAD_LINES)
+    | st.binary(max_size=12)
+    | st.text(alphabet='0123456789,.-e+" \r\n', max_size=24).map(str.encode)
+)
+SERIES_EDITS = {
+    "append": lambda base, more, junk, at: base + b"".join(more),
+    "append nothing": lambda base, more, junk, at: base,
+    "edit inside the prefix": lambda base, more, junk, at: base[:at] + junk[:1] + base[at + 1 :] + b"".join(more),
+    "truncate": lambda base, more, junk, at: base[:at],
+    "prepend": lambda base, more, junk, at: junk + base + b"".join(more),
+    "crlf": lambda base, more, junk, at: (base + b"".join(more)).replace(b"\n", b"\r\n"),
+    "bom": lambda base, more, junk, at: b"\xef\xbb\xbf" + base + b"".join(more),
+    "no final newline": lambda base, more, junk, at: base + b"".join(more).rstrip(b"\n"),
+    "malformed appended line": lambda base, more, junk, at: base + b"".join(more) + junk + b"\n",
+}
+
+
+class TestSeriesResume:
+    """A series file parsed past its prior parse reads as the full parse does."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        edit=st.sampled_from(sorted(SERIES_EDITS)),
+        first=st.integers(MonthStamp(1950, 1).ordinal, MonthStamp(2050, 1).ordinal),
+        steps=st.lists(st.integers(1, 3), min_size=1, max_size=12),
+        values=st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=13, max_size=13),
+        cut=st.integers(0, 12),
+        crlf=st.booleans(),
+        junk=JUNK,
+        at=st.integers(0, 10**6),
+    )
+    def test_resumed_parse_is_the_full_parse(self, tmp_path_factory, edit, first, steps, values, cut, crlf, junk, at):
+        months = first + np.cumsum([0, *steps])
+        lines = series_lines(months, np.array(values[: months.size]))
+        cut = min(cut, len(lines))
+        base = b"year,month,value\n" + b"".join(lines[:cut])
+        if crlf:
+            base = base.replace(b"\n", b"\r\n")
+        tmp_path = tmp_path_factory.mktemp("series")
+        path = tmp_path / "x.csv"
+        path.write_bytes(base)
+        first_run = SeriesParses()
+        assert load_outcome(path, first_run)[0] == np.int64
+        assert first_run.parsed == 1 and str(path) in first_run.kept
+
+        data = SERIES_EDITS[edit](base, lines[cut:], junk, at % len(base))
+        path.write_bytes(data)
+        parses = resume_from(first_run, tmp_path)
+        full = load_outcome(path)
+        assert load_outcome(path, parses) == full
+        assert parses.resumed + parses.parsed <= 1  # 0 when the file no longer parses
+        if parses.resumed:
+            assert data.startswith(base)
+        elif data.startswith(base) and full[0] == np.int64:
+            pytest.fail(f"{edit}: a file that only grew was parsed in full")
+        if full[0] == np.int64:
+            assert (str(path) in parses.kept) == data.endswith(b"\n")
+
+    def test_gapped_months_are_kept_as_an_array(self, tmp_path):
+        path = tmp_path / "x.csv"
+        months = np.array([100, 101, 105])
+        path.write_bytes(b"year,month,value\n" + b"".join(series_lines(months, np.array([1.0, 2.0, 3.0]))))
+        first_run = SeriesParses()
+        load_series_csv(path, "x", Region.US, Category.GROWTH, parses=first_run)
+        meta, arrays = unpack_record(first_run.pack())
+        assert sorted(arrays) == [f"months:{path}", f"values:{path}"]
+        assert meta["files"][str(path)]["first_month"] == 100
+        with path.open("ab") as fh:
+            fh.writelines(series_lines(np.array([106]), np.array([4.0])))
+        parses = resume_from(first_run, tmp_path)
+        assert load_outcome(path, parses) == load_outcome(path) and parses.resumed == 1
+
+    def test_contiguous_months_are_kept_as_first_month_and_count(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"year,month,value\n" + b"".join(series_lines(np.arange(7, 10), np.ones(3))))
+        parses = SeriesParses()
+        load_series_csv(path, "x", Region.US, Category.GROWTH, parses=parses)
+        meta, arrays = unpack_record(parses.pack())
+        assert sorted(arrays) == [f"values:{path}"]
+        assert meta == {
+            "schema": 1,
+            "files": {str(path): {
+                "length": path.stat().st_size,
+                "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                "first_month": 7,
+                "rows": 3,
+            }},
+        }
+
+    def test_missing_file_raises_as_the_full_parse(self, tmp_path):
+        path = tmp_path / "gone.csv"
+        with pytest.raises(FileNotFoundError) as full:
+            load_series_csv(path, "x", Region.US, Category.GROWTH)
+        with pytest.raises(FileNotFoundError) as resumed:
+            load_series_csv(path, "x", Region.US, Category.GROWTH, parses=SeriesParses())
+        assert str(resumed.value) == str(full.value)
+
+    def test_damaged_or_foreign_record_only_costs_a_full_parse(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"year,month,value\n" + b"".join(series_lines(np.arange(5), np.arange(5.0))))
+        first_run = SeriesParses()
+        load_series_csv(path, "x", Region.US, Category.GROWTH, parses=first_run)
+        blob = first_run.pack()
+        meta, arrays = unpack_record(blob)
+        entry = meta["files"][str(path)]
+        foreign = [
+            pack_record({**meta, "schema": 2}, arrays),
+            pack_record({**meta, "other": 1}, arrays),
+            pack_record({"schema": 1, "files": {str(path): {**entry, "rows": 4}}}, arrays),
+            pack_record({"schema": 1, "files": {str(path): {**entry, "length": 0}}}, arrays),
+            pack_record({"schema": 1, "files": {str(path): {**entry, "first_month": 1.0}}}, arrays),
+            pack_record({"schema": 1, "files": {str(path): {**entry, "sha256": None}}}, arrays),
+            pack_record({"schema": 1, "files": {str(path): [entry]}}, arrays),
+            pack_record(meta, {**arrays, "values:other": np.zeros(1)}),
+            pack_record(meta, {**arrays, f"months:{path}": np.arange(5.0) + 0.5}),
+            pack_record(meta, {}),
+        ]
+        damaged = [blob[:n] for n in range(0, len(blob), 7)] + [
+            blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :] for at in range(0, len(blob), 5)
+        ]
+        with path.open("ab") as fh:
+            fh.writelines(series_lines(np.array([5]), np.array([5.0])))
+        record = tmp_path / "series_parse.rec"
+        for data in [*foreign, *damaged]:
+            record.write_bytes(data)
+            parses = SeriesParses.read(record)
+            assert parses.prior == {}
+            assert load_outcome(path, parses) == load_outcome(path) and parses.parsed == 1
+        record.unlink()
+        assert SeriesParses.read(record).prior == {}
+        assert SeriesParses.read(tmp_path).prior == {}  # a directory in its place
+
+
 @st.composite
 def month_tables(draw):
     """Strictly increasing, gapped ordinals in years 1-9999 and finite or NaN cells."""
@@ -444,12 +602,12 @@ class TestWriteMonthTable:
     def test_state_is_stored_in_the_table_record(self, tmp_path):
         path = tmp_path / "growth.csv"
         months, rows = month_range(MonthStamp(1999, 11), 3), [0.1, 0.2, 0.3]
-        assert read_table_state(path) == "no state"
+        assert table_state(read_table_record(path)) == "no state"
         write_month_table(path, ("value",), months, rows)
-        assert read_table_state(path) == "no state"
+        assert table_state(read_table_record(path)) == "no state"
         state = ({"key": "k"}, {"mean": np.arange(2.0), "scatter": np.eye(2)})
         assert write_month_table(path, ("value",), months, rows, state=state) == "appended 0 rows"
-        values, meta, arrays = read_table_state(path)
+        values, meta, arrays = table_state(read_table_record(path))
         assert meta == {"key": "k"} and sorted(arrays) == ["mean", "scatter"]
         np.testing.assert_array_equal(arrays["scatter"], np.eye(2))
         assert values[:, 0].tolist() == rows
@@ -461,7 +619,7 @@ class TestWriteMonthTable:
             (good_meta, {**good_arrays, "other": np.zeros(1)}),
         ):
             digest_path(path).write_bytes(pack_record(bad_meta, bad_arrays))
-            assert read_table_state(path) == "unreadable state"
+            assert table_state(read_table_record(path)) == "unreadable state"
             assert write_month_table(path, ("value",), months, rows) == "rewritten: unreadable digest"
 
     def test_gapped_months_are_refused(self, tmp_path):

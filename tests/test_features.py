@@ -13,6 +13,8 @@ from cyclecast.errors import (
 from cyclecast.features import (
     FeatureScaler,
     build_feature_matrix,
+    feature_key,
+    feature_months,
     forecast_alignment,
     window_slopes,
 )
@@ -170,6 +172,98 @@ class TestBuildFeatureMatrix:
         panel = make_panel({"a": rng.standard_normal(15)})
         with pytest.raises(ValueError):
             build_feature_matrix(panel, 1)
+
+
+@st.composite
+def nan_led_panels(draw):
+    """A panel whose columns start at different months (NaN before), with
+    constant runs and cells of very different scales; a window that fits."""
+    n, d = draw(st.integers(3, 40)), draw(st.integers(1, 5))
+    window = draw(st.integers(2, min(n, 14)))
+    cells = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 0.1, 0.3, 2.5])
+    columns = {}
+    for j in range(d):
+        col = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+        col[: draw(st.integers(0, n - window))] = np.nan
+        columns[f"s{j}"] = col
+    return make_panel(columns), window
+
+
+class TestFeatureRows:
+    """Rows built for some months, or after reused rows, are the full matrix's rows, bit for bit."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(panel_window=nan_led_panels(), sign_only=st.booleans(), data=st.data())
+    def test_any_rows_bit_equal_the_full_matrix(self, panel_window, sign_only, data):
+        panel, window = panel_window
+        try:
+            full = build_feature_matrix(panel, window, sign_only=sign_only)
+        except PanelTooShortError:
+            return
+        names, months = feature_months(panel, window)
+        assert names == full.feature_names and months.tolist() == full.months.tolist()
+        asked = data.draw(st.lists(st.sampled_from(full.months.tolist()), max_size=2 * full.n_rows))
+        some = build_feature_matrix(panel, window, sign_only=sign_only, months=asked)
+        expected = full.values[np.searchsorted(full.months, asked)]
+        assert some.values.shape == expected.shape and some.values.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(some.months, asked)
+
+        k = data.draw(st.integers(1, full.n_rows))
+        key = feature_key(panel, window, sign_only, k)
+        reused = build_feature_matrix(panel, window, sign_only=sign_only, reuse=(key, full.values[:k].copy()))
+        assert reused.values.tobytes() == full.values.tobytes()
+        stale = full.values[:k] + 1.0  # under another key, never taken
+        other = feature_key(panel, window, not sign_only, k)
+        for wrong in (other, key[:-1] + ("0" if key[-1] != "0" else "1"), None):
+            rebuilt = build_feature_matrix(panel, window, sign_only=sign_only, reuse=(wrong, stale))
+            assert rebuilt.values.tobytes() == full.values.tobytes()
+
+    def test_reused_rows_are_taken_as_they_are(self, rng):
+        """Rows under the right key are not recomputed: only later rows are."""
+        panel = make_panel({"a": rng.standard_normal(20), "b": rng.standard_normal(20)})
+        full = build_feature_matrix(panel, 5)
+        marked = full.values[:10] + 1.0
+        got = build_feature_matrix(panel, 5, reuse=(feature_key(panel, 5, False, 10), marked))
+        np.testing.assert_array_equal(got.values[:10], marked)
+        np.testing.assert_array_equal(got.values[10:], full.values[10:])
+
+    def test_key_covers_the_panel_rows_and_settings(self, rng):
+        cols = {"a": rng.standard_normal(20), "b": rng.standard_normal(20)}
+        panel = make_panel(cols)
+        key = feature_key(panel, 5, False, 10)  # rows 0..13 of the panel
+        later = cols["a"].copy()
+        later[14] += 1.0
+        assert feature_key(make_panel({**cols, "a": later}), 5, False, 10) == key
+        earlier = cols["a"].copy()
+        earlier[13] = np.nextafter(earlier[13], np.inf)
+        assert feature_key(make_panel({**cols, "a": earlier}), 5, False, 10) != key
+        assert feature_key(panel, 5, True, 10) != key
+        assert feature_key(panel, 6, False, 10) != key
+        assert feature_key(make_panel(cols, start=MonthStamp(2000, 2)), 5, False, 10) != key
+        assert feature_key(make_panel({"b": cols["b"], "a": cols["a"]}), 5, False, 10) != key
+
+    def test_month_without_a_full_window_raises(self, rng):
+        panel = make_panel({"a": rng.standard_normal(10)}, start=MonthStamp(2010, 1))
+        with pytest.raises(KeyError, match="2010-03"):
+            build_feature_matrix(panel, 4, months=[MonthStamp(2010, 5).ordinal, MonthStamp(2010, 3).ordinal])
+        with pytest.raises(KeyError, match="2010-11"):
+            build_feature_matrix(panel, 4, months=[MonthStamp(2010, 11).ordinal])
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(panel_window=nan_led_panels(), data=st.data())
+    def test_gathered_windows_match_each_column(self, panel_window, data):
+        """window_slopes over the windows ending at some rows of a matrix equals
+        each column's own windows, bit for bit."""
+        panel, window = panel_window
+        values = np.nan_to_num(panel.values, nan=0.0)
+        ends = data.draw(st.lists(st.integers(window - 1, len(values) - 1), max_size=10))
+        got = window_slopes(values, window, ends)
+        assert got.shape == (len(ends), values.shape[1])
+        for j in range(values.shape[1]):
+            column = window_slopes(values[:, j], window)
+            assert got[:, j].tobytes() == column[np.asarray(ends, dtype=int) - window + 1].tobytes()
+        with pytest.raises(IndexError):
+            window_slopes(values, window, [window - 2])
 
 
 def labels_over(start: MonthStamp, codes) -> LabeledDataset:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclecast import indices
 from cyclecast.cli import _index_state, write_index_csv
+from cyclecast.dataset import read_table_record
 from cyclecast.errors import (
     DataError,
     DegenerateCovarianceError,
@@ -482,7 +483,7 @@ def through_record(index):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "growth.csv"
         write_index_csv(index, path)
-        state, why = _index_state(path)
+        state, why = _index_state(read_table_record(path))
     assert why == ""
     return state
 
@@ -546,7 +547,7 @@ class TestResume:
         write_index_csv(expanding_pca_index(random_panel(rng, 62), "growth", 60), path)
         record = tmp_path / "growth_digest.rec"
         blob = record.read_bytes()
-        assert _index_state(path)[1] == ""
+        assert _index_state(read_table_record(path))[1] == ""
         damaged = [blob[:n] for n in range(len(blob))]
         for at in range(len(blob)):
             for bit in range(8):
@@ -555,7 +556,7 @@ class TestResume:
                 damaged.append(bytes(flipped))
         for data in damaged:
             record.write_bytes(data)
-            assert _index_state(path) == (None, "unreadable state"), len(data)
+            assert _index_state(read_table_record(path)) == (None, "unreadable state"), len(data)
 
     def test_inconsistent_state_arrays_are_refused(self, rng):
         state = expanding_pca_index(random_panel(rng, 62), "growth", 60).state

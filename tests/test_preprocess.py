@@ -432,6 +432,16 @@ class TestStandardizePipeline:
         assert out.provenance.nw_lag is not None
         assert out.provenance.subsample_stride == 3
 
+    def test_provenance_records_the_last_adf_test(self):
+        rng = np.random.default_rng(0)
+        i3 = np.cumsum(np.cumsum(np.cumsum(rng.standard_normal(200))))  # still I(1) after two rounds
+        gave_up = standardize_series(make_series(i3), stationarity="auto").provenance.adf
+        assert gave_up is not None and not gave_up.is_stationary
+        assert gave_up == ensure_stationary(make_series(i3))[1]
+        noise = standardize_series(make_series(rng.standard_normal(200)), stationarity="auto")
+        assert noise.provenance.adf.is_stationary
+        assert standardize_series(make_series(i3), stationarity="diff").provenance.adf is None
+
     def test_explicit_transform(self):
         x = np.arange(1.0, 41.0) ** 1.5
         out = standardize_series(make_series(x), stationarity="diff", zscore_mode="full")
