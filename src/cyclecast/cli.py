@@ -465,13 +465,18 @@ def _load_series_dir(cfg: RunConfig, parses: SeriesParses | None = None) -> list
 
 def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     synth = cfg.synth
+    months, n_series, start = synth["months"], synth["n_series"], synth["start"]
+    if start.add_months(months - 1).year > 9999:  # the series readers take years 0..9999
+        raise ConfigError(f"synth.months {months} from synth.start {start} runs past 9999-12")
+    if months * n_series > 10**7:  # 80 MB of float64 values, a few hundred MB of CSV text
+        raise ConfigError(f"synth.months x synth.n_series {months} x {n_series} exceeds 10**7 cells")
     spec = RegimeSpec(
         mean_durations=synth["mean_durations"],
         noise_sigma=synth["noise_sigma"],
-        n_series=synth["n_series"],
+        n_series=n_series,
         seed=cfg.seed,
     )
-    ds, series = generate(spec, synth["months"], start=synth["start"], region=cfg.region)
+    ds, series = generate(spec, months, start=start, region=cfg.region)
     _write_series_dir(cfg, series)
     write_labels(ds, cfg.labels_path)
     print(f"wrote {len(series)} series and {len(ds)} labeled months under {cfg.data_dir}")
@@ -730,7 +735,7 @@ def _scorer(cfg: RunConfig, artifact: ModelArtifact) -> tuple[np.ndarray, Callab
         # Not np.intersect1d: its first call imports numpy.ma, about 1 MB.
         common = set(growth.months[tw - 1 :].tolist()) & set(inflation.months[tw - 1 :].tolist())
         months = np.array(sorted(common), dtype=np.int64)
-        return months, lambda ms: np.array([model.predict_proba_at(inflation, growth, m) for m in ms])
+        return months, lambda ms: model.predict_proba_at(inflation, growth, ms)
 
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
     if artifact.window is None:

@@ -181,12 +181,15 @@ def check_contiguous(months: np.ndarray, what: str) -> None:
         raise NonContiguousMonthsError(what, *map(MonthStamp.from_ordinal, (expected, found)))
 
 
-def month_row(months: np.ndarray, month: int) -> int:
-    """Row of ``month`` on a strictly increasing ordinal axis; KeyError naming it if absent."""
-    row = int(np.searchsorted(months, month))
-    if row == len(months) or months[row] != month:
-        raise KeyError(str(MonthStamp.from_ordinal(month)))
-    return row
+def month_row(months: np.ndarray, month: int | np.ndarray) -> int | np.ndarray:
+    """Row of the ordinal ``month`` on a strictly increasing ordinal axis, or
+    the rows of an array of ordinals; KeyError naming the first absent month."""
+    asked = np.asarray(month, dtype=np.int64)
+    rows = np.minimum(np.searchsorted(months, asked), len(months) - 1)
+    absent = np.flatnonzero(months[rows] != asked) if len(months) else np.arange(asked.size)
+    if absent.size:
+        raise KeyError(str(MonthStamp.from_ordinal(asked.flat[absent[0]])))
+    return int(rows) if asked.ndim == 0 else rows
 
 
 @dataclass(frozen=True)

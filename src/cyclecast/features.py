@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Category, LabeledDataset, MonthStamp, next_month_labels, prefix_sha256, set_arrays
+from .dataset import Category, LabeledDataset, month_row, next_month_labels, prefix_sha256, set_arrays
 from .errors import (
     EmptyAfterFilterError,
     EmptyOverlapError,
@@ -39,6 +39,8 @@ __all__ = [
 DEFAULT_EXCLUDED_CATEGORIES = frozenset({Category.COMMODITY, Category.STOCK_INDEX})
 # Bumped whenever the rows build_feature_matrix computes from the same panel change.
 FEATURE_KEY_SCHEMA = 1
+# Windows window_slopes copies out at a time, which bounds its memory on a wide panel.
+SLOPE_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -83,32 +85,31 @@ def window_slopes(values: Sequence[float] | np.ndarray, window: int, ends=None) 
     """Least-squares slope of trailing ``window``s of ``values`` against the
     abscissae 0..window-1.
 
-    Without ``ends``, of every window of a 1-D ``values``: entry i fits
-    values[i:i+window]. With ``ends``, of the windows ending at those rows of
-    each column of a 1-D or 2-D ``values``: entry i fits
+    Of the windows ending at the rows ``ends`` (default: every window) of each
+    column of a 1-D or 2-D ``values``: entry i fits
     values[ends[i]-window+1 : ends[i]+1], shape ``(len(ends), *values.shape[1:])``.
 
-    Each window is centred on its own mean and summed along its own cells,
-    never in a BLAS product, so a window gets the same bits alone, gathered
-    with others or inside a longer array, and a constant window gives exactly
-    0.0.
+    Each window is copied out C-contiguously, at most :data:`SLOPE_BLOCK` at
+    a time, then centred on its own mean and summed along its own cells, never
+    in a BLAS product or a strided copy, so a window gets the same bits alone,
+    gathered with others or inside a longer array; a constant window gives 0.0.
     """
     y = np.asarray(values, dtype=float)
     if window < 2 or len(y) < window:
         raise TooShortError(f"slope needs a window >= 2 within the {len(y)} values, got {window}")
-    if ends is not None:
-        ends = np.asarray(ends, dtype=np.int64)
-        if ends.size and not (ends.min() >= window - 1 and ends.max() < len(y)):
-            raise IndexError(f"a window of {window} must end in rows {window - 1}..{len(y) - 1}")
-        # (len(ends), columns..., window), each window's cells adjacent as in a column's windows
-        windows = np.moveaxis(y[ends[:, None] + np.arange(1 - window, 1)], 1, -1).copy()
-    elif y.size == window:  # rbbcp's one window a call: a strided view would cost more than the fit
-        windows = y[None, :]
-    else:
-        windows = np.lib.stride_tricks.sliding_window_view(y, window)
+    ends = np.arange(window - 1, len(y)) if ends is None else np.asarray(ends, dtype=np.int64)
+    if ends.size and not (ends.min() >= window - 1 and ends.max() < len(y)):
+        raise IndexError(f"a window of {window} must end in rows {window - 1}..{len(y) - 1}")
+    view = np.lib.stride_tricks.sliding_window_view(y, window, axis=0)  # (rows, columns..., window)
     xc = np.arange(window, dtype=float) - (window - 1) / 2.0
-    centred = windows - windows.mean(axis=-1, keepdims=True)
-    return (centred * xc).sum(axis=-1) / (xc * xc).sum()
+    slopes = np.empty((ends.size, *y.shape[1:]))
+    step = max(1, SLOPE_BLOCK // (y[0].size or 1))
+    for lo in range(0, ends.size, step):
+        windows = np.ascontiguousarray(view[ends[lo : lo + step] - (window - 1)])
+        windows -= windows.mean(axis=-1, keepdims=True)
+        windows *= xc
+        slopes[lo : lo + step] = windows.sum(axis=-1) / (xc * xc).sum()
+    return slopes
 
 
 def _feature_layout(panel: Panel, window: int) -> tuple[Panel, np.ndarray]:
@@ -169,7 +170,7 @@ def build_feature_matrix(
 
     Two ways to compute fewer rows, each bit-identical to the same rows of the
     full matrix: ``months`` (ordinals) asks for those feature months only, in
-    that order, and a month without a complete window raises KeyError naming
+    that order, and the first without a complete window raises KeyError naming
     it; ``reuse`` is (key, rows) of rows built before, kept as they are when
     key is the :func:`feature_key` of that many leading rows, so that only the
     later rows are computed.
@@ -177,13 +178,7 @@ def build_feature_matrix(
     filtered, ends = _feature_layout(panel, window)
     kept = np.zeros((0, filtered.n_series))
     if months is not None:
-        months = np.asarray(months, dtype=np.int64)
-        all_months = filtered.months[ends]
-        at = np.minimum(np.searchsorted(all_months, months), ends.size - 1)
-        missing = np.flatnonzero(all_months[at] != months)
-        if missing.size:
-            raise KeyError(str(MonthStamp.from_ordinal(months[missing[0]])))
-        ends = ends[at]
+        ends = ends[month_row(filtered.months[ends], months)]
     elif (
         reuse is not None
         and 0 < len(reuse[1]) <= ends.size
@@ -191,17 +186,7 @@ def build_feature_matrix(
         and reuse[0] == _key(filtered, window, sign_only, ends[: len(reuse[1])])
     ):
         kept = reuse[1]
-    new = ends[len(kept) :]
-    if months is None and not len(kept):  # every row: each column's windows in one view
-        start = new[0] - window + 1
-        slopes = np.column_stack(
-            [
-                window_slopes(np.nan_to_num(filtered.values[start:, j], nan=0.0), window)
-                for j in range(filtered.n_series)
-            ]
-        )[new - new[0]]
-    else:  # the rows asked for, or those after the reused ones: their windows gathered in one call
-        slopes = window_slopes(filtered.values, window, new)
+    slopes = window_slopes(filtered.values, window, ends[len(kept) :])
     if sign_only:
         slopes = np.sign(slopes)
     return FeatureMatrix(

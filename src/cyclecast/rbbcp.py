@@ -37,17 +37,15 @@ class TrendDirection(Enum):
     DOWN = "down"
 
 
-_RULE_TABLE = {
-    (TrendDirection.DOWN, TrendDirection.DOWN): PhaseLabel.RECESSION,
-    (TrendDirection.DOWN, TrendDirection.UP): PhaseLabel.RECOVERY,
-    (TrendDirection.UP, TrendDirection.DOWN): PhaseLabel.SLOWDOWN,
-    (TrendDirection.UP, TrendDirection.UP): PhaseLabel.EXPANSION,
-}
+# Phase codes indexed by (inflation up, growth up), each 0 or 1.
+_RULE_TABLE = np.array(
+    [[PhaseLabel.RECESSION, PhaseLabel.RECOVERY], [PhaseLabel.SLOWDOWN, PhaseLabel.EXPANSION]]
+)
 
 
 def rbbcp_predict(inflation: TrendDirection, growth: TrendDirection) -> PhaseLabel:
     """Phase implied by the (inflation, growth) trend pair."""
-    return _RULE_TABLE[(inflation, growth)]
+    return PhaseLabel(_RULE_TABLE[int(inflation is TrendDirection.UP), int(growth is TrendDirection.UP)])
 
 
 def rbbcp_predict_proba(
@@ -73,24 +71,32 @@ class RbbcpModel:
             raise ValueError(f"need an int trend_window >= 2 and a bool zero_is_up, got {tw!r}, {up!r}")
 
     def predict_proba_at(
-        self, inflation_index: CompositeIndex, growth_index: CompositeIndex, month: int
+        self, inflation_index: CompositeIndex, growth_index: CompositeIndex, month: int | np.ndarray
     ) -> np.ndarray:
-        return rbbcp_predict_proba(
-            self._direction(inflation_index, month), self._direction(growth_index, month)
-        )
-
-    def _direction(self, index: CompositeIndex, month: int) -> TrendDirection:
-        """Sign of the index's slope over the trend window ending at the ordinal ``month``."""
-        name = f"{index.kind.value} index"
+        """One-hot phase distribution at the ordinal ``month``, a (4,) row, or an
+        (n, 4) matrix at an array of ordinals, each row bit for bit its month's
+        own call; the first month that call rejects raises its InsufficientHistoryError."""
         try:
-            end = month_row(index.months, month) + 1
+            up = [self._up(index, np.ravel(month)) for index in (inflation_index, growth_index)]
+        except InsufficientHistoryError:
+            for m in month if np.ndim(month) else ():  # each month alone, up to the first that raises
+                self.predict_proba_at(inflation_index, growth_index, m)
+            raise
+        return np.eye(4)[_RULE_TABLE[up[0], up[1]] - 1].reshape(*np.shape(month), 4)
+
+    def _up(self, index: CompositeIndex, months: np.ndarray) -> np.ndarray:
+        """1 where the index's slope over the trend window ending at each of ``months`` is Up, else 0."""
+        name, tw = f"{index.kind.value} index", self.trend_window
+        try:
+            ends = month_row(index.months, months)
         except KeyError as exc:
             raise InsufficientHistoryError(f"{name} has no value at {exc.args[0]}") from None
-        if end < self.trend_window:
+        if np.any(ends < tw - 1):  # at the month of the shortest history
+            short = MonthStamp.from_ordinal(months[ends.argmin()])
             raise InsufficientHistoryError(
-                f"{name} has only {end} values through {MonthStamp.from_ordinal(month)}, "
-                f"trend window {self.trend_window} requested"
+                f"{name} has only {ends.min() + 1} values through {short}, trend window {tw} requested"
             )
-        slope = window_slopes(index.values[end - self.trend_window : end], self.trend_window)[0]
-        up = slope > 0.0 or (slope == 0.0 and self.zero_is_up)
-        return TrendDirection.UP if up else TrendDirection.DOWN
+        if not ends.size:  # nothing to slope, even on an index shorter than the window
+            return ends
+        slopes = window_slopes(index.values, tw, ends)
+        return ((slopes > 0.0) | ((slopes == 0.0) & self.zero_is_up)).astype(np.int64)

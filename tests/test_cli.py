@@ -181,6 +181,9 @@ class TestConfigHandling:
             ({"train": {"dropout": 1}}, "train --model mlp"),
             ({"synth": {"mean_durations": [10.0, 10.0]}}, "synth"),
             ({"split": {"train_end": "1980-01", "validation_end": "1979-12", "test_end": "1982-06"}}, "train"),
+            ({"synth": {"start": "9990-01", "months": 600}}, "synth"),
+            ({}, "synth --months 10000000000000"),
+            ({}, "synth --series 10000000000000"),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, overrides, command):
@@ -232,6 +235,13 @@ class TestConfigHandling:
             main(["predict", "--month", "1975-13"])
         assert exc.value.code == EXIT_USAGE
         assert "1975-13" in capsys.readouterr().err
+
+    def test_synth_ends_by_9999_12_and_reads_back(self, tmp_path):
+        synth = {"start": "9989-01", "n_series": 2}
+        assert run(write_config(tmp_path, synth={**synth, "months": 133}), "synth") == EXIT_CONFIG
+        config = write_config(tmp_path, synth={**synth, "months": 132})
+        assert run(config, "synth") == EXIT_OK
+        assert run(config, "preprocess") == EXIT_OK
 
     def test_flag_overrides_file_seed(self, tmp_path):
         config = write_config(tmp_path)
@@ -1553,7 +1563,7 @@ class TestRefresh:
 
         monkeypatch.setattr(features, "window_slopes", spy)
         assert run(config, "features") == EXIT_OK
-        assert windows == ["all"] * 8  # each column's every window
+        assert windows == [147]  # every row's windows in one call
         assert {name: (out / name).read_bytes() for name in first} == first
         windows.clear()
         assert run(config, "features") == EXIT_OK

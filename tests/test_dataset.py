@@ -24,6 +24,7 @@ from cyclecast.dataset import (
     load_labels,
     phase_codes,
     load_series_csv,
+    month_row,
     pack_record,
     prefix_sha256,
     read_month_table,
@@ -63,6 +64,16 @@ class TestMonthStamp:
     def test_months_until(self):
         assert MonthStamp(2000, 1).months_until(MonthStamp(2001, 1)) == 12
         assert MonthStamp(2001, 1).months_until(MonthStamp(2000, 12)) == -1
+
+    def test_month_row_of_one_month_or_many(self):
+        months = month_range(MonthStamp(2000, 1), 6)  # 2000-01..2000-06
+        assert month_row(months, MonthStamp(2000, 3).ordinal) == 2
+        asked = [MonthStamp(2000, m).ordinal for m in (6, 1, 1, 4)]
+        np.testing.assert_array_equal(month_row(months, asked), [5, 0, 0, 3])
+        assert month_row(months, []).shape == (0,)
+        for axis, first in [(months, "2000-07"), (months[:0], "2000-06")]:
+            with pytest.raises(KeyError, match=first):  # the first absent month
+                month_row(axis, [asked[0], MonthStamp(2000, 7).ordinal, MonthStamp(1999, 12).ordinal])
 
     def test_parse_and_str(self):
         assert MonthStamp.parse("1981-02") == MonthStamp(1981, 2)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclecast import features
 from cyclecast.dataset import Category, LabeledDataset, MonthStamp, PhaseLabel, month_row
 from cyclecast.errors import (
     EmptyAfterFilterError,
@@ -26,6 +29,21 @@ from cyclecast.rbbcp import RbbcpModel, TrendDirection, rbbcp_predict_proba
 from conftest import make_panel, make_std, month_range
 
 UP, DOWN = TrendDirection.UP, TrendDirection.DOWN
+
+
+def slope_alone(values, window: int, ends) -> np.ndarray:
+    """The reference for ``window_slopes``: each window sloped on its own, as a
+    contiguous copy, minus its mean, times the abscissae, summed."""
+    y = np.asarray(values, dtype=float)
+    xc = np.arange(window, dtype=float) - (window - 1) / 2.0
+    out = np.empty((len(ends), *y.shape[1:]))
+    for i, end in enumerate(ends):
+        for column in np.ndindex(y.shape[1:]):
+            cells = np.array(y[end - window + 1 : end + 1][(slice(None), *column)])
+            cells -= cells.mean()
+            cells *= xc
+            out[(i, *column)] = cells.sum() / (xc * xc).sum()
+    return out
 
 
 class TestOlsSlope:
@@ -83,6 +101,26 @@ class TestOlsSlope:
             assert alone.shape == (1,) and alone[0] == slopes[i]
         c = data.draw(st.floats(-1e300, 1e300, allow_nan=False) | st.sampled_from(column))
         np.testing.assert_array_equal(window_slopes(np.full(col.size + 3, c), window), 0.0)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(2, 40)) | st.tuples(st.integers(2, 40), st.integers(1, 4)),
+        block=st.sampled_from([1, 2, 3, 1 << 14]),
+        data=st.data(),
+    )
+    def test_any_windows_bit_equal_each_window_alone(self, shape, block, data):
+        """Every window's slope, in any block size, for every window or for ends
+        repeated, unsorted or none at all, has the bits of that window sloped alone."""
+        cells = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, 0.1, 0.3, -0.7, 1.7])
+        size = math.prod(shape)
+        values = np.array(data.draw(st.lists(cells, min_size=size, max_size=size))).reshape(shape)
+        window = data.draw(st.integers(2, shape[0]))
+        ends = data.draw(st.none() | st.lists(st.integers(window - 1, shape[0] - 1), max_size=12))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features, "SLOPE_BLOCK", block)
+            got = window_slopes(values, window, ends)
+        expected = slope_alone(values, window, range(window - 1, shape[0]) if ends is None else ends)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 class TestBuildFeatureMatrix:
@@ -248,6 +286,8 @@ class TestFeatureRows:
             build_feature_matrix(panel, 4, months=[MonthStamp(2010, 5).ordinal, MonthStamp(2010, 3).ordinal])
         with pytest.raises(KeyError, match="2010-11"):
             build_feature_matrix(panel, 4, months=[MonthStamp(2010, 11).ordinal])
+        with pytest.raises(KeyError, match="2010-11"):  # the first absent month
+            build_feature_matrix(panel, 4, months=[MonthStamp(2010, m).ordinal for m in (5, 11, 3)])
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(panel_window=nan_led_panels(), data=st.data())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclecast.dataset import MonthStamp, PhaseLabel
 from cyclecast.errors import InsufficientHistoryError
@@ -100,3 +101,39 @@ class TestRbbcpModel:
         np.testing.assert_array_equal(
             model.predict_proba_at(inflation, growth, month), [1.0, 0.0, 0.0, 0.0]
         )
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(window=st.integers(2, 8), zero_is_up=st.booleans(), data=st.data())
+    def test_each_row_is_its_month_alone(self, window, zero_is_up, data):
+        """Each row of a batch bit-equals that month's own call; a batch with a
+        month the one-month call rejects raises that call's error for the first."""
+        cells = st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, 0.3, 1.7])
+
+        def values():
+            n = data.draw(st.integers(1, 30))
+            return data.draw(st.lists(cells, min_size=n, max_size=n))
+
+        start = MonthStamp(2010, 1)
+        inflation = index_of(values(), start, IndexKind.INFLATION)
+        growth = index_of(values(), start.add_months(data.draw(st.integers(-6, 6))), IndexKind.GROWTH)
+        first = max(inflation.months[0], growth.months[0]) + window - 1  # where both windows are full
+        last = max(first, min(inflation.months[-1], growth.months[-1]))
+        good = data.draw(st.lists(st.integers(first, last), max_size=20))
+        any_month = st.integers(first - window - 8, last + 2)
+        months = data.draw(st.permutations(good + data.draw(st.lists(any_month, max_size=3))))
+        model = RbbcpModel(window, zero_is_up)
+        rows, first_error = [], None
+        for m in months:
+            try:
+                rows.append(model.predict_proba_at(inflation, growth, m))
+            except InsufficientHistoryError as exc:
+                first_error = str(exc)
+                break
+        if first_error is not None:
+            with pytest.raises(InsufficientHistoryError) as batch_error:
+                model.predict_proba_at(inflation, growth, np.array(months))
+            assert str(batch_error.value) == first_error
+        else:
+            got = model.predict_proba_at(inflation, growth, np.array(months, dtype=np.int64))
+            assert got.shape == (len(months), 4)
+            assert got.tobytes() == np.array(rows).reshape(-1, 4).tobytes()
