@@ -38,7 +38,6 @@ from .dataset import (
     read_month_table,
     read_table_record,
     split_rows,
-    table_state,
     write_atomic as _write_atomic,
     write_labels,
     write_month_table,
@@ -54,7 +53,6 @@ from .features import (
     FeatureMatrix,
     FeatureScaler,
     build_feature_matrix,
-    feature_key,
     feature_months,
     forecast_alignment,
 )
@@ -100,10 +98,11 @@ def _fail(key: str, what: str, value) -> NoReturn:
 
 @dataclass(frozen=True)
 class _Range:
-    """An int, or a finite float (ints accepted), with lo <= value, above < value, value < below."""
+    """An int, or a finite float (ints accepted), with lo <= value <= hi, above < value, value < below."""
 
     kind: type
     lo: float | None = None
+    hi: float | None = None
     above: float | None = None
     below: float | None = None
 
@@ -115,6 +114,8 @@ class _Range:
         value = self.kind(value)
         if self.lo is not None and value < self.lo:
             _fail(key, f">= {self.lo}", value)
+        if self.hi is not None and value > self.hi:
+            _fail(key, f"<= {self.hi}", value)
         if self.above is not None and value <= self.above:
             _fail(key, f"> {self.above}", value)
         if self.below is not None and value >= self.below:
@@ -222,7 +223,7 @@ CONFIG_SCHEMA: dict[str, tuple[object, Callable]] = {
     "rbbcp.trend_window": (None, _Nullable(_Range(int, lo=2))),  # null: window
     "rbbcp.zero_is_up": (False, _boolean),
     "train.learning_rate": (0.005, _Range(float, above=0)),
-    "train.epochs": (500, _Range(int, lo=1)),
+    "train.epochs": (500, _Range(int, lo=1, hi=100_000)),  # about 3 minutes of MLP at paper shape
     "train.l2": (0.001, _Range(float, lo=0)),
     "train.hidden_layers": ([50, 50, 50, 50], _ListOf(_Range(int, lo=1))),
     "train.dropout": (0.2, _Range(float, lo=0, below=1)),
@@ -374,19 +375,9 @@ def read_panel(csv_path: Path, meta_path: Path) -> Panel:
     )
 
 
-def write_features(
-    fm: FeatureMatrix,
-    csv_path: Path,
-    meta_path: Path,
-    sign_only: bool,
-    key: str | None = None,
-    record: TableRecord | str | None = None,
-) -> str:
-    """Write the features and their sidecar, with the rows' :func:`feature_key`
-    in the table's record when given; :func:`write_month_table`'s note on
-    which path ran. ``record`` is the table's record as already read."""
-    state = None if key is None else ({"key": key}, {})
-    note = write_month_table(csv_path, fm.feature_names, fm.months, fm.values, _write_atomic, state, record)
+def write_features(fm: FeatureMatrix, csv_path: Path, meta_path: Path, sign_only: bool) -> str:
+    """Write the features and their sidecar; :func:`write_month_table`'s note on which path ran."""
+    note = write_month_table(csv_path, fm.feature_names, fm.months, fm.values, _write_atomic)
     meta = {"window": fm.window, "sign_only": sign_only, "feature_names": list(fm.feature_names)}
     _write_json(meta_path, meta)
     return note
@@ -417,12 +408,13 @@ def read_index_csv(path: Path, kind: IndexKind) -> CompositeIndex:
 def _index_state(record: TableRecord | str) -> tuple[IndexState | None, str]:
     """The state :func:`write_index_csv` stored in an index table's record
     (:func:`read_table_record`), or None and why not."""
-    found = table_state(record)
-    if isinstance(found, str):
-        return None, found
-    values, meta, arrays = found
+    if isinstance(record, str):
+        return None, "no state" if record == "no digest" else "unreadable state"
+    if record.state is None:
+        return None, "no state"
+    meta, arrays = record.state
     try:
-        return IndexState(values=values[:, 0], **meta, **arrays), ""
+        return IndexState(values=record.values[:, 0], **meta, **arrays), ""
     except (IndexError, TypeError, ValueError):
         return None, "unreadable state"
 
@@ -594,14 +586,8 @@ def cmd_build_indices(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_features(cfg: RunConfig, args: argparse.Namespace) -> int:
     panel = read_panel(cfg.out_dir / "panel.csv", cfg.out_dir / "panel_meta.json")
     sign_only = cfg.features["trend_sign_only"]
-    csv_path = cfg.out_dir / "features.csv"
-    # The rows the last run wrote are reused when the panel rows they came from are unchanged.
-    record = read_table_record(csv_path)
-    found = table_state(record)
-    reuse = None if isinstance(found, str) else (found[1].get("key"), found[0])
-    fm = build_feature_matrix(panel, cfg.window, sign_only=sign_only, reuse=reuse)
-    key = feature_key(panel, cfg.window, sign_only, fm.n_rows)
-    note = write_features(fm, csv_path, cfg.out_dir / "features_meta.json", sign_only, key, record)
+    fm = build_feature_matrix(panel, cfg.window, sign_only=sign_only)
+    note = write_features(fm, cfg.out_dir / "features.csv", cfg.out_dir / "features_meta.json", sign_only)
     print(
         f"wrote {fm.n_rows} feature rows x {len(fm.feature_names)} series"
         f" -> {cfg.out_dir / 'features.csv'} ({note})"

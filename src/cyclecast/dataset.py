@@ -55,7 +55,6 @@ __all__ = [
     "format_month_table",
     "write_month_table",
     "read_table_record",
-    "table_state",
     "TableRecord",
     "write_atomic",
     "prefix_sha256",
@@ -609,8 +608,8 @@ def _read_record(path: Path) -> TableRecord:
 
 def read_table_record(path: str | Path) -> TableRecord | str:
     """The digest record beside table ``path``, or why not: ``no digest`` or
-    ``unreadable digest``. Never raises; pass it on to :func:`table_state` and
-    :func:`write_month_table` so that the record is unpacked once."""
+    ``unreadable digest``. Never raises; pass it on to :func:`write_month_table`
+    so that the record is unpacked once."""
     try:
         return _read_record(Path(path))
     except FileNotFoundError:
@@ -676,7 +675,7 @@ def write_month_table(
     (``first_month``, null for no rows), and whose array ``values`` holds the
     float64 rows; a ``state`` (meta, arrays) to resume the table's build from
     adds its meta as ``state`` and its arrays as ``state.<name>``
-    (:func:`table_state`). :func:`read_month_table` returns the record's
+    (:attr:`TableRecord.state`). :func:`read_month_table` returns the record's
     rows instead of parsing a file whose bytes it matches. If the record on disk
     holds the first k rows of this table, bit for bit, under the same names,
     and still matches the file, the file's bytes are kept and only rows k
@@ -721,16 +720,6 @@ def write_month_table(
         arrays.update({f"state.{name}": array for name, array in state[1].items()})
     write(digest_path(path), pack_record(meta, arrays))
     return note
-
-
-def table_state(record: TableRecord | str) -> tuple[np.ndarray, dict, dict[str, np.ndarray]] | str:
-    """(values, state meta, state arrays) of a table's digest record, as
-    :func:`read_table_record` gave it, or why not: ``no state`` or
-    ``unreadable state``. The record's trailer proves them; the file's hash
-    governs only :func:`read_month_table`."""
-    if isinstance(record, str):
-        return "no state" if record == "no digest" else "unreadable state"
-    return "no state" if record.state is None else (record.values, *record.state)
 
 
 def _verified_prefix(

@@ -4,8 +4,8 @@ next-month phase labels.
 Each feature row for month t holds, per included series, the slope of a
 least-squares line through that series' values at months t-window+1..t, so a
 row depends only on data available at month t. Commodity and stock-index
-categories are excluded by default; they showed no useful correlation with
-the phase task.
+categories are excluded; they showed no useful correlation with the phase
+task.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Category, LabeledDataset, month_row, next_month_labels, prefix_sha256, set_arrays
+from .dataset import Category, LabeledDataset, month_row, next_month_labels, set_arrays
 from .errors import (
     EmptyAfterFilterError,
     EmptyOverlapError,
@@ -32,13 +32,10 @@ __all__ = [
     "window_slopes",
     "build_feature_matrix",
     "feature_months",
-    "feature_key",
     "forecast_alignment",
 ]
 
 DEFAULT_EXCLUDED_CATEGORIES = frozenset({Category.COMMODITY, Category.STOCK_INDEX})
-# Bumped whenever the rows build_feature_matrix computes from the same panel change.
-FEATURE_KEY_SCHEMA = 1
 # Windows window_slopes copies out at a time, which bounds its memory on a wide panel.
 SLOPE_BLOCK = 1 << 10
 
@@ -140,26 +137,11 @@ def feature_months(panel: Panel, window: int) -> tuple[tuple[str, ...], np.ndarr
     return filtered.series_ids, filtered.months[ends]
 
 
-def feature_key(panel: Panel, window: int, sign_only: bool, n_rows: int) -> str:
-    """The key of the first ``n_rows`` rows of :func:`build_feature_matrix`: a
-    :func:`prefix_sha256` over the settings, the kept columns, the first month
-    and the panel rows those feature rows are computed from. Equal keys mean
-    equal rows, which is what ``reuse`` relies on."""
-    filtered, ends = _feature_layout(panel, window)
-    return _key(filtered, window, sign_only, ends[:n_rows])
-
-
-def _key(filtered: Panel, window: int, sign_only: bool, ends: np.ndarray) -> str:
-    header = [FEATURE_KEY_SCHEMA, window, sign_only, list(filtered.series_ids), int(filtered.months[0])]
-    return prefix_sha256(header, filtered.values[: ends[-1] + 1 if ends.size else 0])
-
-
 def build_feature_matrix(
     panel: Panel,
     window: int,
     sign_only: bool = False,
     months: np.ndarray | None = None,
-    reuse: tuple[str, np.ndarray] | None = None,
 ) -> FeatureMatrix:
     """Per-series trailing-window slopes for every month with full history.
 
@@ -168,31 +150,21 @@ def build_feature_matrix(
     matrix never contains NaN. ``sign_only`` replaces each slope with its
     sign, the stricter direction-only reading of the trend features.
 
-    Two ways to compute fewer rows, each bit-identical to the same rows of the
-    full matrix: ``months`` (ordinals) asks for those feature months only, in
-    that order, and the first without a complete window raises KeyError naming
-    it; ``reuse`` is (key, rows) of rows built before, kept as they are when
-    key is the :func:`feature_key` of that many leading rows, so that only the
-    later rows are computed.
+    ``months`` (ordinals) asks for those feature months only, in that order,
+    each row bit-identical to the same row of the full matrix; the first
+    without a complete window raises KeyError naming it. Either way the rows
+    come from one :func:`window_slopes` call.
     """
     filtered, ends = _feature_layout(panel, window)
-    kept = np.zeros((0, filtered.n_series))
     if months is not None:
         ends = ends[month_row(filtered.months[ends], months)]
-    elif (
-        reuse is not None
-        and 0 < len(reuse[1]) <= ends.size
-        and reuse[1].shape[1:] == kept.shape[1:]
-        and reuse[0] == _key(filtered, window, sign_only, ends[: len(reuse[1])])
-    ):
-        kept = reuse[1]
-    slopes = window_slopes(filtered.values, window, ends[len(kept) :])
+    slopes = window_slopes(filtered.values, window, ends)
     if sign_only:
         slopes = np.sign(slopes)
     return FeatureMatrix(
         months=filtered.months[ends],
         feature_names=filtered.series_ids,
-        values=np.concatenate([kept, slopes]) if len(kept) else slopes,
+        values=slopes,
         window=window,
     )
 

@@ -184,6 +184,7 @@ class TestConfigHandling:
             ({"synth": {"start": "9990-01", "months": 600}}, "synth"),
             ({}, "synth --months 10000000000000"),
             ({}, "synth --series 10000000000000"),
+            ({"train": {"epochs": 1000000000000}}, "train --model mlp"),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, overrides, command):
@@ -1494,8 +1495,8 @@ RECORD_DAMAGE = ["truncated", "flipped bit", "empty", "not a record", "deleted"]
 
 class TestRefresh:
     """Each month appended to the series files: preprocess parses only the new
-    bytes, features computes only the new rows, and every file equals a fresh
-    build's."""
+    bytes, each table appends only the new rows' text, and every file equals a
+    fresh build's."""
 
     def test_ten_appends_equal_fresh_builds(self, tmp_path, capsys):
         # expanding z-scores with a whole-sample Newey-West weight: some
@@ -1542,18 +1543,12 @@ class TestRefresh:
         assert run(config, "preprocess") == EXIT_OK
         assert "series files: 8 resumed, 0 parsed in full\n" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("damage", [*RECORD_DAMAGE, "other key", "key not a string", "no key"])
-    def test_missing_or_stale_features_key_builds_in_full(self, pipeline, monkeypatch, damage):
+    @pytest.mark.parametrize("damage", RECORD_DAMAGE)
+    def test_missing_or_damaged_features_record_builds_in_full(self, pipeline, monkeypatch, damage):
         tmp_path, config = pipeline
         out = tmp_path / "out"
         first = {name: (out / name).read_bytes() for name in ("features.csv", "features_digest.rec")}
-        record = out / "features_digest.rec"
-        meta, arrays = unpack_record(record.read_bytes())
-        if damage in RECORD_DAMAGE:
-            damage_record(damage, record)
-        else:
-            meta["state"] = {"other key": {"key": "0" * 64}, "key not a string": {"key": 5}, "no key": {}}[damage]
-            record.write_bytes(pack_record(meta, arrays))
+        damage_record(damage, out / "features_digest.rec")
         windows = []
         window_slopes = features.window_slopes
 
@@ -1562,12 +1557,40 @@ class TestRefresh:
             return window_slopes(values, window, ends)
 
         monkeypatch.setattr(features, "window_slopes", spy)
-        assert run(config, "features") == EXIT_OK
-        assert windows == [147]  # every row's windows in one call
-        assert {name: (out / name).read_bytes() for name in first} == first
-        windows.clear()
-        assert run(config, "features") == EXIT_OK
-        assert windows == [0]  # no row left to compute: no window gathered
+        for _ in range(2):
+            windows.clear()
+            assert run(config, "features") == EXIT_OK
+            assert windows == [147]  # every row's windows in one call
+            assert {name: (out / name).read_bytes() for name in first} == first
+
+    def test_record_with_an_old_features_key_is_appended_to(self, tmp_path, capsys):
+        """A features record that still holds ``meta.state.key``, as earlier
+        versions wrote it, is appended to, and the record written drops it."""
+        # expanding z-scores; the appended month is not in the Newey-West subsample, so no row changes
+        config = write_config(tmp_path, preprocess={"stationarity": "none", "zscore_mode": "expanding"})
+        assert run(config, "synth") == EXIT_OK
+        held = hold_back(tmp_path, 2)
+        for command in ("preprocess", "build-indices", "features", "train"):
+            assert run(config, command) == EXIT_OK
+        out = tmp_path / "out"
+        record = out / "features_digest.rec"
+        for appended in (0, 1):
+            if appended:
+                for path, lines in held.items():
+                    with path.open("a") as fh:
+                        fh.write(lines[0])
+                for command in ("preprocess", "build-indices"):
+                    assert run(config, command) == EXIT_OK
+            meta, arrays = unpack_record(record.read_bytes())
+            meta["state"] = {"key": "0" * 64}
+            record.write_bytes(pack_record(meta, arrays))
+            capsys.readouterr()
+            assert run(config, "features") == EXIT_OK
+            assert f"features.csv (appended {appended} rows)" in capsys.readouterr().out
+            assert "state" not in unpack_record(record.read_bytes())[0]
+            predict = ("predict", "--month", f"1982-0{4 + appended}", "--model-file", str(out / "model.json"))
+            files, _ = fresh_build(tmp_path, config, *predict)
+            assert (out / "features.csv").read_bytes() == files["features.csv"]
 
     def test_scorer_builds_only_the_rows_it_scores(self, pipeline, capsys, monkeypatch):
         tmp_path, config = pipeline

@@ -30,7 +30,6 @@ from cyclecast.dataset import (
     read_month_table,
     read_table_record,
     split_rows,
-    table_state,
     unpack_record,
     write_labels,
     write_month_table,
@@ -613,15 +612,16 @@ class TestWriteMonthTable:
     def test_state_is_stored_in_the_table_record(self, tmp_path):
         path = tmp_path / "growth.csv"
         months, rows = month_range(MonthStamp(1999, 11), 3), [0.1, 0.2, 0.3]
-        assert table_state(read_table_record(path)) == "no state"
+        assert read_table_record(path) == "no digest"
         write_month_table(path, ("value",), months, rows)
-        assert table_state(read_table_record(path)) == "no state"
+        assert read_table_record(path).state is None
         state = ({"key": "k"}, {"mean": np.arange(2.0), "scatter": np.eye(2)})
         assert write_month_table(path, ("value",), months, rows, state=state) == "appended 0 rows"
-        values, meta, arrays = table_state(read_table_record(path))
+        record = read_table_record(path)
+        meta, arrays = record.state
         assert meta == {"key": "k"} and sorted(arrays) == ["mean", "scatter"]
         np.testing.assert_array_equal(arrays["scatter"], np.eye(2))
-        assert values[:, 0].tolist() == rows
+        assert record.values[:, 0].tolist() == rows
         assert read_month_table(path)[2][:, 0].tolist() == rows
         good_meta, good_arrays = unpack_record(digest_path(path).read_bytes())
         for bad_meta, bad_arrays in (  # members write_month_table never writes
@@ -630,7 +630,7 @@ class TestWriteMonthTable:
             (good_meta, {**good_arrays, "other": np.zeros(1)}),
         ):
             digest_path(path).write_bytes(pack_record(bad_meta, bad_arrays))
-            assert table_state(read_table_record(path)) == "unreadable state"
+            assert read_table_record(path) == "unreadable digest"
             assert write_month_table(path, ("value",), months, rows) == "rewritten: unreadable digest"
 
     def test_gapped_months_are_refused(self, tmp_path):

@@ -16,7 +16,6 @@ from cyclecast.errors import (
 from cyclecast.features import (
     FeatureScaler,
     build_feature_matrix,
-    feature_key,
     feature_months,
     forecast_alignment,
     window_slopes,
@@ -228,7 +227,7 @@ def nan_led_panels(draw):
 
 
 class TestFeatureRows:
-    """Rows built for some months, or after reused rows, are the full matrix's rows, bit for bit."""
+    """Rows built for some months are the full matrix's rows, bit for bit."""
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(panel_window=nan_led_panels(), sign_only=st.booleans(), data=st.data())
@@ -245,40 +244,6 @@ class TestFeatureRows:
         expected = full.values[np.searchsorted(full.months, asked)]
         assert some.values.shape == expected.shape and some.values.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(some.months, asked)
-
-        k = data.draw(st.integers(1, full.n_rows))
-        key = feature_key(panel, window, sign_only, k)
-        reused = build_feature_matrix(panel, window, sign_only=sign_only, reuse=(key, full.values[:k].copy()))
-        assert reused.values.tobytes() == full.values.tobytes()
-        stale = full.values[:k] + 1.0  # under another key, never taken
-        other = feature_key(panel, window, not sign_only, k)
-        for wrong in (other, key[:-1] + ("0" if key[-1] != "0" else "1"), None):
-            rebuilt = build_feature_matrix(panel, window, sign_only=sign_only, reuse=(wrong, stale))
-            assert rebuilt.values.tobytes() == full.values.tobytes()
-
-    def test_reused_rows_are_taken_as_they_are(self, rng):
-        """Rows under the right key are not recomputed: only later rows are."""
-        panel = make_panel({"a": rng.standard_normal(20), "b": rng.standard_normal(20)})
-        full = build_feature_matrix(panel, 5)
-        marked = full.values[:10] + 1.0
-        got = build_feature_matrix(panel, 5, reuse=(feature_key(panel, 5, False, 10), marked))
-        np.testing.assert_array_equal(got.values[:10], marked)
-        np.testing.assert_array_equal(got.values[10:], full.values[10:])
-
-    def test_key_covers_the_panel_rows_and_settings(self, rng):
-        cols = {"a": rng.standard_normal(20), "b": rng.standard_normal(20)}
-        panel = make_panel(cols)
-        key = feature_key(panel, 5, False, 10)  # rows 0..13 of the panel
-        later = cols["a"].copy()
-        later[14] += 1.0
-        assert feature_key(make_panel({**cols, "a": later}), 5, False, 10) == key
-        earlier = cols["a"].copy()
-        earlier[13] = np.nextafter(earlier[13], np.inf)
-        assert feature_key(make_panel({**cols, "a": earlier}), 5, False, 10) != key
-        assert feature_key(panel, 5, True, 10) != key
-        assert feature_key(panel, 6, False, 10) != key
-        assert feature_key(make_panel(cols, start=MonthStamp(2000, 2)), 5, False, 10) != key
-        assert feature_key(make_panel({"b": cols["b"], "a": cols["a"]}), 5, False, 10) != key
 
     def test_month_without_a_full_window_raises(self, rng):
         panel = make_panel({"a": rng.standard_normal(10)}, start=MonthStamp(2010, 1))
