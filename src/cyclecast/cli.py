@@ -27,10 +27,10 @@ from .dataset import (
     MonthStamp,
     PhaseLabel,
     RawSeries,
+    RecordEntry,
     Region,
     SeriesParses,
     SplitSpec,
-    TableRecord,
     finite_cell_or_nan,
     load_labels,
     load_series_csv,
@@ -391,7 +391,7 @@ def read_features(csv_path: Path, meta_path: Path) -> FeatureMatrix:
     )
 
 
-def write_index_csv(index: CompositeIndex, path: Path, record: TableRecord | str | None = None) -> str:
+def write_index_csv(index: CompositeIndex, path: Path, record: RecordEntry | str | None = None) -> str:
     """Write the index, with its state's key, mean, scatter and vector in the
     table's record; :func:`write_month_table`'s note on which path ran.
     ``record`` is the table's record as already read."""
@@ -405,7 +405,7 @@ def read_index_csv(path: Path, kind: IndexKind) -> CompositeIndex:
     return CompositeIndex(kind=kind, months=months, values=values[:, 0])
 
 
-def _index_state(record: TableRecord | str) -> tuple[IndexState | None, str]:
+def _index_state(record: RecordEntry | str) -> tuple[IndexState | None, str]:
     """The state :func:`write_index_csv` stored in an index table's record
     (:func:`read_table_record`), or None and why not."""
     if isinstance(record, str):

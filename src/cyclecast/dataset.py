@@ -9,6 +9,10 @@ Phase labels use the integer encoding 1=recovery, 2=expansion, 3=slowdown,
 4=recession. Label files are CSV with a ``year,month,phase`` header; series
 files are CSV with a ``year,month,value`` header. Months of labels, panels and
 indices must be contiguous: gaps are data errors, never silently filled.
+
+A :class:`RecordEntry` keeps the rows parsed from a file's first bytes with
+their length and SHA-256 (a table's digest: the whole table; ``series_parse.rec``:
+one per series file); :func:`read_month_table` reads a file through one.
 """
 
 from __future__ import annotations
@@ -49,13 +53,12 @@ __all__ = [
     "load_labels",
     "write_labels",
     "load_series_csv",
-    "SeriesParse",
     "SeriesParses",
     "read_month_table",
     "format_month_table",
     "write_month_table",
     "read_table_record",
-    "TableRecord",
+    "RecordEntry",
     "write_atomic",
     "prefix_sha256",
     "pack_record",
@@ -310,12 +313,11 @@ def read_month_table(
     lines are skipped; every other defect, bytes that are not UTF-8 among them,
     raises :class:`MalformedRowError` naming the file and the line.
 
-    A table :func:`write_month_table` wrote is not parsed again: when its
-    digest record (:func:`digest_path`) holds the SHA-256 of the file's bytes,
-    the rows come from the record. They are the rows parsing would return, bit
-    for bit (NaN cells as the parser's NaN), and a header that fails
-    ``columns`` raises the same error. Float cells only: ``int`` tables, and
-    tables whose rows this ``cell`` would reject, are always parsed.
+    A table is read through the :class:`RecordEntry` of its digest record
+    (:func:`read_table_record`): when the entry proves the file's first
+    bytes, the rows are its rows followed by the parse of the bytes after
+    them, bit for bit the rows of the full parse (see :func:`_resume`).
+    ``int`` tables always take the full parse.
 
     Only the header goes through ``csv``. The body is parsed in one
     ``np.loadtxt`` pass (quoted cells allowed), and the month range and
@@ -331,12 +333,10 @@ def read_month_table(
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    recorded = None if cell is int else _recorded_rows(path, cell is finite_cell_or_nan)
-    if recorded is not None:
-        names, months, values = recorded
-        _header_names(path, ["year", "month", *names], columns, _expected_header(columns))
-        return names, months, values
-    return _parse_table(path, path.read_bytes(), columns, cell)
+    resumed = None if cell is int else _resume(path, columns, cell, read_table_record(path))
+    if resumed is None:
+        return _parse_table(path, path.read_bytes(), columns, cell)
+    return tuple(resumed[0].names), resumed[0].months, resumed[0].values
 
 
 def _expected_header(columns: Sequence[str] | None) -> str:
@@ -572,89 +572,137 @@ def digest_path(path: str | Path) -> Path:
     return path.with_name(f"{path.stem}_digest.rec")
 
 
-class TableRecord(NamedTuple):
-    """The digest record :func:`write_month_table` keeps beside a table, as read back."""
+class RecordEntry(NamedTuple):
+    """What a record proves of a file: the rows parsed from its first
+    ``length`` bytes, which end at a line feed and hash to ``sha256`` (hex).
+    ``months`` are int64 ordinals and ``values`` float64 months by ``names``;
+    ``state`` is the (meta, arrays) an index's next build resumes from."""
 
-    file_sha256: str
+    length: int
+    sha256: str
     names: list[str]
     months: np.ndarray
     values: np.ndarray
-    state: tuple[dict, dict[str, np.ndarray]] | None  # the (meta, arrays) stored with the table
+    state: tuple[dict, dict[str, np.ndarray]] | None = None
 
 
-def _read_record(path: Path) -> TableRecord:
-    """The digest record beside table ``path``.
+def _pack_entry(entry: RecordEntry) -> tuple[dict, dict[str, np.ndarray]]:
+    """``entry`` as :func:`pack_record` (meta, arrays): meta ``length``,
+    ``sha256``, ``names`` and ``first_month`` (null for no rows), arrays
+    ``values`` and, only for months not contiguous from ``first_month``,
+    ``months``. A state adds meta ``state`` and arrays ``state.<name>``."""
+    n = len(entry.months)
+    first = int(entry.months[0]) if n else None
+    meta = {"length": entry.length, "sha256": entry.sha256, "names": list(entry.names), "first_month": first}
+    arrays = {"values": entry.values}
+    if n and not np.array_equal(entry.months, first + np.arange(n)):
+        arrays["months"] = entry.months  # ordinals are exact in float64
+    if entry.state is not None:
+        meta["state"] = entry.state[0]
+        arrays.update({f"state.{name}": array for name, array in entry.state[1].items()})
+    return meta, arrays
 
-    FileNotFoundError if there is none; ValueError if it is damaged or not a record.
-    """
-    meta, arrays = unpack_record(digest_path(path).read_bytes())
-    sha, names, first, state = (meta.get(key) for key in ("file_sha256", "names", "first_month", "state"))
-    values = arrays.pop("values", None)
-    if (
-        meta.keys() - {"state"} != {"file_sha256", "names", "first_month"}
-        or values is None
-        or not all(name.startswith("state.") for name in arrays)
-        or not (isinstance(state, dict) if "state" in meta else not arrays)
-        or type(sha) is not str
-        or not (isinstance(names, list) and all(type(n) is str for n in names))
-        or values.shape[1:] != (len(names),)
-        or type(first) is not (int if len(values) else type(None))
+
+def _unpack_entry(meta, arrays: dict[str, np.ndarray]) -> RecordEntry:
+    """The entry :func:`_pack_entry` stored as (meta, arrays); ValueError if it is not one."""
+    if not isinstance(meta, dict) or meta.keys() - {"state"} != {"length", "sha256", "names", "first_month"}:
+        raise ValueError("not a record entry")
+    length, sha, names, first = (meta[key] for key in ("length", "sha256", "names", "first_month"))
+    values, months = arrays.get("values"), arrays.get("months")
+    extra = arrays.keys() - {"values", "months"}
+    state = (meta["state"], {name[6:]: arrays[name] for name in extra}) if "state" in meta else None
+    if not (
+        type(length) is int and length > 0 and type(sha) is str
+        and isinstance(names, list) and all(type(name) is str for name in names)
+        and values is not None
+        and values.shape[1:] == (len(names),)
+        and type(first) is (int if len(values) else type(None))
+        and (months is None or months.shape == (len(values),))
+        and all(name.startswith("state.") for name in extra)
+        and (isinstance(state[0], dict) if state else not extra)
     ):
-        raise ValueError(f"{digest_path(path).name}: not a table digest record")
-    if state is not None:
-        state = state, {name.removeprefix("state."): array for name, array in arrays.items()}
-    return TableRecord(sha, names, (first or 0) + np.arange(len(values), dtype=np.int64), values, state)
+        raise ValueError("not a record entry")
+    if months is None:
+        months = (first or 0) + np.arange(len(values))
+    with np.errstate(invalid="ignore"):  # NaN or out of range: caught as unequal below
+        ordinals = months.astype(np.int64)
+    if not np.array_equal(ordinals, months):
+        raise ValueError("record entry months are not ordinals")
+    return RecordEntry(length, sha, names, ordinals, values, state)
 
 
-def read_table_record(path: str | Path) -> TableRecord | str:
-    """The digest record beside table ``path``, or why not: ``no digest`` or
-    ``unreadable digest``. Never raises; pass it on to :func:`write_month_table`
-    so that the record is unpacked once."""
+def read_table_record(path: str | Path) -> RecordEntry | str:
+    """The entry of the digest record beside table ``path``, or why not: ``no
+    digest`` or ``unreadable digest``. Never raises; pass it on to
+    :func:`write_month_table` so that the record is unpacked once."""
     try:
-        return _read_record(Path(path))
+        return _unpack_entry(*unpack_record(digest_path(path).read_bytes()))
     except FileNotFoundError:
         return "no digest"
     except (OSError, ValueError):
         return "unreadable digest"
 
 
-def _file_sha256(path: Path) -> str:
-    """SHA-256, in hex, of the file's bytes, read 64 KiB at a time: a large table is never held whole."""
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
+def _verify_entry(
+    path: Path, entry: RecordEntry, keep: bool = False
+) -> tuple["hashlib._Hash", bytes, bytes] | None:
+    """(the SHA-256 object of the file's first ``entry.length`` bytes, those
+    bytes if ``keep`` else b"", the bytes after them) when ``entry`` proves
+    the first bytes; else None. The one check of a file against a record: it
+    hashes 64 KiB at a time, so a large table is not held whole to be verified."""
+    digest, kept, size, block = hashlib.sha256(), [], 0, b""
+    try:
+        with path.open("rb") as fh:
+            while size < entry.length and (block := fh.read(min(1 << 16, entry.length - size))):
+                digest.update(block)
+                size += len(block)
+                if keep:
+                    kept.append(block)
+            tail = fh.read()
+    except OSError:
+        return None
+    if size != entry.length or block[-1:] != b"\n" or digest.hexdigest() != entry.sha256:
+        return None
+    return digest, b"".join(kept), tail
 
 
 # Header names that csv reads back as written, one line, one field each.
 _PLAIN_NAME = re.compile(r'[^,"\r\n\x00]*')
 
 
-def _recorded_rows(path: Path, gaps: bool) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
-    """(names, months, values) from the digest record of table ``path``, when
-    they are what parsing the file returns; else None.
-
-    They are when the record holds the SHA-256 of the file's bytes (so the
-    file is the text :func:`format_month_table` made of these rows) and that
-    text parses: one or more plain names, years within 0..9999, and cells
-    finite, or NaN (an empty cell) where ``gaps`` allows it.
-    """
-    try:
-        sha, names, months, values, _ = _read_record(path)
-        if sha != _file_sha256(path):
-            return None
-    except (OSError, ValueError):
+def _resume(
+    path: Path, columns: Sequence[str] | None, cell: Callable[[str], float], entry: RecordEntry | str
+) -> tuple[RecordEntry, bytes] | None:
+    """(the entry of the whole file, the bytes past ``entry``'s) when the rows
+    of ``entry`` and then the parse of the bytes past the ones it proves are
+    the full parse's, else None; a header that fails ``columns`` raises the
+    parse's error. They are when the entry's rows parse as written (plain
+    names, years within 0..9999, cells finite, or NaN where ``cell`` allows
+    it) and the later bytes parse: the proven bytes end at a line feed."""
+    if isinstance(entry, str):
         return None
-    if not names or not all(_PLAIN_NAME.fullmatch(name) for name in names):
-        return None
-    if months.size and not (months.min() >= 0 and months.max() < 10000 * 12):
-        return None
+    names, months, values = entry.names, entry.months, entry.values
     nan = np.isnan(values)
-    if np.isinf(values).any() or (nan.any() and not gaps):
+    if (
+        not names
+        or not all(_PLAIN_NAME.fullmatch(name) for name in names)
+        or (months.size and not (months.min() >= 0 and months.max() < 10000 * 12))
+        or np.isinf(values).any()
+        or (nan.any() and cell is not finite_cell_or_nan)
+        or not (verified := _verify_entry(path, entry))
+    ):
         return None
+    digest, _, tail = verified
+    _header_names(path, ["year", "month", *names], columns, _expected_header(columns))
     values[nan] = np.nan  # the parser's NaN, whatever NaN the writer was given
-    return tuple(names), months, values
+    if tail:
+        try:  # the later bytes as the body of a table with the entry's header
+            _, more, cells = _parse_table(path, _format_header(names).encode() + tail, None, cell)
+        except MalformedRowError:
+            return None
+        months, values = np.concatenate([months, more]), np.concatenate([values, cells])
+        digest.update(tail)
+    return RecordEntry(entry.length + len(tail), digest.hexdigest(), names, months, values), tail
 
 
 def write_month_table(
@@ -664,26 +712,20 @@ def write_month_table(
     values,
     write: Callable[[Path, str | bytes], None] = write_atomic,
     state: tuple[dict, dict[str, np.ndarray]] | None = None,
-    record: TableRecord | str | None = None,
+    record: RecordEntry | str | None = None,
 ) -> str:
     """Write a float table as :func:`format_month_table` text, reusing the file's verified prefix.
 
     ``months`` must be contiguous ordinals; ``values`` is months by names.
-    After the table, a digest record (:func:`digest_path`) is written: a
-    :func:`pack_record` whose meta holds the SHA-256 of the file's bytes
-    (``file_sha256``), the column ``names`` and the first month's ordinal
-    (``first_month``, null for no rows), and whose array ``values`` holds the
-    float64 rows; a ``state`` (meta, arrays) to resume the table's build from
-    adds its meta as ``state`` and its arrays as ``state.<name>``
-    (:attr:`TableRecord.state`). :func:`read_month_table` returns the record's
-    rows instead of parsing a file whose bytes it matches. If the record on disk
-    holds the first k rows of this table, bit for bit, under the same names,
-    and still matches the file, the file's bytes are kept and only rows k
-    onwards are formatted; otherwise k = 0 and every row is. The bytes
-    written are those of :func:`format_month_table` either way. Both files
-    go through ``write`` (:func:`write_atomic`, or the caller's own atomic
-    writer). ``record`` is the record on disk as :func:`read_table_record`
-    gave it, when the caller has already read it; None reads it here.
+    After the table, its digest record (:func:`digest_path`) is written: the
+    :class:`RecordEntry` of the whole file, with ``state`` (meta, arrays) for
+    the table's next build to resume from. If the record on disk (``record``
+    as :func:`read_table_record` gave it, or None to read it here) holds the
+    first k rows of this table, bit for bit, under the same names, and proves
+    the whole file, the file's bytes are kept and only rows k onwards are
+    formatted; otherwise k = 0. The bytes are :func:`format_month_table`'s
+    either way. Both files go through ``write`` (:func:`write_atomic`, or the
+    caller's own atomic writer).
 
     Returns which path ran: ``appended N rows``, or ``rewritten:`` followed
     by ``no digest``, ``unreadable digest``, ``changed rows`` (other names,
@@ -695,9 +737,7 @@ def write_month_table(
     months = np.asarray(months, dtype=np.int64)
     check_contiguous(months, path.name)
     values = np.ascontiguousarray(values, dtype=np.float64).reshape(len(months), len(names))
-    if record is None:
-        record = read_table_record(path)
-    kept = _verified_prefix(path, names, months, values, record)
+    kept = _kept_prefix(path, names, months, values, read_table_record(path) if record is None else record)
     del record  # a large table's recorded rows need not outlive the check while its text is built
     if isinstance(kept, str):
         k, data, digest, head, note = 0, b"", hashlib.sha256(), _format_header(names), f"rewritten: {kept}"
@@ -708,44 +748,31 @@ def write_month_table(
     data += text  # b"" + x does not copy x
     del text
     write(path, data)
-    meta = {
-        "file_sha256": digest.hexdigest(),
-        "names": list(names),
-        "first_month": int(months[0]) if len(months) else None,  # the rest follow, contiguous
-    }
+    entry = RecordEntry(len(data), digest.hexdigest(), list(names), months, values, state)
     del data  # a large table's text need not outlive it while the record is packed
-    arrays = {"values": values}
-    if state is not None:
-        meta["state"] = state[0]
-        arrays.update({f"state.{name}": array for name, array in state[1].items()})
-    write(digest_path(path), pack_record(meta, arrays))
+    write(digest_path(path), pack_record(*_pack_entry(entry)))
     return note
 
 
-def _verified_prefix(
-    path: Path, names: Sequence[str], months: np.ndarray, values: np.ndarray, record: TableRecord | str
+def _kept_prefix(
+    path: Path, names: Sequence[str], months: np.ndarray, values: np.ndarray, record: RecordEntry | str
 ) -> tuple[int, bytes, "hashlib._Hash"] | str:
     """(k, the file's bytes, their SHA-256 object) when digest ``record`` proves
-    the file holds this table's first k rows; otherwise why not."""
+    the file is exactly this table's first k rows; otherwise why not."""
     if isinstance(record, str):
         return record
-    sha, recorded_names, recorded_months, recorded_values, _ = record
-    n = len(recorded_months)
+    n = len(record.months)
     if (
         n > len(months)
-        or recorded_names != list(names)
-        or not np.array_equal(recorded_months, months[:n])
-        or not np.array_equal(recorded_values.view(np.uint64), values[:n].view(np.uint64))
+        or record.names != list(names)
+        or not np.array_equal(record.months, months[:n])
+        or not np.array_equal(record.values.view(np.uint64), values[:n].view(np.uint64))
     ):
         return "changed rows"
-    try:
-        data = path.read_bytes()
-    except OSError:
+    verified = _verify_entry(path, record, keep=True)
+    if verified is None or verified[2]:  # bytes past the record's: not the file it was written with
         return "edited file"
-    digest = hashlib.sha256(data)
-    if digest.hexdigest() != sha:
-        return "edited file"
-    return n, data, digest
+    return n, verified[1], verified[0]
 
 
 def load_labels(path: str | Path, region: Region | None = None) -> LabeledDataset:
@@ -773,149 +800,71 @@ def load_series_csv(
 ) -> RawSeries:
     """Read a ``year,month,value`` CSV into a :class:`RawSeries`.
 
-    With ``parses``, a file that only grew since the parse ``parses`` holds of
-    it is parsed only past that parse (:class:`SeriesParses`). The series, or
-    the error raised, is the full parse's either way.
+    With ``parses``, the file is read through the entry ``parses`` holds of
+    it (:class:`SeriesParses`). The series, or the error raised, is the full
+    parse's either way.
     """
     if parses is None:
         _, months, rows = read_month_table(path, ("value",))
-        values = rows[:, 0]
     else:
-        months, values = parses.load(Path(path))
-    return RawSeries(series_id, region, category, months=months, values=values)
-
-
-# Bumped whenever SeriesParses.pack changes what it stores.
-SERIES_PARSE_SCHEMA = 1
-_SERIES_ROW = np.dtype([("year", np.int64), ("month", np.int64), ("cells", np.float64, (1,))])
-
-
-@dataclass(frozen=True)
-class SeriesParse:
-    """The months and values parsed from the first ``length`` bytes of a series
-    file, which end at a line feed and hash to ``sha256`` (hex)."""
-
-    length: int
-    sha256: str
-    months: np.ndarray
-    values: np.ndarray
+        months, rows = parses.load(Path(path))
+    return RawSeries(series_id, region, category, months=months, values=rows[:, 0])
 
 
 class SeriesParses:
-    """The parses of series files one run keeps for the next to resume from.
+    """The series file entries one run keeps for the next to resume from.
 
-    :func:`load_series_csv` looks a file up in ``prior`` by its path. When the
-    file still starts with the bytes of that parse (same length, same
-    SHA-256), only the bytes after them are parsed, and the rows are the prior
-    rows followed by theirs. A parse a line at a time gives the same rows as
-    one pass over the whole file, because the prior bytes end at a line feed
-    and parsed with no quote left open. Anything else (no prior parse, a file
-    edited, truncated or prepended to, appended bytes that do not parse) takes
-    the full parse, with its usual result or error. Every file loaded puts its
-    new parse in ``kept``, unless its last byte is not a line feed; ``resumed``
-    and ``parsed`` count the files loaded each way. :meth:`pack` and
-    :meth:`read` store ``kept`` as a :func:`pack_record` and read it back.
+    :func:`load_series_csv` reads a file through its entry in ``prior``, as
+    :func:`read_month_table` reads a table through its digest record. Each
+    file loaded puts the entry of its bytes in ``kept``, unless its last byte
+    is not a line feed; ``resumed`` and ``parsed`` count the files loaded
+    through an entry and in full. :meth:`pack` and :meth:`read` store ``kept``
+    as a :func:`pack_record` and read it back.
     """
 
-    def __init__(self, prior: dict[str, SeriesParse] | None = None):
-        self.prior = prior or {}
-        self.kept: dict[str, SeriesParse] = {}
-        self.resumed = 0
-        self.parsed = 0
+    def __init__(self, prior: dict[str, RecordEntry] | None = None):
+        self.prior, self.kept, self.resumed, self.parsed = prior or {}, {}, 0, 0
 
     def load(self, path: Path) -> tuple[np.ndarray, np.ndarray]:
-        """(months, values) of series file ``path``; see the class."""
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:  # as read_month_table names it
-            raise FileNotFoundError(str(path)) from None
+        """(months, rows) of series file ``path``; see the class."""
         # popped, so that its arrays are freed once the new ones are built
-        prior, rows = self.prior.pop(str(path), None), None
-        if prior is not None and prior.length <= len(data):
-            digest = hashlib.sha256(memoryview(data)[: prior.length])
-            tail = _series_rows(data[prior.length :]) if digest.hexdigest() == prior.sha256 else None
-            if tail is not None:
-                rows = np.concatenate([prior.months, tail[0]]), np.concatenate([prior.values, tail[1]])
-                digest.update(memoryview(data)[prior.length :])
-        if rows is None:
-            _, months, table = _parse_table(path, data, ("value",), finite_cell)
-            rows, digest = (months, table[:, 0]), hashlib.sha256(data)
+        resumed = _resume(path, ("value",), finite_cell, self.prior.pop(str(path), "no entry"))
+        if resumed is None:
+            if not path.exists():
+                raise FileNotFoundError(str(path))  # as read_month_table names it
+            data = path.read_bytes()
+            names, months, rows = _parse_table(path, data, ("value",), finite_cell)
+            entry, tail = RecordEntry(len(data), hashlib.sha256(data).hexdigest(), list(names), months, rows), data
             self.parsed += 1
         else:
+            entry, tail = resumed
             self.resumed += 1
-        if data.endswith(b"\n"):
-            self.kept[str(path)] = SeriesParse(len(data), digest.hexdigest(), *rows)
-        return rows
+        if tail.endswith(b"\n") or not tail:
+            self.kept[str(path)] = entry
+        return entry.months, entry.values
 
     def pack(self) -> bytes:
-        """``kept`` as a record: meta ``{"schema", "files": {path: {length, sha256,
-        first_month, rows}}}``, arrays ``values:<path>``, and ``months:<path>``
-        only for a file whose months are not contiguous from ``first_month``."""
+        """``kept`` as a record: meta ``{"files": {path: entry meta}}`` and each
+        entry's arrays as ``<name>:<path>`` (:func:`_pack_entry`)."""
         files, arrays = {}, {}
-        for key, parse in self.kept.items():
-            n = len(parse.months)
-            first = int(parse.months[0]) if n else None
-            files[key] = {"length": parse.length, "sha256": parse.sha256, "first_month": first, "rows": n}
-            arrays[f"values:{key}"] = parse.values
-            if n and not np.array_equal(parse.months, first + np.arange(n)):
-                arrays[f"months:{key}"] = parse.months  # ordinals are exact in float64
-        return pack_record({"schema": SERIES_PARSE_SCHEMA, "files": files}, arrays)
+        for key, entry in self.kept.items():
+            files[key], named = _pack_entry(entry)
+            arrays.update((f"{name}:{key}", array) for name, array in named.items())
+        return pack_record({"files": files}, arrays)
 
     @classmethod
     def read(cls, path: str | Path) -> "SeriesParses":
-        """The parses :meth:`pack` stored at ``path`` as ``prior``; none when the
+        """The entries :meth:`pack` stored at ``path`` as ``prior``; none when the
         record is missing, damaged or not such a record. Never raises."""
         try:
             meta, arrays = unpack_record(Path(path).read_bytes())
-            return cls(_series_parses(meta, arrays))
-        except (OSError, ValueError):
+            files = meta.get("files")
+            if meta.keys() != {"files"} or not isinstance(files, dict):
+                raise ValueError("not a series parse record")
+            owned = {key: {} for key in files}
+            for name, array in arrays.items():
+                name, _, key = name.partition(":")
+                owned[key][name] = array  # KeyError: an array of no entry
+            return cls({key: _unpack_entry(entry, owned[key]) for key, entry in files.items()})
+        except (OSError, KeyError, ValueError):
             return cls()
-
-
-def _series_parses(meta: dict, arrays: dict[str, np.ndarray]) -> dict[str, SeriesParse]:
-    """The parses of a :meth:`SeriesParses.pack` record; ValueError if it is not one."""
-    files = meta.get("files")
-    if meta != {"schema": SERIES_PARSE_SCHEMA, "files": files} or not isinstance(files, dict):
-        raise ValueError("not a series parse record")
-    parses = {}
-    for key, entry in files.items():
-        if not (isinstance(entry, dict) and entry.keys() == {"length", "sha256", "first_month", "rows"}):
-            raise ValueError(f"series parse record: bad entry for {key!r}")
-        length, sha, first, n = entry["length"], entry["sha256"], entry["first_month"], entry["rows"]
-        values, months = arrays.pop(f"values:{key}", None), arrays.pop(f"months:{key}", None)
-        if not (
-            type(length) is int
-            and length > 0
-            and type(sha) is str
-            and type(n) is int
-            and type(first) is (int if n else type(None))
-            and values is not None
-            and values.shape == (n,)
-            and (months is None or months.shape == (n,))
-        ):
-            raise ValueError(f"series parse record: bad entry for {key!r}")
-        if months is None:
-            months = (first or 0) + np.arange(n, dtype=np.int64)
-        else:
-            with np.errstate(invalid="ignore"):  # NaN or out of range: caught as unequal below
-                ordinals = months.astype(np.int64)
-            if not np.array_equal(ordinals, months):
-                raise ValueError(f"series parse record: months of {key!r} are not ordinals")
-            months = ordinals
-        parses[key] = SeriesParse(length, sha, months, values)
-    if arrays:
-        raise ValueError("series parse record: arrays without an entry")
-    return parses
-
-
-def _series_rows(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """(months, values) of series body lines ``data``, or None if one of them is bad."""
-    try:
-        lines = _lines(data.decode("utf-8"))
-    except UnicodeDecodeError:
-        return None
-    table = _parse_month_rows(lines, _SERIES_ROW, gaps=False)
-    if table is None or _bad_rows(table, gaps=False).size:
-        return None
-    return table["year"] * 12 + table["month"] - 1, table["cells"][:, 0]
-

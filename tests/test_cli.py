@@ -1458,7 +1458,7 @@ def hold_back(tmp_path: Path, n: int) -> dict[Path, list[str]]:
 
 def fresh_build(tmp_path: Path, config: Path, *predict: str) -> tuple[dict[str, bytes], str]:
     """Every file preprocess -> build-indices -> features leave in an empty out
-    dir, and what ``predict`` prints from it."""
+    dir, and what ``predict`` prints from it (nothing without ``predict``)."""
     fresh = tmp_path / "fresh"
     shutil.rmtree(fresh, ignore_errors=True)
     doc = json.loads(config.read_text())
@@ -1471,7 +1471,7 @@ def fresh_build(tmp_path: Path, config: Path, *predict: str) -> tuple[dict[str, 
             assert run(fresh_config, command) == EXIT_OK
         printed.seek(0)
         printed.truncate()
-        assert run(fresh_config, *predict) == EXIT_OK
+        assert not predict or run(fresh_config, *predict) == EXIT_OK
     return {path.name: path.read_bytes() for path in sorted(fresh.iterdir())}, printed.getvalue()
 
 
@@ -1640,10 +1640,34 @@ class TestRefresh:
             return unpack(data)
 
         monkeypatch.setattr(dataset, "unpack_record", spy)
-        assert run(config, "build-indices") == EXIT_OK
         out = tmp_path / "out"
-        sizes = [(out / f"{name}_digest.rec").stat().st_size for name in ("panel", "growth", "inflation")]
-        assert sorted(unpacked) == sorted(sizes)
+        for command, records in (
+            ("preprocess", ("series_parse.rec", "panel_digest.rec")),  # the sizes read are the sizes written
+            ("build-indices", ("panel_digest.rec", "growth_digest.rec", "inflation_digest.rec")),
+        ):
+            unpacked.clear()
+            assert run(config, command) == EXIT_OK
+            assert sorted(unpacked) == sorted((out / name).stat().st_size for name in records)
+
+    def test_every_series_file_goes_through_load_series_csv(self, pipeline, capsys, monkeypatch):
+        # the benchmark's dataset.load span hooks cli.load_series_csv, on a full run and a resumed one
+        tmp_path, config = pipeline
+        loaded = []
+        load = cli.load_series_csv
+
+        def spy(path, *args, **kwargs):
+            loaded.append(Path(path).name)
+            return load(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_series_csv", spy)
+        files = sorted(path.name for path in (tmp_path / "data" / "series").glob("*.csv"))
+        (tmp_path / "out" / "series_parse.rec").unlink()
+        for note in ("0 resumed, 8 parsed in full", "8 resumed, 0 parsed in full"):
+            loaded.clear()
+            capsys.readouterr()
+            assert run(config, "preprocess") == EXIT_OK
+            assert f"series files: {note}\n" in capsys.readouterr().out
+            assert sorted(loaded) == files
 
     def test_series_that_keeps_a_unit_root_is_named(self, tmp_path, capsys):
         config = write_config(tmp_path, preprocess={"stationarity": "auto", "zscore_mode": "full"})
@@ -1665,6 +1689,112 @@ class TestRefresh:
         assert warnings[0].startswith(
             "warning: series 'growth_i3' still has a unit root after 2 differencing rounds (ADF statistic -"
         )
+
+
+def to_previous_format(out: Path) -> None:
+    """Rewrite the records of ``out`` as the version before the one record entry wrote them:
+    table digests whose meta holds ``file_sha256`` and no ``length``, and a
+    ``series_parse.rec`` of schema 1 with one-dimensional values."""
+    for record in out.glob("*_digest.rec"):
+        meta, arrays = unpack_record(record.read_bytes())
+        del meta["length"]
+        meta["file_sha256"] = meta.pop("sha256")
+        record.write_bytes(pack_record(meta, arrays))
+    meta, arrays = unpack_record((out / "series_parse.rec").read_bytes())
+    files, old = {}, {}
+    for key, entry in meta["files"].items():
+        old[f"values:{key}"] = arrays[f"values:{key}"][:, 0]
+        files[key] = {**entry, "rows": len(old[f"values:{key}"])}
+        del files[key]["names"]
+    (out / "series_parse.rec").write_bytes(pack_record({"schema": 1, "files": files}, old))
+
+
+class TestRecordUpgrade:
+    def test_previous_format_records_cost_one_full_pass(self, tmp_path, capsys):
+        # expanding z-scores; the appended month is not in the Newey-West subsample, so no row changes
+        config = write_config(tmp_path, preprocess={"stationarity": "none", "zscore_mode": "expanding"})
+        assert run(config, "synth") == EXIT_OK
+        held = hold_back(tmp_path, 2)
+        chain = ("preprocess", "build-indices", "features")
+        for command in chain:
+            assert run(config, command) == EXIT_OK
+        out = tmp_path / "out"
+        to_previous_format(out)
+        capsys.readouterr()
+        for command in chain:
+            assert run(config, command) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "series files: 0 resumed, 8 parsed in full\n" in printed
+        assert table_notes(printed) == ["rewritten: unreadable digest"] * 4
+        assert index_paths(printed) == ["rebuilt: unreadable state"] * 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == fresh_build(tmp_path, config)[0]
+
+        for path, lines in held.items():
+            with path.open("a") as fh:
+                fh.write(lines[0])
+        for command in chain:
+            assert run(config, command) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "series files: 8 resumed, 0 parsed in full\n" in printed
+        assert table_notes(printed) == ["appended 1 rows"] * 4
+        assert index_paths(printed) == ["resumed, 78 months reused"] * 2
+
+
+class Crash(Exception):
+    """The process killed at a write."""
+
+
+class TestCrashLaw:
+    """A chain killed at any write, then rerun, leaves the files of a run that was not killed."""
+
+    CHAIN = ("preprocess", "build-indices", "features")
+
+    def test_rerun_after_a_crash_at_any_write_equals_an_uninterrupted_run(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, preprocess={"stationarity": "none", "zscore_mode": "expanding"})
+        assert run(config, "synth") == EXIT_OK
+        held = hold_back(tmp_path, 2)
+        out, before = tmp_path / "out", tmp_path / "before"
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command in self.CHAIN:
+                assert run(config, command) == EXIT_OK
+        for path, lines in held.items():  # one appended month
+            with path.open("a") as fh:
+                fh.write(lines[0])
+        shutil.copytree(out, before)
+        written, crash = [], {}
+        write_atomic = cli._write_atomic
+
+        def write(path, data):
+            written.append(Path(path).name)
+            if len(written) == crash.get("at"):
+                if crash["mode"] == "after the temporary file":
+                    Path(f"{path}.tmp").write_bytes(data.encode() if isinstance(data, str) else data)
+                raise Crash(path)
+            write_atomic(path, data)
+
+        def run_chain() -> dict[str, bytes]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                for command in self.CHAIN:
+                    assert run(config, command) == EXIT_OK
+            return {path.name: path.read_bytes() for path in out.iterdir() if path.suffix != ".tmp"}
+
+        monkeypatch.setattr(cli, "_write_atomic", write)
+        expected = run_chain()
+        assert written == [
+            "panel.csv", "panel_digest.rec", "series_parse.rec", "growth.csv", "growth_digest.rec",
+            "inflation.csv", "inflation_digest.rec", "loadings.json", "features.csv", "features_digest.rec",
+        ]
+        for at in range(1, len(written) + 1):
+            for mode in ("before the write", "after the temporary file"):
+                shutil.rmtree(out)
+                shutil.copytree(before, out)
+                written.clear()
+                crash.update(at=at, mode=mode)
+                with pytest.raises(Crash), contextlib.redirect_stdout(io.StringIO()):
+                    for command in self.CHAIN:
+                        run(config, command)
+                crash.clear()
+                assert run_chain() == expected, (at, mode)
 
 
 class TestRecordedTables:

@@ -417,13 +417,13 @@ class TestSeriesResume:
         load_series_csv(path, "x", Region.US, Category.GROWTH, parses=parses)
         meta, arrays = unpack_record(parses.pack())
         assert sorted(arrays) == [f"values:{path}"]
+        assert arrays[f"values:{path}"].tobytes() == np.ones((3, 1)).tobytes()
         assert meta == {
-            "schema": 1,
             "files": {str(path): {
                 "length": path.stat().st_size,
                 "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                "names": ["value"],
                 "first_month": 7,
-                "rows": 3,
             }},
         }
 
@@ -444,15 +444,19 @@ class TestSeriesResume:
         meta, arrays = unpack_record(blob)
         entry = meta["files"][str(path)]
         foreign = [
-            pack_record({**meta, "schema": 2}, arrays),
+            pack_record({**meta, "schema": 1}, arrays),
             pack_record({**meta, "other": 1}, arrays),
-            pack_record({"schema": 1, "files": {str(path): {**entry, "rows": 4}}}, arrays),
-            pack_record({"schema": 1, "files": {str(path): {**entry, "length": 0}}}, arrays),
-            pack_record({"schema": 1, "files": {str(path): {**entry, "first_month": 1.0}}}, arrays),
-            pack_record({"schema": 1, "files": {str(path): {**entry, "sha256": None}}}, arrays),
-            pack_record({"schema": 1, "files": {str(path): [entry]}}, arrays),
-            pack_record(meta, {**arrays, "values:other": np.zeros(1)}),
+            pack_record({"files": {str(path): {**entry, "rows": 5}}}, arrays),
+            pack_record({"files": {str(path): {**entry, "length": 0}}}, arrays),
+            pack_record({"files": {str(path): {**entry, "first_month": 1.0}}}, arrays),
+            pack_record({"files": {str(path): {**entry, "sha256": None}}}, arrays),
+            pack_record({"files": {str(path): {**entry, "names": "value"}}}, arrays),
+            pack_record({"files": {str(path): {**entry, "names": ["value", "other"]}}}, arrays),
+            pack_record({"files": {str(path): {**entry, "state": 1}}}, arrays),
+            pack_record({"files": {str(path): [entry]}}, arrays),
+            pack_record(meta, {**arrays, "values:other": np.zeros((1, 1))}),
             pack_record(meta, {**arrays, f"months:{path}": np.arange(5.0) + 0.5}),
+            pack_record(meta, {f"values:{path}": np.arange(5.0)}),  # one-dimensional values
             pack_record(meta, {}),
         ]
         damaged = [blob[:n] for n in range(0, len(blob), 7)] + [
@@ -599,7 +603,8 @@ class TestWriteMonthTable:
         assert writes == ["growth.csv", "growth_digest.rec"]
         meta, arrays = unpack_record((tmp_path / "growth_digest.rec").read_bytes())
         assert meta == {
-            "file_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "length": path.stat().st_size,
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
             "names": ["value"],
             "first_month": int(months[0]),
         }
@@ -748,6 +753,24 @@ class TestRecordedRead:
             assert loadtxt.call_count >= 1
             assert recorded == parse_outcome(path, cell=cell)
             assert recorded[0] is MalformedRowError
+
+    def test_only_the_rows_past_the_record_are_parsed(self, tmp_path):
+        path = tmp_path / "table.csv"
+        months = month_range(MonthStamp(2000, 1), 5)
+        write_month_table(path, ("a", "b"), months[:3], [[1.0, np.nan], [2.0, 3.0], [-0.0, 4.0]])
+        with path.open("a") as fh:
+            fh.write("2000,4,5.0,\n\n2000,5,6.0,7.0\n")
+        parsed, loadtxt = [], np.loadtxt
+
+        def counting_loadtxt(lines, *args, **kwargs):
+            parsed.append(list(lines))
+            return loadtxt(parsed[-1], *args, **kwargs)
+
+        with mock.patch.object(np, "loadtxt", counting_loadtxt):
+            recorded = read_outcome(path)
+        assert parsed == [["2000,4,5.0,nan", "", "2000,5,6.0,7.0", ""]]  # only the lines past the record
+        assert recorded == parse_outcome(path)
+        assert recorded[2] == months.tobytes()
 
     def test_nan_cells_read_as_the_parsers_nan(self, tmp_path):
         path = tmp_path / "table.csv"
